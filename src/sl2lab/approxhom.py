@@ -130,6 +130,26 @@ def first_defect(psi: np.ndarray, g1: FiniteGroupTable, g2: FiniteGroupTable):
     return int(bad[0][0]), int(bad[1][0])
 
 
+def _table_closure(gens: set, mul, identity, cap: int) -> Optional[set]:
+    """Closure of {identity} | gens under right multiplication by gens, via
+    the table product ``mul(x, g)``; None once it exceeds cap.  In a finite
+    group with gens closed under inverses this is the generated subgroup."""
+    visited = {identity} | gens
+    frontier = list(visited)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                w = mul(x, g)
+                if w not in visited:
+                    visited.add(w)
+                    nxt.append(w)
+                    if len(visited) > cap:
+                        return None
+        frontier = nxt
+    return visited
+
+
 def closure_in_product(
     pairs: Sequence[tuple[int, int]],
     g1: FiniteGroupTable,
@@ -139,20 +159,12 @@ def closure_in_product(
     """Subgroup of G1 x G2 generated by ``pairs``; None if it exceeds cap."""
     gens = set(pairs)
     gens |= {(int(g1.inv[i]), int(g2.inv[j])) for i, j in gens}
-    visited = {(g1.identity, g2.identity)} | gens
-    frontier = list(visited)
-    while frontier:
-        nxt = []
-        for i, j in frontier:
-            for a, b in gens:
-                w = (int(g1.mul[i, a]), int(g2.mul[j, b]))
-                if w not in visited:
-                    visited.add(w)
-                    nxt.append(w)
-                    if len(visited) > cap:
-                        return None
-        frontier = nxt
-    return visited
+    return _table_closure(
+        gens,
+        lambda x, g: (int(g1.mul[x[0], g[0]]), int(g2.mul[x[1], g[1]])),
+        (g1.identity, g2.identity),
+        cap,
+    )
 
 
 @dataclass
@@ -319,20 +331,7 @@ class SmallDoublingResult:
 
 def closure(elements: Sequence[int], g: FiniteGroupTable, cap: int) -> Optional[set[int]]:
     gens = set(int(v) for v in elements) | {int(g.inv[v]) for v in elements}
-    visited = {g.identity} | gens
-    frontier = list(visited)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for a in gens:
-                w = int(g.mul[i, a])
-                if w not in visited:
-                    visited.add(w)
-                    nxt.append(w)
-                    if len(visited) > cap:
-                        return None
-        frontier = nxt
-    return visited
+    return _table_closure(gens, lambda x, a: int(g.mul[x, a]), g.identity, cap)
 
 
 def _coset_cover(s: Sequence[int], h: set[int], g: FiniteGroupTable) -> list[int]:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-__version__ = "0.1.0"
+from . import __version__
 
 USAGE_EXIT = 64
 HYPOTHESIS_EXIT = 2
@@ -69,8 +69,8 @@ def _digest(path: Path) -> str:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, Fraction):
         return str(value)
     if value is None:
@@ -143,7 +143,7 @@ def cmd_spectral(args) -> int:
     _write_csv(csv_path, header, out_rows)
     _finish_run(
         run_dir,
-        _config_snapshot(args, ["gens", "moduli", "pair", "tol", "seed", "method", "threads"]),
+        _config_snapshot(args, ["gens", "moduli", "pair", "tol", "seed", "method"]),
         t0,
         [csv_path],
     )
@@ -188,7 +188,7 @@ def cmd_growth(args) -> int:
     )
     _finish_run(
         run_dir,
-        _config_snapshot(args, ["set", "q1", "q2", "delta", "kmax", "seed", "threads"]),
+        _config_snapshot(args, ["set", "q1", "q2", "delta", "kmax", "seed"]),
         t0,
         [json_path, csv_path],
     )
@@ -255,7 +255,7 @@ def cmd_nonconc(args) -> int:
     _finish_run(
         run_dir,
         _config_snapshot(
-            args, ["gens", "event", "Q", "lmin", "lmax", "lstep", "samples", "seed", "threads"]
+            args, ["gens", "event", "Q", "lmin", "lmax", "lstep", "samples", "seed"]
         ),
         t0,
         [csv_path, json_path],
@@ -300,7 +300,7 @@ def cmd_addcomb(args) -> int:
     )
     _finish_run(
         run_dir,
-        _config_snapshot(args, ["q", "density", "folds", "trials", "gamma", "seed", "threads"]),
+        _config_snapshot(args, ["q", "density", "folds", "trials", "gamma", "seed"]),
         t0,
         [csv_path],
     )
@@ -359,7 +359,7 @@ def cmd_approxhom(args) -> int:
     _finish_run(
         run_dir,
         _config_snapshot(
-            args, ["trials", "nmin", "nmax", "rho", "epsilon", "seed", "threads"]
+            args, ["trials", "nmin", "nmax", "rho", "epsilon", "seed"]
         ),
         t0,
         [csv_path],
@@ -413,7 +413,7 @@ def cmd_glue(args) -> int:
     _write_atomic(json_path, json.dumps(report.as_dict(), indent=1, sort_keys=True))
     _finish_run(
         run_dir,
-        _config_snapshot(args, ["q1", "q2", "q3", "theta", "b", "a", "seed", "threads"]),
+        _config_snapshot(args, ["q1", "q2", "q3", "theta", "b", "a", "seed"]),
         t0,
         [json_path],
     )
@@ -497,7 +497,7 @@ def cmd_lemma_check(args) -> int:
     _write_atomic(json_path, json.dumps(body, indent=1, sort_keys=True))
     _finish_run(
         run_dir,
-        _config_snapshot(args, ["lemma", "p", "depth", "q", "trials", "seed", "threads"]),
+        _config_snapshot(args, ["lemma", "p", "depth", "q", "trials", "seed"]),
         t0,
         [json_path],
     )
@@ -512,7 +512,6 @@ def cmd_lemma_check(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="sl2lab", description=__doc__)
     parser.add_argument("--out", default=None, help="output root (default $SL2LAB_OUT or ./runs)")
-    parser.add_argument("--threads", type=int, default=1, help="recorded in the manifest")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("spectral", help="Cayley gap sweep")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .factored import FactoredModulus, divides, exact_divides, fgcd
 from .growth import GroupSet, product_set
-from .packed import PairContext, isin_sorted
+from .packed import PairContext, isin_sorted, mul_codes
 from .sl2 import (
     LieVector,
     SL2Residue,
@@ -88,25 +88,7 @@ def commutator_sweep(p: int, depth: int = 4) -> dict:
     count = a.size
     assert count == p ** (3 * (depth - 1))
 
-    def depth_of(aa, bb, cc, dd):
-        out = np.full(aa.shape, depth, dtype=np.int64)
-        for v, target in ((aa, 1), (bb, 0), (cc, 0), (dd, 1)):
-            w = (v - target) % P
-            t = np.zeros(w.shape, dtype=np.int64)
-            live = w != 0
-            wl = w.copy()
-            while np.any(live):
-                div = live & (wl % p == 0)
-                if not np.any(div):
-                    break
-                t[div] += 1
-                wl[div] //= p
-                live = div
-            t[w == 0] = depth
-            out = np.minimum(out, t)
-        return out
-
-    depths = depth_of(a, b, c, d)
+    depths = congruence_depths((a, b, c, d), p, depth)
     pt_table = np.array([p**min(t, depth) for t in range(4 * depth)], dtype=np.int64)
 
     violations = []
@@ -157,6 +139,16 @@ def commutator_sweep(p: int, depth: int = 4) -> dict:
         "pairs_checked": int(pairs_checked),
         "violations": violations,
     }
+
+
+def congruence_depths(digits, p: int, n: int) -> np.ndarray:
+    """Largest t <= n with x = 1 (mod p^t), for x given by digit arrays (a, b, c, d)."""
+    a, b, c, d = digits
+    out = np.zeros(np.shape(a), dtype=np.int64)
+    for t in range(1, n + 1):
+        pt = p**t
+        out += ((a - 1) % pt == 0) & (b % pt == 0) & (c % pt == 0) & ((d - 1) % pt == 0)
+    return out
 
 
 def _batch_inv_mod(a: np.ndarray, q: int) -> np.ndarray:
@@ -403,8 +395,14 @@ def amplify_exhaustive_check(
         extra = 1 if p == 2 else 0
         a_codes = box_lift_codes(p, m1, m2, big, extra=extra)
         b_codes = box_lift_codes(p, n1, n2, big, extra=extra)
+        # every layer lies in ker(SL2(Z/p^big) -> SL2(Z/p^min(m1,n1))), a group
+        # of order p^(3(big - min)) containing both boxes: once a layer fills
+        # it, every later layer equals it
+        kernel_order = p ** (3 * (big - min(m1, n1)))
         layer = a_codes
         for step in range(1, 8):
+            if layer.size == kernel_order:
+                break
             other = b_codes if step % 2 == 1 else a_codes
             layer = _product_layer(ctx, layer, other)
         # under the window condition the box mod p^big is exactly the set of
@@ -423,42 +421,8 @@ def amplify_exhaustive_check(
     return report
 
 
-def _product_layer(
-    ctx: PairContext, layer: np.ndarray, box: np.ndarray, flush: int = 8_000_000
-) -> np.ndarray:
-    """Deduplicated {x * g : x in layer, g in box}, memory-bounded.
-
-    Products are computed in (layer x chunk) broadcast blocks; the left
-    factors are single-factor SL2 codes (q2 part trivial by construction).
-    """
-    q1 = ctx.q1
-    a, b, c, d = (col[:, None] for col in ctx.decode(layer)[:4])
-    ga, gb, gcc, gd = (row[None, :] for row in ctx.decode(box)[:4])
-    acc = None
-    buf: list[np.ndarray] = []
-    buffered = 0
-
-    def merge():
-        nonlocal acc, buf, buffered
-        parts = buf if acc is None else buf + [acc]
-        acc = np.unique(np.concatenate(parts))
-        buf = []
-        buffered = 0
-
-    chunk = max(1, flush // max(1, layer.size))
-    for lo in range(0, box.size, chunk):
-        sl = slice(lo, min(lo + chunk, box.size))
-        na = (a * ga[:, sl] + b * gcc[:, sl]) % q1
-        nb = (a * gb[:, sl] + b * gd[:, sl]) % q1
-        nc = (c * ga[:, sl] + d * gcc[:, sl]) % q1
-        nd = (c * gb[:, sl] + d * gd[:, sl]) % q1
-        codes = ((na * q1 + nb) * q1 + nc) * q1 + nd
-        buf.append((codes * ctx.q2**4).ravel())
-        buffered += codes.size
-        if buffered >= flush:
-            merge()
-    merge()
-    return acc
+# bench/spans.py counts box-amplification product work through this name
+_product_layer = mul_codes
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ from .approxhom import (
     StructuredConstructionError,
     dichotomy,
 )
-from .commutator import ConnectingMap, connecting_map
+from .commutator import ConnectingMap, congruence_depths, connecting_map
 from .factored import ONE, FactoredModulus, divisors, exact_divisors, fgcd
 from .growth import GroupSet, product_set
-from .packed import PairContext, congruence_subgroup_codes, isin_sorted
+from .packed import PairContext, congruence_subgroup_codes, generated_subgroup, isin_sorted
 from .sl2 import group_order
 
 
@@ -131,48 +131,6 @@ def _kernel_subgroup_codes(full: PairContext, cfg: GluingConfig) -> np.ndarray:
     return congruence_subgroup_codes(
         full.q1, full.q2, cfg.q1.value, cfg.q2.value
     )
-
-
-def _closure(ctx: PairContext, gen_codes: np.ndarray, cap: int) -> Optional[np.ndarray]:
-    """Subgroup generated by the given codes; None when the cap is exceeded."""
-    gens = np.unique(np.concatenate([gen_codes, ctx.inv(gen_codes)]))
-    gtuples = [ctx.element_tuple(int(c)) for c in gens]
-    visited = np.array([ctx.identity_code()], dtype=np.int64)
-    frontier = visited
-    while frontier.size:
-        nxt = np.unique(
-            np.concatenate([ctx.mul_const(frontier, g, "right") for g in gtuples])
-        )
-        nxt = nxt[~isin_sorted(nxt, visited)]
-        if visited.size + nxt.size > cap:
-            return None
-        visited = np.sort(np.concatenate([visited, nxt]))
-        frontier = nxt
-    return visited
-
-
-def _q3_component_depths(
-    ctx: PairContext, codes: np.ndarray, p: int, n: int
-) -> np.ndarray:
-    """Min p-adic depth of (left component - 1) at the prime p of q3."""
-    a, b, c, d = ctx.decode(codes)[:4]
-    pn = p**n
-    out = np.full(codes.shape, n, dtype=np.int64)
-    for arr, target in ((a, 1), (b, 0), (c, 0), (d, 1)):
-        w = (arr - target) % pn
-        t = np.zeros(w.shape, dtype=np.int64)
-        live = w != 0
-        wl = w.copy()
-        while np.any(live):
-            div = live & (wl % p == 0)
-            if not np.any(div):
-                break
-            t[div] += 1
-            wl[div] //= p
-            live = div
-        t[w == 0] = n
-        out = np.minimum(out, t)
-    return out
 
 
 def _coverage_claim(
@@ -466,7 +424,7 @@ def _run_defect_case(
     )
     for p, nn in primes:
         _, d_class, _, _ = psi_tables[(p, nn)]
-        depth = int(_q3_component_depths(full, np.array([gamma_code]), p, nn)[0])
+        depth = int(congruence_depths(full.decode(gamma_code)[:4], p, nn))
         report.add_certificate(
             "defect-element-depth",
             {"p": p, "class_depth": d_class, "observed_depth": depth},
@@ -482,8 +440,9 @@ def _run_defect_case(
             "right",
         )
         gens.append(int(conj[0]))
-    k = _closure(full, np.array(sorted(set(gens)), dtype=np.int64), cfg.cap)
-    if k is None:
+    try:
+        k = generated_subgroup(full, np.stack(full.decode(np.array(gens)), axis=1), cfg.cap)
+    except ValueError:
         report.incomplete.append({"stage": "defect-case", "reason": "closure exceeded cap"})
         return None
     achieved = _achieved_congruence(full, cfg, k, report, "defect")
@@ -537,7 +496,7 @@ def _run_commutator_case(
             out[i] = w[0]
         cur = np.unique(out)
         depths = {
-            p: int(_q3_component_depths(full, cur, p, nn).min())
+            p: int(congruence_depths(full.decode(cur)[:4], p, nn).min())
             for (p, nn) in primes
         }
         depth_hist.append(depths)
@@ -555,7 +514,7 @@ def _run_commutator_case(
             return None
     # certificates: final layer is congruent to 1 at the full prime powers
     for p, nn in primes:
-        final_depth = int(_q3_component_depths(full, cur, p, nn).min())
+        final_depth = int(congruence_depths(full.decode(cur)[:4], p, nn).min())
         report.add_certificate(
             "commutator-depth",
             {"p": p, "target": nn, "achieved": final_depth, "rounds": len(depth_hist)},
@@ -563,8 +522,9 @@ def _run_commutator_case(
         )
         if final_depth < nn:
             return None
-    k = _closure(full, cur[: min(cur.size, 64)], cfg.cap)
-    if k is None:
+    try:
+        k = generated_subgroup(full, np.stack(full.decode(cur[:64]), axis=1), cfg.cap)
+    except ValueError:
         report.incomplete.append({"stage": "commutator-case", "reason": "closure cap"})
         return None
     achieved = _achieved_congruence(full, cfg, k, report, "commutator")
@@ -596,10 +556,8 @@ def _run_one_parameter_case(
     best = None
     for i in sorted(s_common):
         code = psi.table[int(psi.domain_codes[i])]
-        arr = np.array([code], dtype=np.int64)
-        ok = all(
-            int(_q3_component_depths(full, arr, p, nn)[0]) < nn for (p, nn) in primes
-        )
+        digits = full.decode(code)[:4]
+        ok = all(int(congruence_depths(digits, p, nn)) < nn for (p, nn) in primes)
         if ok:
             best = code
             break
@@ -634,8 +592,9 @@ def _run_one_parameter_case(
         inv_c = full.element_tuple(int(full.inv(np.array([c], dtype=np.int64))[0]))
         conj = full.mul_const(full.mul_const(one, tc, "left"), inv_c, "right")
         gens.append(int(conj[0]))
-    k = _closure(full, np.unique(np.array(gens, dtype=np.int64)), cfg.cap)
-    if k is None:
+    try:
+        k = generated_subgroup(full, np.stack(full.decode(np.array(gens)), axis=1), cfg.cap)
+    except ValueError:
         report.incomplete.append({"stage": "one-parameter-case", "reason": "closure cap"})
         return None
     # the kernel part of the closure is what covers new congruence classes

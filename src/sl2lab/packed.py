@@ -2,9 +2,17 @@
 
 An element ((a1,b1),(c1,d1)) x ((a2,b2),(c2,d2)) of SL2(Z/q1) x SL2(Z/q2)
 is packed as a single int64 in radix (q1,q1,q1,q1,q2,q2,q2,q2).  Group sets
-are sorted code arrays; multiplication by a fixed element, inversion and
-membership are all numpy-vectorized.  Single-factor groups are the q2 = 1
-special case.  Safe for (q1*q2)**4 < 2**63, far beyond desk scale.
+are sorted code arrays; multiplication, inversion and membership are all
+numpy-vectorized.  Single-factor groups are the q2 = 1 special case.  Safe
+for (q1*q2)**4 < 2**63, far beyond desk scale.
+
+Every product of packed elements goes through ``_product``: one 2x2 digit
+product per factor, skipping the trivial factor when q2 = 1.  ``mul_const``
+feeds it one fixed element on either side; ``mul_codes`` decodes each set
+once and feeds it broadcast blocks of ``BLOCK`` products.  The block size is
+a constant, not a share of the merge threshold ``FLUSH``, because each block
+holds about a dozen int64 temporaries of its size: peak memory then stays
+bounded whatever the sizes of the two sets.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ import numpy as np
 
 from .factored import FactoredModulus
 from .sl2 import PairElement, SL2Residue, _ext_gcd, group_order
+
+BLOCK = 1 << 18  # products per broadcast block in mul_codes
+FLUSH = 8_000_000  # buffered products before mul_codes merges them with np.unique
 
 
 @dataclass(frozen=True)
@@ -72,29 +83,11 @@ class PairContext:
 
     def mul_const(self, codes: np.ndarray, g: tuple[int, ...], side: str) -> np.ndarray:
         """Codes of g*x (side='left') or x*g (side='right') for all packed x."""
-        a1, b1, c1, d1, a2, b2, c2, d2 = self.decode(codes)
-        ga1, gb1, gc1, gd1, ga2, gb2, gc2, gd2 = (int(v) for v in g)
-        if side == "left":
-            na1 = (ga1 * a1 + gb1 * c1) % self.q1
-            nb1 = (ga1 * b1 + gb1 * d1) % self.q1
-            nc1 = (gc1 * a1 + gd1 * c1) % self.q1
-            nd1 = (gc1 * b1 + gd1 * d1) % self.q1
-            na2 = (ga2 * a2 + gb2 * c2) % self.q2
-            nb2 = (ga2 * b2 + gb2 * d2) % self.q2
-            nc2 = (gc2 * a2 + gd2 * c2) % self.q2
-            nd2 = (gc2 * b2 + gd2 * d2) % self.q2
-        elif side == "right":
-            na1 = (a1 * ga1 + b1 * gc1) % self.q1
-            nb1 = (a1 * gb1 + b1 * gd1) % self.q1
-            nc1 = (c1 * ga1 + d1 * gc1) % self.q1
-            nd1 = (c1 * gb1 + d1 * gd1) % self.q1
-            na2 = (a2 * ga2 + b2 * gc2) % self.q2
-            nb2 = (a2 * gb2 + b2 * gd2) % self.q2
-            nc2 = (c2 * ga2 + d2 * gc2) % self.q2
-            nd2 = (c2 * gb2 + d2 * gd2) % self.q2
-        else:
+        if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        return self.encode([na1, nb1, nc1, nd1, na2, nb2, nc2, nd2])
+        x = self.decode(codes)
+        g = tuple(int(v) for v in g)
+        return _product(self, g, x) if side == "left" else _product(self, x, g)
 
     def inv(self, codes: np.ndarray) -> np.ndarray:
         a1, b1, c1, d1, a2, b2, c2, d2 = self.decode(codes)
@@ -121,6 +114,25 @@ class PairContext:
         digits = self.decode(codes)
         red = [d % target.q1 for d in digits[:4]] + [d % target.q2 for d in digits[4:]]
         return target.encode(red)
+
+
+def _mat_mul(x, y, q: int) -> tuple:
+    """Entries (a, b, c, d) of the 2x2 product x*y mod q, entrywise over arrays."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    return (
+        (xa * ya + xb * yc) % q,
+        (xa * yb + xb * yd) % q,
+        (xc * ya + xd * yc) % q,
+        (xc * yb + xd * yd) % q,
+    )
+
+
+def _product(ctx: PairContext, x, y) -> np.ndarray:
+    """Codes of x*y for 8-digit tuples x, y of scalars or broadcastable arrays."""
+    left = _mat_mul(x[:4], y[:4], ctx.q1)
+    right = (0, 0, 0, 0) if ctx.q2 == 1 else _mat_mul(x[4:], y[4:], ctx.q2)
+    return ctx.encode(left + right)
 
 
 def isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -192,15 +204,16 @@ def generated_subgroup(
 ) -> np.ndarray:
     """Sorted codes of the subgroup generated by ``gens`` (8-digit tuples).
 
-    Breadth-first closure under right multiplication; symmetric generator
-    lists make this the full generated subgroup.
+    Breadth-first closure under right multiplication.  In a finite group the
+    monoid generated by a set is the subgroup it generates, so ``gens`` need
+    not be symmetric.  Raises ValueError when the subgroup exceeds ``cap``.
     """
+    digits = np.array(gens, dtype=np.int64).reshape(-1, 8) % np.repeat([ctx.q1, ctx.q2], 4)
+    gen_codes = np.unique(ctx.encode(digits.T))
     visited = np.array([ctx.identity_code()], dtype=np.int64)
     frontier = visited
     while frontier.size:
-        nxt = np.unique(
-            np.concatenate([ctx.mul_const(frontier, g, "right") for g in gens])
-        )
+        nxt = mul_codes(ctx, frontier, gen_codes)
         nxt = nxt[~isin_sorted(nxt, visited)]
         if visited.size + nxt.size > cap:
             raise ValueError(f"generated subgroup exceeds cap {cap}")
@@ -227,21 +240,27 @@ def congruence_subgroup_codes(q1: int, q2: int, d1: int, d2: int) -> np.ndarray:
     return np.sort((left[:, None] * np.int64(q2**4) + right[None, :]).ravel())
 
 
-def mul_codes(
-    ctx: PairContext, a: np.ndarray, b: np.ndarray, flush: int = 8_000_000
-) -> np.ndarray:
+def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise products a_i * b_j, deduplicated and sorted."""
     if a.size == 0 or b.size == 0:
         return np.array([], dtype=np.int64)
-    acc = None
-    chunks: list[np.ndarray] = []
+    # numpy loops fastest along the last axis, so the longer set runs along
+    # it, decoded one chunk at a time; the shorter set is decoded once
+    a_last = a.size >= b.size
+    long, short = (a, b) if a_last else (b, a)
+    n_last = min(long.size, BLOCK)
+    n_first = max(1, BLOCK // n_last)
+    short_digits = [col[:, None] for col in ctx.decode(short)]
+    acc = np.array([], dtype=np.int64)
+    buf: list[np.ndarray] = []
     buffered = 0
-    for code in b:
-        chunks.append(ctx.mul_const(a, ctx.element_tuple(int(code)), "right"))
-        buffered += a.size
-        if buffered >= flush:
-            parts = chunks if acc is None else chunks + [acc]
-            acc = np.unique(np.concatenate(parts))
-            chunks, buffered = [], 0
-    parts = chunks if acc is None else chunks + [acc]
-    return np.unique(np.concatenate(parts))
+    for i in range(0, long.size, n_last):
+        x = [col[None, :] for col in ctx.decode(long[i : i + n_last])]
+        for j in range(0, short.size, n_first):
+            y = [col[j : j + n_first] for col in short_digits]
+            buf.append((_product(ctx, x, y) if a_last else _product(ctx, y, x)).ravel())
+            buffered += buf[-1].size
+            if buffered >= FLUSH:
+                acc = np.unique(np.concatenate(buf + [acc]))
+                buf, buffered = [], 0
+    return np.unique(np.concatenate(buf + [acc]))

@@ -84,16 +84,16 @@ class ModLinearEvent:
     needs_pair = True
 
     def indicator(self, digits, Q: int) -> np.ndarray:
-        c = self.form.coeffs
-        acc = sum(int(ci) * di for ci, di in zip(c, digits))
+        # coefficients reduced first: unreduced ones overflow the int64 digits
+        acc = sum(int(ci) % Q * di for ci, di in zip(self.form.coeffs, digits))
         return acc % Q == self.n % Q
 
 
 def _batched_conj_trace(digits4, xi: IntMat, eta: IntMat, Q: int) -> np.ndarray:
     """Tr(g xi g^{-1} eta) mod Q for g given by four digit arrays (det g = 1)."""
     a, b, c, d = digits4
-    x00, x01 = xi[0]
-    x10, x11 = xi[1]
+    # entries reduced first: unreduced ones overflow the int64 digit products
+    (x00, x01), (x10, x11) = ((v % Q for v in row) for row in xi)
     # m = g * xi
     m00 = a * x00 + b * x10
     m01 = a * x01 + b * x11
@@ -104,8 +104,7 @@ def _batched_conj_trace(digits4, xi: IntMat, eta: IntMat, Q: int) -> np.ndarray:
     k01 = (-m00 * b + m01 * a) % Q
     k10 = (m10 * d - m11 * c) % Q
     k11 = (-m10 * b + m11 * a) % Q
-    e00, e01 = eta[0]
-    e10, e11 = eta[1]
+    (e00, e01), (e10, e11) = ((v % Q for v in row) for row in eta)
     return (k00 * e00 + k01 * e10 + k10 * e01 + k11 * e11) % Q
 
 

@@ -26,8 +26,22 @@ def test_spectral_single_modulus(tmp_path):
     assert manifest["config"]["moduli"] == "5"
 
 
+def test_pair_spectral_csv_cells_are_plain(tmp_path):
+    # Lanczos residuals are numpy floats; their cells must read as plain floats
+    assert main(["--out", str(tmp_path), "spectral", "--moduli", "5"]) == 0
+    run = newest_run(tmp_path)
+    rows = (run / "gap_sweep.csv").read_text().strip().split("\n")
+    assert len(rows) == 2 and rows[1].startswith("5,14400,")
+    cells = [cell for row in rows for cell in row.split(",")]
+    assert not [cell for cell in cells if cell.startswith("np.")]
+    float(rows[1].split(",")[4])  # the residual cell
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert "threads" not in manifest["config"]
+
+
 def test_unknown_flag_exits_64(tmp_path):
     assert main(["--out", str(tmp_path), "spectral", "--moduli", "5", "--bogus"]) == 64
+    assert main(["--out", str(tmp_path), "--threads", "2", "spectral", "--moduli", "5"]) == 64
 
 
 def test_unknown_subcommand_exits_64(tmp_path):

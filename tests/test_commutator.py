@@ -170,6 +170,47 @@ def test_amplify_exhaustive_degenerate_window():
     assert rep["output"].inner.value == 8 and rep["output"].outer.value == 16
 
 
+def test_amplify_exhaustive_stops_at_kernel(monkeypatch):
+    # p = 2, windows (1,1) x (1,2): the layers fill the 64-element kernel of
+    # SL2(Z/8) -> SL2(Z/2) before the seventh product, and the loop stops there
+    from sl2lab import commutator
+    from sl2lab.packed import PairContext
+
+    calls = []
+    layer_fn = commutator._product_layer
+
+    def counted(*args):
+        calls.append(args)
+        return layer_fn(*args)
+
+    monkeypatch.setattr(commutator, "_product_layer", counted)
+    h1 = CongruenceBox(FactoredModulus.of(2), FactoredModulus.of(2))
+    h2 = CongruenceBox(FactoredModulus.of(2), FactoredModulus.of(4))
+    rep = amplify_exhaustive_check(h1, h2, cap=128)
+    assert rep["verified"] and rep["primes"][2]["contained"]
+    assert rep["primes"][2]["product_size"] == 64
+    assert 1 <= len(calls) < 7
+    # plain-Python (H1 H2)^4 over SL2(Z/8) tuples
+    ctx = PairContext(8, 1)
+
+    def tuples(codes):
+        return {tuple(int(v) for v in t) for t in zip(*ctx.decode(codes)[:4])}
+
+    def prod(xs, ys):
+        return {
+            ((a * e + b * g) % 8, (a * f + b * h) % 8, (c * e + d * g) % 8, (c * f + d * h) % 8)
+            for a, b, c, d in xs
+            for e, f, g, h in ys
+        }
+
+    box1 = tuples(box_lift_codes(2, 1, 1, 3, extra=1))
+    box2 = tuples(box_lift_codes(2, 1, 2, 3, extra=1))
+    layer = box1
+    for step in range(1, 8):
+        layer = prod(layer, box2 if step % 2 == 1 else box1)
+    assert len(layer) == rep["primes"][2]["product_size"]
+
+
 def test_amplify_exhaustive_multi_prime():
     h1 = CongruenceBox(FactoredModulus.of(6), FactoredModulus.of(36))
     rep = amplify_exhaustive_check(h1, h1, cap=81)

@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sl2lab import packed
 from sl2lab.factored import FactoredModulus
 from sl2lab.packed import (
     PairContext,
@@ -52,20 +55,33 @@ def test_encode_decode_roundtrip():
         assert ctx.decode_element(code, Q5, Q3) == x
 
 
-def test_mul_const_matches_object_layer():
+# pair moduli with a trivial second factor and with both factors nontrivial
+MODULI = st.sampled_from([(2, 1), (3, 1), (5, 1), (8, 1), (9, 1), (5, 3), (4, 7), (6, 5), (2, 9)])
+
+
+def random_set(rng, ctx: PairContext, size: int) -> tuple[list[PairElement], np.ndarray]:
+    q1, q2 = FactoredModulus.of(ctx.q1), FactoredModulus.of(ctx.q2)
+    xs = [random_pair(rng, q1, q2) for _ in range(size)]
+    return xs, np.array([ctx.encode_element(x) for x in xs], dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(moduli=MODULI, size=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_mul_const_matches_object_layer(moduli, size, seed):
+    rng = random.Random(seed)
     # dual route: packed multiplication vs the exact SL2Residue layer
-    ctx = PairContext(5, 3)
-    rng = random.Random(1)
-    xs = [random_pair(rng, Q5, Q3) for _ in range(40)]
-    codes = np.array(sorted(ctx.encode_element(x) for x in xs), dtype=np.int64)
-    g = random_pair(rng, Q5, Q3)
+    ctx = PairContext(*moduli)
+    q1, q2 = FactoredModulus.of(ctx.q1), FactoredModulus.of(ctx.q2)
+    xs, codes = random_set(rng, ctx, size)
+    g = random_pair(rng, q1, q2)
     gt = g.left.entries + g.right.entries
     right = ctx.mul_const(codes, gt, "right")
     left = ctx.mul_const(codes, gt, "left")
-    for code, rc, lc in zip(codes, right, left):
-        x = ctx.decode_element(int(code), Q5, Q3)
-        assert ctx.decode_element(int(rc), Q5, Q3) == pair_mul(x, g)
-        assert ctx.decode_element(int(lc), Q5, Q3) == pair_mul(g, x)
+    for x, rc, lc in zip(xs, right, left):
+        assert ctx.decode_element(int(rc), q1, q2) == pair_mul(x, g)
+        assert ctx.decode_element(int(lc), q1, q2) == pair_mul(g, x)
+    with pytest.raises(ValueError):
+        ctx.mul_const(codes, gt, "middle")
 
 
 def test_inv_matches_object_layer():
@@ -160,21 +176,56 @@ def test_isin_and_index_sorted():
         index_sorted(np.array([7], dtype=np.int64), table)
 
 
-def test_mul_codes_matches_bruteforce():
-    ctx = PairContext(3, 1)
-    rng = random.Random(3)
-    q1 = FactoredModulus.of(3)
-    one = FactoredModulus.of(1)
-    xs = [random_pair(rng, q1, one) for _ in range(6)]
-    ys = [random_pair(rng, q1, one) for _ in range(5)]
-    a = np.unique(np.array([ctx.encode_element(x) for x in xs], dtype=np.int64))
-    b = np.unique(np.array([ctx.encode_element(y) for y in ys], dtype=np.int64))
-    got = mul_codes(ctx, a, b)
-    brute = set()
-    for x in xs:
-        for y in ys:
-            brute.add(ctx.encode_element(pair_mul(x, y)))
+@settings(max_examples=60, deadline=None)
+@given(
+    moduli=MODULI,
+    sizes=st.tuples(st.integers(0, 25), st.integers(0, 25)),
+    block=st.integers(1, 40),
+    flush=st.integers(1, 100),
+    seed=st.integers(0, 2**32),
+)
+def test_mul_codes_matches_bruteforce(moduli, sizes, block, flush, seed):
+    rng = random.Random(seed)
+    # small block and flush constants force several blocks and dedupe merges
+    ctx = PairContext(*moduli)
+    xs, a = random_set(rng, ctx, sizes[0])
+    ys, b = random_set(rng, ctx, sizes[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed, "BLOCK", block)
+        mp.setattr(packed, "FLUSH", flush)
+        got = mul_codes(ctx, np.unique(a), np.unique(b))
+    brute = {ctx.encode_element(pair_mul(x, y)) for x in xs for y in ys}
+    assert got.dtype == np.int64
     assert got.tolist() == sorted(brute)
+
+
+def elementary_generators(q1: int, q2: int) -> list[tuple[int, ...]]:
+    """Upper and lower unipotents in each factor; they generate SL2 x SL2."""
+    one1, one2 = 1 % q1, 1 % q2
+    id1, id2 = (one1, 0, 0, one1), (one2, 0, 0, one2)
+    u1, l1 = (one1, one1, 0, one1), (one1, 0, one1, one1)
+    u2, l2 = (one2, one2, 0, one2), (one2, 0, one2, one2)
+    return [u1 + id2, l1 + id2, id1 + u2, id1 + l2]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    moduli=st.sampled_from([(1, 1), (2, 1), (4, 1), (6, 1), (9, 1), (3, 2), (4, 3), (5, 2)]),
+    block=st.integers(1, 64),
+)
+def test_generated_subgroup_matches_enumerate_group(moduli, block):
+    # a non-symmetric generating set still closes to the whole group
+    q1, q2 = moduli
+    ctx = PairContext(q1, q2)
+    expected = sorted(
+        ctx.encode_element(PairElement(x, y))
+        for x in enumerate_group(FactoredModulus.of(q1))
+        for y in enumerate_group(FactoredModulus.of(q2))
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed, "BLOCK", block)
+        sub = generated_subgroup(ctx, elementary_generators(q1, q2))
+    assert sub.tolist() == expected
 
 
 def test_reduce_codes():

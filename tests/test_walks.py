@@ -10,6 +10,7 @@ from sl2lab.sl2 import IMAT_ID, ipair_inv, symmetrize
 from sl2lab.spectral import standard_dense_pair_generators
 from sl2lab.walks import (
     IntegralLinearEvent,
+    _batched_conj_trace,
     LinearForm8,
     LowerLeftEvent,
     ModLinearEvent,
@@ -188,3 +189,20 @@ def test_archimedean_positive_rate():
 def test_archimedean_requires_integral_event():
     with pytest.raises(TypeError):
         archimedean_decay(SANOV, LowerLeftEvent(), [2], 10)
+
+
+def test_mod_linear_event_reduces_large_coefficients():
+    # 2^62 + 1 = 0 (mod 5), so L = 0*4 + 1*1 = 1; unreduced, 4(2^62 + 1) wraps int64
+    form = LinearForm8((2**62 + 1, 0, 0, 0, 0, 0, 0, 1))
+    digits = [np.array([v], dtype=np.int64) for v in (4, 0, 0, 0, 0, 0, 0, 1)]
+    assert ModLinearEvent(form, 1).indicator(digits, 5).tolist() == [True]
+
+
+def test_conj_trace_reduces_large_entries():
+    big = 2**62 + 1  # = 0 (mod 5)
+    g = [np.array([v], dtype=np.int64) for v in (2, 1, 1, 1)]
+    xi, eta = ((1, big), (0, -1)), ((0, 1), (big + 1, 0))
+    small_xi, small_eta = ((1, 0), (0, -1)), ((0, 1), (1, 0))
+    assert _batched_conj_trace(g, xi, eta, 5).tolist() == _batched_conj_trace(
+        g, small_xi, small_eta, 5
+    ).tolist()
