@@ -109,20 +109,24 @@ def difference_of_products(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     return sumset(d, negate(d))
 
 
-def fold_sum(x: ResidueSet, k: int) -> ResidueSet:
-    """The k-fold sumset of x, by doubling."""
+def power_by_doubling(x, k: int, op):
+    """x op x op ... op x with k factors, for an associative ``op``, by doubling."""
     if k < 1:
-        raise ValueError("fold count must be >= 1")
+        raise ValueError(f"repeat count must be >= 1, got {k}")
     result = None
     square = x
-    n = k
-    while n:
-        if n & 1:
-            result = square if result is None else sumset(result, square)
-        n >>= 1
-        if n:
-            square = sumset(square, square)
+    while k:
+        if k & 1:
+            result = square if result is None else op(result, square)
+        k >>= 1
+        if k:
+            square = op(square, square)
     return result
+
+
+def fold_sum(x: ResidueSet, k: int) -> ResidueSet:
+    """The k-fold sumset of x, by doubling."""
+    return power_by_doubling(x, k, sumset)
 
 
 def _contains_subgroup(s: ResidueSet, step: int) -> bool:
@@ -236,18 +240,7 @@ def productset_pair(a: ResidueSetPair, b: ResidueSetPair) -> ResidueSetPair:
 
 
 def fold_sum_pair(x: ResidueSetPair, k: int) -> ResidueSetPair:
-    if k < 1:
-        raise ValueError("fold count must be >= 1")
-    result = None
-    square = x
-    n = k
-    while n:
-        if n & 1:
-            result = square if result is None else sumset_pair(result, square)
-        n >>= 1
-        if n:
-            square = sumset_pair(square, square)
-    return result
+    return power_by_doubling(x, k, sumset_pair)
 
 
 def subgroup_cover_2d(

@@ -87,10 +87,10 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]):
     _write_atomic(path, buf.getvalue())
 
 
-def _finish_run(run_dir: Path, config: dict, t0: float, outputs: list[Path]) -> None:
+def _finish_run(run_dir: Path, args, t0: float, outputs: list[Path]) -> None:
     manifest = {
         "version": __version__,
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "wall_seconds": time.perf_counter() - t0,
         "written_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": {p.name: _digest(p) for p in outputs},
@@ -107,10 +107,6 @@ def _load_generators(spec: str):
     if spec == "builtin:unit":
         return unit_dense_pair_generators()
     return symmetrize(load_generator_file(spec))
-
-
-def _config_snapshot(args, names: list[str]) -> dict:
-    return {name: getattr(args, name) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +137,7 @@ def cmd_spectral(args) -> int:
     run_dir = _make_run_dir(_out_root(args))
     csv_path = run_dir / "gap_sweep.csv"
     _write_csv(csv_path, header, out_rows)
-    _finish_run(
-        run_dir,
-        _config_snapshot(args, ["gens", "moduli", "pair", "tol", "seed", "method"]),
-        t0,
-        [csv_path],
-    )
+    _finish_run(run_dir, args, t0, [csv_path])
     print(csv_path)
     return 0
 
@@ -186,12 +177,7 @@ def cmd_growth(args) -> int:
         ["q1", "q2", "size", "size_triple", "exponent", "k", "q1_prime", "q2_prime"],
         [report],
     )
-    _finish_run(
-        run_dir,
-        _config_snapshot(args, ["set", "q1", "q2", "delta", "kmax", "seed"]),
-        t0,
-        [json_path, csv_path],
-    )
+    _finish_run(run_dir, args, t0, [json_path, csv_path])
     print(json_path)
     return 0 if res.found else HYPOTHESIS_EXIT
 
@@ -233,7 +219,6 @@ def cmd_nonconc(args) -> int:
     gens = _load_generators(args.gens)
     event = _parse_event(args.event)
     l_values = list(range(args.lmin, args.lmax + 1, args.lstep))
-    run_dir = _make_run_dir(_out_root(args))
     if isinstance(event, IntegralLinearEvent):
         rep = archimedean_decay(gens, event, l_values, args.samples, seed=args.seed)
         rows = rep["rows"]
@@ -248,18 +233,12 @@ def cmd_nonconc(args) -> int:
             "fitted_c": prof["fitted_c"],
             "N": prof["N"],
         }
+    run_dir = _make_run_dir(_out_root(args))
     csv_path = run_dir / "nonconc.csv"
     _write_csv(csv_path, header, rows)
     json_path = run_dir / "nonconc.json"
     _write_atomic(json_path, json.dumps(extra, indent=1, sort_keys=True))
-    _finish_run(
-        run_dir,
-        _config_snapshot(
-            args, ["gens", "event", "Q", "lmin", "lmax", "lstep", "samples", "seed"]
-        ),
-        t0,
-        [csv_path, json_path],
-    )
+    _finish_run(run_dir, args, t0, [csv_path, json_path])
     print(csv_path)
     return 0
 
@@ -298,12 +277,7 @@ def cmd_addcomb(args) -> int:
         ["trial", "q", "size_a", "size_b", "q_prime", "hypothesis_ok", "verified"],
         rows,
     )
-    _finish_run(
-        run_dir,
-        _config_snapshot(args, ["q", "density", "folds", "trials", "gamma", "seed"]),
-        t0,
-        [csv_path],
-    )
+    _finish_run(run_dir, args, t0, [csv_path])
     print(csv_path)
     return HYPOTHESIS_EXIT if failures else 0
 
@@ -356,14 +330,7 @@ def cmd_approxhom(args) -> int:
         ["trial", "n", "m", "corrupted", "agreement", "branch", "recovered"],
         rows,
     )
-    _finish_run(
-        run_dir,
-        _config_snapshot(
-            args, ["trials", "nmin", "nmax", "rho", "epsilon", "seed"]
-        ),
-        t0,
-        [csv_path],
-    )
+    _finish_run(run_dir, args, t0, [csv_path])
     print(csv_path)
     ok = sum(1 for r in rows if r["recovered"] or r["branch"] == "DEFECT")
     return 0 if ok == len(rows) else HYPOTHESIS_EXIT
@@ -411,12 +378,7 @@ def cmd_glue(args) -> int:
     run_dir = _make_run_dir(_out_root(args))
     json_path = run_dir / "glue.json"
     _write_atomic(json_path, json.dumps(report.as_dict(), indent=1, sort_keys=True))
-    _finish_run(
-        run_dir,
-        _config_snapshot(args, ["q1", "q2", "q3", "theta", "b", "a", "seed"]),
-        t0,
-        [json_path],
-    )
+    _finish_run(run_dir, args, t0, [json_path])
     print(json_path)
     if not replay_certificates(report):
         return 1
@@ -425,7 +387,6 @@ def cmd_glue(args) -> int:
 
 def cmd_lemma_check(args) -> int:
     t0 = time.perf_counter()
-    run_dir = _make_run_dir(_out_root(args))
     if args.lemma == "commutator-identity":
         from .commutator import commutator_sweep
 
@@ -493,14 +454,10 @@ def cmd_lemma_check(args) -> int:
         }
     else:
         raise UsageError(f"unknown lemma {args.lemma!r}")
+    run_dir = _make_run_dir(_out_root(args))
     json_path = run_dir / "lemma_check.json"
     _write_atomic(json_path, json.dumps(body, indent=1, sort_keys=True))
-    _finish_run(
-        run_dir,
-        _config_snapshot(args, ["lemma", "p", "depth", "q", "trials", "seed"]),
-        t0,
-        [json_path],
-    )
+    _finish_run(run_dir, args, t0, [json_path])
     print(json_path)
     print(f"{args.lemma}: {'PASS' if ok else 'FAIL'} ({json.dumps(body, sort_keys=True)})")
     return 0 if ok else HYPOTHESIS_EXIT

@@ -73,6 +73,10 @@ def commutator_sweep(p: int, depth: int = 4) -> dict:
     Checks at t = min(m + m' + min(m, m'), depth) where m, m' are the actual
     congruence depths of each element.  Returns counts and violations.
     """
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     P = p**depth
     r = p ** (depth - 1)  # parameter range for each Lie coordinate
     # elements 1 + p*M with det 1: alpha, beta, gamma free, delta solved
@@ -86,7 +90,6 @@ def commutator_sweep(p: int, depth: int = 4) -> dict:
     a_inv = _batch_inv_mod(a, P)
     d = ((1 + b * c) % P) * a_inv % P
     count = a.size
-    assert count == p ** (3 * (depth - 1))
 
     depths = congruence_depths((a, b, c, d), p, depth)
     pt_table = np.array([p**min(t, depth) for t in range(4 * depth)], dtype=np.int64)
@@ -477,7 +480,8 @@ def connecting_map(
         domain = np.array([reduced_ctx.identity_code()], dtype=np.int64)
         table = {int(domain[0]): int(b.codes[0])}
         cm = ConnectingMap(q1, q2, q1, q2, 1, domain, table, b.ctx, reduced_ctx)
-        assert cm.validate()
+        if not cm.validate():
+            raise AssertionError("section validation failed")
         return cm
     res = bounded_generation_search(b.reduce_to(q1, q2), k_max=k_max, cap=cap)
     if not res.found:

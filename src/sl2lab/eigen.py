@@ -4,11 +4,18 @@ The primary dense path is Householder tridiagonalization followed by
 implicit-shift QL on the tridiagonal; a classical cyclic Jacobi sweep is
 kept as an independent cross-check for small matrices.  No LAPACK calls
 anywhere on the oracle path.
+
+One QL loop (``_ql``) serves every tridiagonal solve: the dense oracle
+(eigenvalues only), the Lanczos convergence check (eigenvalues and the last
+row of the eigenvector matrix, which gives the residual beta_k |s_k|) and
+Ritz vectors (the full eigenvector matrix, built only when asked for).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+QL_MAX_ITER = 100  # QL sweeps allowed per eigenvalue
 
 
 def tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -41,8 +48,14 @@ def tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(A).copy(), e
 
 
-def tridiag_eigvals(d: np.ndarray, e: np.ndarray, max_iter: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric tridiagonal matrix by implicit-shift QL."""
+def _ql(d, e, z: np.ndarray | None = None):
+    """Implicit-shift QL on the symmetric tridiagonal (d, e), over Python floats.
+
+    Returns the eigenvalues in ascending order, the last row of the
+    eigenvector matrix in the same order (carried through every rotation as
+    two floats), and ``z`` with every rotation applied to its columns, or
+    None when no ``z`` is passed (pass the identity for the eigenvectors).
+    """
     d = np.array(d, dtype=float)
     n = d.size
     ee = np.zeros(n)
@@ -51,59 +64,13 @@ def tridiag_eigvals(d: np.ndarray, e: np.ndarray, max_iter: int = 100) -> np.nda
     # absolute deflation floor: clustered zero eigenvalues make the relative
     # test unreachable; dropping |e| <= eps*|A| perturbs eigenvalues by <= n*eps*|A|
     floor = eps * max(np.abs(d).max(initial=0.0), np.abs(ee).max(initial=0.0), 1e-300)
+    d = d.tolist()
+    ee = ee.tolist()
+    last = [0.0] * n
+    if n:
+        last[-1] = 1.0
     for l in range(n):
-        for _ in range(max_iter):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(ee[m]) <= max(eps * dd, floor):
-                    break
-                m += 1
-            if m == l:
-                break
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = float(np.hypot(g, 1.0))
-            g = d[m] - d[l] + ee[l] / (g + (r if g >= 0 else -r))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = float(np.hypot(f, g))
-                ee[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            if not underflow:
-                d[l] -= p
-                ee[l] = g
-                ee[m] = 0.0
-        else:
-            raise RuntimeError("QL iteration failed to converge")
-    return np.sort(d)
-
-
-def tridiag_eigh(d: np.ndarray, e: np.ndarray, max_iter: int = 100):
-    """Eigenvalues and eigenvectors of a symmetric tridiagonal matrix (QL)."""
-    d = np.array(d, dtype=float)
-    n = d.size
-    ee = np.zeros(n)
-    ee[: n - 1] = e
-    z = np.eye(n)
-    eps = np.finfo(float).eps
-    floor = eps * max(np.abs(d).max(initial=0.0), np.abs(ee).max(initial=0.0), 1e-300)
-    for l in range(n):
-        for _ in range(max_iter):
+        for _ in range(QL_MAX_ITER):
             m = l
             while m < n - 1:
                 dd = abs(d[m]) + abs(d[m + 1])
@@ -136,18 +103,34 @@ def tridiag_eigh(d: np.ndarray, e: np.ndarray, max_iter: int = 100):
                 d[i + 1] = g + p
                 g = c * r - b
                 # accumulate the rotation into the eigenvector matrix
-                col_i = z[:, i].copy()
-                col_i1 = z[:, i + 1].copy()
-                z[:, i + 1] = s * col_i + c * col_i1
-                z[:, i] = c * col_i - s * col_i1
+                zi, zi1 = last[i], last[i + 1]
+                last[i + 1] = s * zi + c * zi1
+                last[i] = c * zi - s * zi1
+                if z is not None:
+                    col_i = z[:, i].copy()
+                    col_i1 = z[:, i + 1].copy()
+                    z[:, i + 1] = s * col_i + c * col_i1
+                    z[:, i] = c * col_i - s * col_i1
             if not underflow:
                 d[l] -= p
                 ee[l] = g
                 ee[m] = 0.0
         else:
             raise RuntimeError("QL iteration failed to converge")
+    d = np.array(d)
     order = np.argsort(d)
-    return d[order], z[:, order]
+    return d[order], np.array(last)[order], None if z is None else z[:, order]
+
+
+def tridiag_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a symmetric tridiagonal matrix, sorted ascending."""
+    return _ql(d, e)[0]
+
+
+def tridiag_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvector columns of a symmetric tridiagonal."""
+    vals, _, vecs = _ql(d, e, np.eye(np.size(d)))
+    return vals, vecs
 
 
 def symmetric_eigenvalues(A: np.ndarray) -> np.ndarray:
@@ -161,7 +144,8 @@ def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) 
     A = np.array(A, dtype=float)
     n = A.shape[0]
     for sweep in range(max_sweeps):
-        off = float(np.sqrt(max(0.0, (A * A).sum() - (np.diag(A) ** 2).sum())))
+        # summed directly: subtracting the diagonal's share of |A|^2 loses small off-diagonals
+        off = float(np.sqrt(((A - np.diag(np.diag(A))) ** 2).sum()))
         if off <= tol:
             break
         thresh = off / n if sweep < 3 else 0.0
@@ -212,13 +196,14 @@ def lanczos_extreme(
     v /= nv
 
     max_basis = min(max_iter, n - 1 if deflate_constants else n)
+    if max_basis < 1:
+        raise ValueError("Lanczos needs at least one iteration")
     keep_basis = n * max_basis <= store_basis_budget
     basis = [v.copy()] if keep_basis else None
     v_prev = np.zeros(n)
     alphas: list[float] = []
     betas: list[float] = []
     beta = 0.0
-    best = (0.0, 0, float("inf"), False)
     check_every = 5
 
     for k in range(1, max_basis + 1):
@@ -233,39 +218,25 @@ def lanczos_extreme(
             w -= B @ (B.T @ w)
             w -= B @ (B.T @ w)
         beta = float(np.sqrt(w @ w))
-        if k % check_every == 0 or beta <= tol * 1e-3 or k == max_basis:
-            d = np.array(alphas)
-            e = np.array(betas)
-            vals, vecs = tridiag_eigh(d, e)
+        invariant = beta <= 1e-14
+        if k % check_every == 0 or beta <= tol * 1e-3 or invariant or k == max_basis:
+            # ||T y - theta y|| = beta_k |s_k|: the last row is all the check needs
+            vals, last, _ = _ql(alphas, betas)
             top = int(np.argmax(vals))
-            resid = abs(beta * vecs[-1, top])
-            best = (float(vals[top]), k, resid, resid <= tol)
-            if resid <= tol or beta <= 1e-14:
-                ritz = None
-                if keep_basis:
-                    ritz = np.asarray(basis).T @ vecs[:, top]
-                    rn = float(np.sqrt(ritz @ ritz))
-                    if rn > 0:
-                        ritz /= rn
-                return best[0], k, best[2], True, ritz
-        if beta <= 1e-14:
-            break
+            resid = abs(beta * float(last[top]))
+            converged = resid <= tol or invariant
+            if converged or k == max_basis:
+                break
         betas.append(beta)
         v_prev = v
         v = w / beta
         if keep_basis:
             basis.append(v.copy())
 
-    d = np.array(alphas)
-    e = np.array(betas[: len(alphas) - 1])
-    vals, vecs = tridiag_eigh(d, e)
-    top = int(np.argmax(vals))
-    resid = abs(beta * vecs[-1, top]) if len(betas) >= len(alphas) else 0.0
     ritz = None
     if keep_basis:
-        ritz = np.asarray(basis).T[:, : len(alphas)] @ vecs[:, top]
+        ritz = np.asarray(basis).T @ tridiag_eigh(alphas, betas)[1][:, top]
         rn = float(np.sqrt(ritz @ ritz))
         if rn > 0:
             ritz /= rn
-    converged = resid <= tol
-    return float(vals[top]), len(alphas), resid, converged, ritz
+    return float(vals[top]), k, resid, converged, ritz

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable
 
+from .addcomb import power_by_doubling
 from .factored import FactoredModulus
 from .sl2 import PairElement, ipair_mul, pair_mul, reduce_pair
 
@@ -92,18 +93,7 @@ def convolve(f: SparseMeasure, g: SparseMeasure, support_cap: int | None = None)
 
 def convolve_power(f: SparseMeasure, l: int, support_cap: int | None = None) -> SparseMeasure:
     """The l-fold self-convolution f^(l), by repeated squaring."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    result = None
-    square = f
-    k = l
-    while k:
-        if k & 1:
-            result = square if result is None else convolve(result, square, support_cap)
-        k >>= 1
-        if k:
-            square = convolve(square, square, support_cap)
-    return result
+    return power_by_doubling(f, l, lambda a, b: convolve(a, b, support_cap))
 
 
 def pushforward(f: SparseMeasure, mapper: Callable, law: GroupLaw) -> SparseMeasure:

@@ -24,6 +24,8 @@ def test_spectral_single_modulus(tmp_path):
     manifest = json.loads((run / "manifest.json").read_text())
     assert "gap_sweep.csv" in manifest["outputs"]
     assert manifest["config"]["moduli"] == "5"
+    assert manifest["config"]["timings"] is False
+    assert "func" not in manifest["config"]
 
 
 def test_pair_spectral_csv_cells_are_plain(tmp_path):
@@ -172,8 +174,11 @@ def test_glue_with_dense_a_exits_0(tmp_path):
         ]
     )
     assert code == 0
-    rep = json.loads((newest_run(tmp_path) / "glue.json").read_text())
+    run = newest_run(tmp_path)
+    rep = json.loads((run / "glue.json").read_text())
     assert rep["q3_star"] == 5
+    config = json.loads((run / "manifest.json").read_text())["config"]
+    assert config["a_size"] == 3000 and config["cap"] == 500_000
 
 
 def test_lemma_check_commutator(tmp_path, capsys):
@@ -183,6 +188,27 @@ def test_lemma_check_commutator(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+    config = json.loads((newest_run(tmp_path) / "manifest.json").read_text())["config"]
+    assert config["window_cap"] == 128 and config["depth"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma-check", "--lemma", "commutator-identity", "--p", "0"],
+        ["lemma-check", "--lemma", "commutator-identity", "--p", "1"],
+        ["lemma-check", "--lemma", "commutator-identity", "--p", "-3"],
+        ["lemma-check", "--lemma", "commutator-identity", "--depth", "0"],
+        ["lemma-check", "--lemma", "commutator-identity", "--depth", "-1"],
+        ["nonconc", "--event", "lower-left", "--Q", "0"],
+    ],
+    ids=["p0", "p1", "p-3", "depth0", "depth-1", "nonconc-Q0"],
+)
+def test_bad_input_exits_1_without_run_dir(tmp_path, capsys, argv):
+    assert main(["--out", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run-*"))
 
 
 def test_lemma_check_bracket_span(tmp_path):

@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2lab.eigen import (
+    _ql,
     jacobi_eigenvalues,
     lanczos_extreme,
     symmetric_eigenvalues,
     tridiag_eigh,
+    tridiag_eigvals,
 )
 from sl2lab.packed import PairContext, full_pair_codes
 from sl2lab.spectral import (
@@ -74,6 +78,24 @@ def test_tridiag_eigh_vectors():
         assert np.sqrt(r @ r) < 1e-9
 
 
+# diagonals drawn partly from a few values so they repeat; off-diagonals partly zero
+DIAG = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-4, 4))
+OFFDIAG = st.one_of(st.just(0.0), st.floats(-3, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_single_ql_loop_paths_agree(data, n):
+    d = np.array(data.draw(st.lists(DIAG, min_size=n, max_size=n)))
+    e = np.array(data.draw(st.lists(OFFDIAG, min_size=n - 1, max_size=n - 1)))
+    vals, vecs = tridiag_eigh(d, e)
+    assert tridiag_eigvals(d, e).tobytes() == vals.tobytes()
+    assert _ql(d, e)[1].tobytes() == vecs[-1].tobytes()
+    m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    scale = max(np.abs(d).max(), np.abs(e).max(initial=0.0), 1.0)
+    assert np.abs(jacobi_eigenvalues(m) - vals).max() <= 1e-10 * scale
+
+
 def test_lanczos_on_explicit_matrix():
     rng = np.random.default_rng(3)
     n = 80
@@ -84,6 +106,8 @@ def test_lanczos_on_explicit_matrix():
     )
     assert conv
     assert abs(lam - np.linalg.eigvalsh(m)[-1]) < 1e-9
+    with pytest.raises(ValueError):
+        lanczos_extreme(lambda v: m @ v, n, max_iter=0, deflate_constants=False)
 
 
 # ---------------------------------------------------------------------------
