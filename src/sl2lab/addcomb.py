@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .factored import FactoredModulus, divisors
+from .packed import unique_codes
 
 BITSET_MAX = 1 << 16
 
@@ -95,12 +96,11 @@ def negate(a: ResidueSet) -> ResidueSet:
 def productset(a: ResidueSet, b: ResidueSet) -> ResidueSet:
     _check_same_q(a, b)
     q = a.q
+    if (q - 1) ** 2 >= 2**63:  # int64 products would wrap
+        return ResidueSet.of(q, (x * y for x in a.members() for y in b.members()))
     am = np.array(a.members(), dtype=np.int64)
-    out = ResidueSet.of(q, ())
-    acc = np.zeros(0, dtype=np.int64)
-    for s in b.members():
-        acc = np.concatenate([acc, (am * s) % q])
-    return ResidueSet.of(q, (int(v) for v in np.unique(acc)))
+    bm = np.array(b.members(), dtype=np.int64)
+    return ResidueSet.of(q, (int(v) for v in unique_codes((am[:, None] * bm[None, :]) % q)))
 
 
 def difference_of_products(a: ResidueSet, b: ResidueSet) -> ResidueSet:

@@ -17,6 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .packed import PairContext, index_sorted, sl2_codes, unique_codes
+
 EXACT_AGREEMENT_LIMIT = 4096
 
 
@@ -73,8 +75,6 @@ class FiniteGroupTable:
     @staticmethod
     def from_codes(ctx, codes: np.ndarray) -> "FiniteGroupTable":
         """Group table from packed codes (must be closed under the group law)."""
-        from .packed import index_sorted
-
         n = codes.size
         mul = np.empty((n, n), dtype=np.int64)
         for j in range(n):
@@ -84,8 +84,6 @@ class FiniteGroupTable:
 
     @staticmethod
     def from_sl2(q: int) -> "FiniteGroupTable":
-        from .packed import PairContext, sl2_codes
-
         return FiniteGroupTable.from_codes(PairContext(q, 1), sl2_codes(q))
 
     def direct_product(self, other: "FiniteGroupTable") -> "FiniteGroupTable":
@@ -201,7 +199,7 @@ def _attempt_structured(
     left = g1.mul[np.ix_(a_prime, g1.inv[a_prime])]
     right = g2.mul[np.ix_(psi[a_prime], g2.inv[psi[a_prime]])]
     m2 = g2.order
-    gen_codes = np.unique(left.astype(np.int64) * m2 + right)
+    gen_codes = unique_codes(left.astype(np.int64) * m2 + right)
     if gen_codes.size > 2 * n:
         return None, f"|A'A'^-1| = {gen_codes.size} > 2|G1| = {2 * n}"
     gens = [(int(c) // m2, int(c) % m2) for c in gen_codes]

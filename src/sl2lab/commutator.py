@@ -16,7 +16,7 @@ import numpy as np
 
 from .factored import FactoredModulus, divides, exact_divides, fgcd
 from .growth import GroupSet, product_set
-from .packed import PairContext, isin_sorted, mul_codes
+from .packed import PairContext, isin_sorted, mul_codes, unique_codes
 from .sl2 import (
     LieVector,
     SL2Residue,
@@ -373,7 +373,7 @@ def box_lift_codes(p: int, m1: int, m2: int, big: int, extra: int = 0) -> np.nda
     c = (p**m1 * vf.ravel()) % P
     d = ((1 + b * c) % P) * _batch_inv_mod(a, P) % P
     z = np.zeros_like(a)
-    return np.unique(ctx.encode([a, b, c, d, z, z, z, z]))
+    return unique_codes(ctx.encode([a, b, c, d, z, z, z, z]))
 
 
 def amplify_exhaustive_check(
@@ -494,7 +494,7 @@ def connecting_map(
         if k > 1:
             power = product_set(power, b, cap)
         red = power.ctx.reduce_codes(power.codes, reduced_ctx)
-        if not np.all(isin_sorted(domain, np.unique(red))):
+        if not np.all(isin_sorted(domain, unique_codes(red))):
             continue
         order = np.lexsort((power.codes, red))
         red_sorted = red[order]

@@ -30,7 +30,13 @@ from .approxhom import (
 from .commutator import ConnectingMap, congruence_depths, connecting_map
 from .factored import ONE, FactoredModulus, divisors, exact_divisors, fgcd
 from .growth import GroupSet, product_set
-from .packed import PairContext, congruence_subgroup_codes, generated_subgroup, isin_sorted
+from .packed import (
+    PairContext,
+    congruence_subgroup_codes,
+    generated_subgroup,
+    isin_sorted,
+    unique_codes,
+)
 from .sl2 import group_order
 
 
@@ -164,13 +170,13 @@ def _achieved_congruence(
     tgt = PairContext(cfg.q3.value, 1)
     digits = full.decode(k_codes)
     red = tgt.encode([d % cfg.q3.value for d in digits[:4]] + [d * 0 for d in digits[4:]])
-    k3 = np.unique(red)
+    k3 = unique_codes(red)
     best = (1, 1)
     for d in sorted(exact_divisors(cfg.q3), key=lambda m: -m.value):
         if d.is_one():
             continue
         dctx = PairContext(d.value, 1)
-        k3_red = np.unique(tgt.reduce_codes(k3, dctx))
+        k3_red = unique_codes(tgt.reduce_codes(k3, dctx))
         # depth moduli are arbitrary divisors (fractional powers), smallest first
         for m in sorted(divisors(d), key=lambda mm: mm.value):
             if m == d:
@@ -340,13 +346,13 @@ def glue_pipeline(
     report.no_expansion = q3_star == 1
 
     # --- final assembly: coverage density of (B u A)-powers -----------------
-    union = b if a is None else GroupSet(b.q1, b.q2, np.union1d(b.codes, a.codes))
+    union = b if a is None else b.union(a)
     target_left = cfg.q1.value * q3_star
     tgt = PairContext(target_left, cfg.q2.value)
     cur = union
     sizes = []
     for _ in range(4):
-        red = np.unique(cur.ctx.reduce_codes(cur.codes, tgt))
+        red = unique_codes(cur.ctx.reduce_codes(cur.codes, tgt))
         sizes.append(int(red.size))
         if red.size == tgt.order:
             break
@@ -370,7 +376,7 @@ def glue_pipeline(
 
 def _pool_codes(b: GroupSet, a: Optional[GroupSet], cfg: GluingConfig) -> np.ndarray:
     """Deterministic conjugator pool: a seeded sample of (B u A) codes."""
-    codes = b.codes if a is None else np.union1d(b.codes, a.codes)
+    codes = b.codes if a is None else b.union(a).codes
     if codes.size <= cfg.pool_size:
         return codes
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
@@ -494,7 +500,7 @@ def _run_commutator_case(
             w = full.mul_const(w, full.element_tuple(int(full.inv(u)[0])), "right")
             w = full.mul_const(w, full.element_tuple(int(full.inv(v)[0])), "right")
             out[i] = w[0]
-        cur = np.unique(out)
+        cur = unique_codes(out)
         depths = {
             p: int(congruence_depths(full.decode(cur)[:4], p, nn).min())
             for (p, nn) in primes
@@ -578,7 +584,7 @@ def _run_one_parameter_case(
         cur = full.mul_const(cur, t, "right")
         if int(cur[0]) == full.identity_code():
             break
-    p_codes = np.unique(np.array(powers, dtype=np.int64))
+    p_codes = unique_codes(np.array(powers, dtype=np.int64))
     report.stages.append(
         {"stage": "one-parameter-set", "generator": best, "orbit_size": int(p_codes.size)}
     )

@@ -21,6 +21,7 @@ from .packed import (
     full_pair_codes,
     isin_sorted,
     mul_codes,
+    unique_codes,
 )
 from .sl2 import IntPair, PairElement, reduce_pair
 
@@ -52,7 +53,7 @@ class GroupSet:
         return bool(np.all(isin_sorted(other.codes, self.codes)))
 
     def union(self, other: "GroupSet") -> "GroupSet":
-        return GroupSet(self.q1, self.q2, np.union1d(self.codes, other.codes))
+        return GroupSet(self.q1, self.q2, unique_codes(np.concatenate([self.codes, other.codes])))
 
     def elements(self) -> list[PairElement]:
         return [self.ctx.decode_element(int(c), self.q1, self.q2) for c in self.codes]
@@ -62,7 +63,7 @@ class GroupSet:
         q1: FactoredModulus, q2: FactoredModulus, elements: Sequence[PairElement]
     ) -> "GroupSet":
         ctx = PairContext(q1.value, q2.value)
-        codes = np.unique(
+        codes = unique_codes(
             np.array([ctx.encode_element(x) for x in elements], dtype=np.int64)
         )
         return GroupSet(q1, q2, codes)
@@ -81,7 +82,7 @@ class GroupSet:
         if not (divides(q1, self.q1) and divides(q2, self.q2)):
             raise ValueError("target moduli must divide the current moduli")
         tgt = PairContext(q1.value, q2.value)
-        return GroupSet(q1, q2, np.unique(self.ctx.reduce_codes(self.codes, tgt)))
+        return GroupSet(q1, q2, unique_codes(self.ctx.reduce_codes(self.codes, tgt)))
 
     def project(self, side: int) -> "GroupSet":
         """P_1 or P_2 as a single-factor set (modulus pair (q_side, 1))."""
@@ -98,7 +99,7 @@ class GroupSet:
             raise ValueError("side must be 1 or 2")
         tgt = PairContext(q.value, 1)
         z = np.zeros_like(part[0])
-        codes = np.unique(tgt.encode(list(part) + [z, z, z, z]))
+        codes = unique_codes(tgt.encode(list(part) + [z, z, z, z]))
         return GroupSet(q, ONE, codes)
 
     def inverse_set(self) -> "GroupSet":

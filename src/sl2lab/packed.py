@@ -13,6 +13,11 @@ once and feeds it broadcast blocks of ``BLOCK`` products.  The block size is
 a constant, not a share of the merge threshold ``FLUSH``, because each block
 holds about a dozen int64 temporaries of its size: peak memory then stays
 bounded whatever the sizes of the two sets.
+
+Every dedupe and union of code arrays goes through ``unique_codes``: one
+``np.sort`` and a mask of adjacent differences.  ``np.unique`` returns the
+same sorted distinct array, but numpy 2.4 routes it through a hash table and
+then sorts the result, which on int64 codes is 5 to 100 times slower.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from .factored import FactoredModulus
 from .sl2 import PairElement, SL2Residue, _ext_gcd, group_order
 
 BLOCK = 1 << 18  # products per broadcast block in mul_codes
-FLUSH = 8_000_000  # buffered products before mul_codes merges them with np.unique
+FLUSH = 8_000_000  # buffered products before mul_codes merges them with unique_codes
 
 
 @dataclass(frozen=True)
@@ -81,12 +86,23 @@ class PairContext:
         vals = [int(v[0]) for v in self.decode(np.array([code], dtype=np.int64))]
         return PairElement(SL2Residue(q1, *vals[:4]), SL2Residue(q2, *vals[4:]))
 
+    def reduce_digits(self, g) -> tuple[int, ...]:
+        """The 8 entries of g reduced mod (q1, q1, q1, q1, q2, q2, q2, q2).
+
+        Reduction in Python integers keeps unreduced entries, however large,
+        from meeting int64 digit arrays.
+        """
+        g = tuple(int(v) for v in g)
+        if len(g) != 8:
+            raise ValueError(f"expected 8 entries, got {len(g)}")
+        return tuple(v % self.q1 for v in g[:4]) + tuple(v % self.q2 for v in g[4:])
+
     def mul_const(self, codes: np.ndarray, g: tuple[int, ...], side: str) -> np.ndarray:
         """Codes of g*x (side='left') or x*g (side='right') for all packed x."""
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         x = self.decode(codes)
-        g = tuple(int(v) for v in g)
+        g = self.reduce_digits(g)
         return _product(self, g, x) if side == "left" else _product(self, x, g)
 
     def inv(self, codes: np.ndarray) -> np.ndarray:
@@ -133,6 +149,15 @@ def _product(ctx: PairContext, x, y) -> np.ndarray:
     left = _mat_mul(x[:4], y[:4], ctx.q1)
     right = (0, 0, 0, 0) if ctx.q2 == 1 else _mat_mul(x[4:], y[4:], ctx.q2)
     return ctx.encode(left + right)
+
+
+def unique_codes(codes: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of an integer array, raveled (``np.unique``)."""
+    s = np.sort(codes, axis=None)
+    keep = np.empty(s.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 def isin_sorted(values: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -208,8 +233,8 @@ def generated_subgroup(
     monoid generated by a set is the subgroup it generates, so ``gens`` need
     not be symmetric.  Raises ValueError when the subgroup exceeds ``cap``.
     """
-    digits = np.array(gens, dtype=np.int64).reshape(-1, 8) % np.repeat([ctx.q1, ctx.q2], 4)
-    gen_codes = np.unique(ctx.encode(digits.T))
+    digits = np.array([ctx.reduce_digits(g) for g in gens], dtype=np.int64).reshape(-1, 8)
+    gen_codes = unique_codes(ctx.encode(digits.T))
     visited = np.array([ctx.identity_code()], dtype=np.int64)
     frontier = visited
     while frontier.size:
@@ -261,6 +286,14 @@ def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             buf.append((_product(ctx, x, y) if a_last else _product(ctx, y, x)).ravel())
             buffered += buf[-1].size
             if buffered >= FLUSH:
-                acc = np.unique(np.concatenate(buf + [acc]))
-                buf, buffered = [], 0
-    return np.unique(np.concatenate(buf + [acc]))
+                acc = _merge(buf, acc)
+                buffered = 0
+    return _merge(buf, acc)
+
+
+def _merge(buf: list[np.ndarray], acc: np.ndarray) -> np.ndarray:
+    """unique_codes of the buffered blocks and ``acc``.  Empties ``buf``
+    before the sort, so the blocks are freed before the sorted copy exists."""
+    merged = np.concatenate(buf + [acc])
+    buf.clear()
+    return unique_codes(merged)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .eigen import lanczos_extreme, symmetric_eigenvalues
 from .factored import FactoredModulus
-from .packed import PairContext, generated_subgroup, index_sorted
+from .packed import PairContext, _product, generated_subgroup, index_sorted
 from .sl2 import IntPair, symmetrize
 
 DENSE_THRESHOLD = 2048
@@ -57,17 +57,18 @@ class CayleyOperator:
     ) -> "CayleyOperator":
         """Construct over the given vertex codes, or over <gens> if codes is None.
 
-        The generator multiset is used as given (duplicates kept); it must be
-        closed under inverse for the operator to be self-adjoint.
+        The generator multiset is used as given (duplicates kept, entries
+        reduced mod the moduli); it must be closed under inverse for the
+        operator to be self-adjoint.
         """
-        gens = [tuple(int(v) for v in g) for g in gens]
+        gens = [ctx.reduce_digits(g) for g in gens]
         if codes is None:
             codes = generated_subgroup(ctx, gens, cap=cap)
+        x = ctx.decode(codes)
         perms = []
         for g in gens:
-            g_inv = ctx.element_tuple(int(ctx.inv(ctx.encode([np.int64(v) for v in g]))[()]))
-            moved = ctx.mul_const(codes, g_inv, "left")
-            perms.append(index_sorted(moved, codes).astype(np.int64))
+            g_inv = ctx.element_tuple(int(ctx.inv(ctx.encode(g))))
+            perms.append(index_sorted(_product(ctx, g_inv, x), codes))
         return CayleyOperator(ctx, codes, gens, perms)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -92,8 +93,9 @@ class CayleyOperator:
     def neighbor_table(self) -> list[list[int]]:
         """neighbors[i] = indices of s * x_i over the generator multiset."""
         out = [[] for _ in range(self.n)]
+        x = self.ctx.decode(self.codes)
         for g in self.gens:
-            moved = index_sorted(self.ctx.mul_const(self.codes, g, "left"), self.codes)
+            moved = index_sorted(_product(self.ctx, g, x), self.codes)
             for i, j in enumerate(moved):
                 out[i].append(int(j))
         return out

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2lab.addcomb import (
     ResidueSet,
@@ -31,6 +33,20 @@ def brute_fold(q, members, k):
     for _ in range(k - 1):
         acc = brute_sumset(q, acc, members)
     return acc
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.one_of(st.integers(1, 300), st.sampled_from([2**16 + 1, 3 * 2**31, 2**62 + 9])),
+    seed=st.integers(0, 2**32),
+)
+def test_productset_vs_bruteforce(q, seed):
+    # bitset and hashed moduli, and moduli whose products exceed int64
+    rng = random.Random(seed)
+    a = {rng.randrange(q) for _ in range(rng.randrange(12))}
+    b = {rng.randrange(q) for _ in range(rng.randrange(12))}
+    got = productset(ResidueSet.of(q, a), ResidueSet.of(q, b))
+    assert set(got.members()) == {x * y % q for x in a for y in b}
 
 
 def test_sumset_examples():

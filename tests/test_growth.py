@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2lab.factored import ONE, FactoredModulus
 from sl2lab.growth import (
@@ -50,6 +52,16 @@ def brute_product(a: GroupSet, b: GroupSet) -> set:
     # independent O(|A||B|) oracle over element objects
     ea, eb = a.elements(), b.elements()
     return {pair_mul(x, y) for x in ea for y in eb}
+
+
+@settings(max_examples=30, deadline=None)
+@given(sizes=st.tuples(st.integers(0, 40), st.integers(0, 40)), seed=st.integers(0, 2**32))
+def test_union_matches_np_union1d(sizes, seed):
+    rng = random.Random(seed)
+    a = random_groupset(rng, Q4, Q5, sizes[0])
+    b = random_groupset(rng, Q4, Q5, sizes[1])
+    got, ref = a.union(b).codes, np.union1d(a.codes, b.codes)
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_product_set_identity_and_subgroup():

@@ -1,9 +1,11 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sl2lab import packed
 from sl2lab.factored import FactoredModulus
@@ -17,6 +19,7 @@ from sl2lab.packed import (
     isin_sorted,
     mul_codes,
     sl2_codes,
+    unique_codes,
 )
 from sl2lab.sl2 import (
     PairElement,
@@ -82,6 +85,40 @@ def test_mul_const_matches_object_layer(moduli, size, seed):
         assert ctx.decode_element(int(lc), q1, q2) == pair_mul(g, x)
     with pytest.raises(ValueError):
         ctx.mul_const(codes, gt, "middle")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moduli=MODULI,
+    size=st.integers(1, 10),
+    seed=st.integers(0, 2**32),
+    ks=st.lists(st.integers(-(2**70), 2**70), min_size=8, max_size=8),
+)
+def test_mul_const_reduces_generator_entries(moduli, size, seed, ks):
+    # g + k*q, with k from small to far past int64, multiplies exactly as g
+    rng = random.Random(seed)
+    ctx = PairContext(*moduli)
+    q1, q2 = FactoredModulus.of(ctx.q1), FactoredModulus.of(ctx.q2)
+    _, codes = random_set(rng, ctx, size)
+    g = random_pair(rng, q1, q2)
+    gt = g.left.entries + g.right.entries
+    shifted = tuple(v + k * m for v, k, m in zip(gt, ks, (ctx.q1,) * 4 + (ctx.q2,) * 4))
+    assert ctx.reduce_digits(shifted) == gt
+    for side in ("left", "right"):
+        got = ctx.mul_const(codes, shifted, side)
+        assert got.tolist() == ctx.mul_const(codes, gt, side).tolist()
+
+
+def test_mul_const_unreduced_overflow_regression():
+    # congruent to (1,1,0,1) mod 7; unreduced, the int64 digit products wrap
+    ctx = PairContext(7, 1)
+    codes = sl2_codes(7)
+    g = (1 + 7 * 2**60, 1 + 7 * 2**59, 7 * 2**60, 1 + 7 * 2**58, 0, 0, 0, 0)
+    got = ctx.mul_const(codes, g, "left")
+    assert got.tolist() == ctx.mul_const(codes, (1, 1, 0, 1, 0, 0, 0, 0), "left").tolist()
+    assert np.all(isin_sorted(got, codes))
+    with pytest.raises(ValueError):
+        ctx.reduce_digits((1, 0, 0, 1))
 
 
 def test_inv_matches_object_layer():
@@ -165,6 +202,41 @@ def test_congruence_subgroup_codes():
     codes = congruence_subgroup_codes(4, 3, 2, 1)
     expected = (group_order(FactoredModulus.of(4)) // group_order(FactoredModulus.of(2))) * group_order(Q3)
     assert codes.size == expected
+
+
+def int64_arrays():
+    # full-range values, or a small pool for heavy duplication; 1-D or 2-D
+    values = st.one_of(
+        st.integers(-(2**63), 2**63 - 1),
+        st.sampled_from([-(2**63), -1, 0, 1, 7, 2**63 - 1]),
+    )
+    shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=40)
+    return hnp.arrays(np.int64, shapes, elements=values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=int64_arrays())
+@example(x=np.array([], dtype=np.int64))
+@example(x=np.array([5], dtype=np.int64))
+@example(x=np.full(9, -3, dtype=np.int64))
+@example(x=np.full((3, 4), 2**62, dtype=np.int64))
+def test_unique_codes_matches_np_unique(x):
+    # np.unique is the independent reference for the sort-and-mask kernel
+    got, ref = unique_codes(x), np.unique(x)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert np.array_equal(got, ref)
+
+
+def test_one_dedupe_kernel_in_src():
+    # packed.unique_codes is the only dedupe routine of the library
+    src = Path(packed.__file__).parent
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.unique(" in line or "np.union1d(" in line
+    ]
+    assert offenders == []
 
 
 def test_isin_and_index_sorted():

@@ -15,7 +15,7 @@ from sl2lab.eigen import (
     tridiag_eigh,
     tridiag_eigvals,
 )
-from sl2lab.packed import PairContext, full_pair_codes
+from sl2lab.packed import PairContext, full_pair_codes, sl2_codes
 from sl2lab.spectral import (
     CayleyOperator,
     cayley_for_sl2_pair,
@@ -161,6 +161,34 @@ def test_coset_constant_functions_stay_coset_constant():
 
 # ---------------------------------------------------------------------------
 # lambda2: circulant closed form, dense oracle, disconnected case
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    q=st.sampled_from([5, 7, 8, 9]),
+    ks=st.lists(st.integers(-(2**70), 2**70), min_size=8, max_size=8),
+)
+def test_build_reduces_generator_entries(q, ks):
+    # generators shifted by multiples of q build the same permutations
+    ctx = PairContext(q, 1)
+    gens = [(1, 1, 0, 1, 0, 0, 0, 0), (1, q - 1, 0, 1, 0, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0, 0)]
+    shifted = [tuple(v + k * q for v, k in zip(gens[0], ks))] + gens[1:]
+    codes = sl2_codes(q)
+    ref = CayleyOperator.build(ctx, gens, codes=codes)
+    op = CayleyOperator.build(ctx, shifted, codes=codes)
+    assert op.gens == ref.gens
+    for p, r in zip(op.perms, ref.perms):
+        assert p.dtype == r.dtype and np.array_equal(p, r)
+    assert op.neighbor_table() == ref.neighbor_table()
+
+
+def test_build_unreduced_overflow_regression():
+    # congruent to (1,1,0,1) mod 7; unreduced it overflowed and raised KeyError
+    ctx = PairContext(7, 1)
+    g = (1 + 7 * 2**60, 1 + 7 * 2**59, 7 * 2**60, 1 + 7 * 2**58, 0, 0, 0, 0)
+    op = CayleyOperator.build(ctx, [g], codes=sl2_codes(7))
+    ref = CayleyOperator.build(ctx, [(1, 1, 0, 1, 0, 0, 0, 0)], codes=sl2_codes(7))
+    assert np.array_equal(op.perms[0], ref.perms[0])
 
 
 def test_lambda2_circulant_closed_form():
