@@ -78,24 +78,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[dict]):
+def _csv(header: list[str], rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(row.get(col)) for col in header])
-    _write_atomic(path, buf.getvalue())
+    return buf.getvalue()
 
 
-def _finish_run(run_dir: Path, args, t0: float, outputs: list[Path]) -> None:
+def _emit(args, t0: float, files: dict[str, str]) -> Path:
+    """Write ``files`` (name -> body) and the manifest into a new run
+    directory; print and return the path of the first file."""
+    run_dir = _make_run_dir(_out_root(args))
+    paths = [run_dir / name for name in files]
+    for path, body in zip(paths, files.values()):
+        _write_atomic(path, body)
     manifest = {
         "version": __version__,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "wall_seconds": time.perf_counter() - t0,
         "written_utc": datetime.now(timezone.utc).isoformat(),
-        "outputs": {p.name: _digest(p) for p in outputs},
+        "outputs": {p.name: _digest(p) for p in paths},
     }
     _write_atomic(run_dir / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True))
+    print(paths[0])
+    return paths[0]
 
 
 def _load_generators(spec: str):
@@ -134,11 +142,7 @@ def cmd_spectral(args) -> int:
         if not args.timings:
             row["seconds"] = None
         out_rows.append(row)
-    run_dir = _make_run_dir(_out_root(args))
-    csv_path = run_dir / "gap_sweep.csv"
-    _write_csv(csv_path, header, out_rows)
-    _finish_run(run_dir, args, t0, [csv_path])
-    print(csv_path)
+    _emit(args, t0, {"gap_sweep.csv": _csv(header, out_rows)})
     return 0
 
 
@@ -168,17 +172,12 @@ def cmd_growth(args) -> int:
         "q2_prime": str(res.q2p.value) if res.q2p else None,
         "power_sizes": [str(s) for s in res.sizes],
     }
-    run_dir = _make_run_dir(_out_root(args))
-    json_path = run_dir / "growth.json"
-    _write_atomic(json_path, json.dumps(report, indent=1, sort_keys=True))
-    csv_path = run_dir / "growth.csv"
-    _write_csv(
-        csv_path,
-        ["q1", "q2", "size", "size_triple", "exponent", "k", "q1_prime", "q2_prime"],
-        [report],
-    )
-    _finish_run(run_dir, args, t0, [json_path, csv_path])
-    print(json_path)
+    header = ["q1", "q2", "size", "size_triple", "exponent", "k", "q1_prime", "q2_prime"]
+    files = {
+        "growth.json": json.dumps(report, indent=1, sort_keys=True),
+        "growth.csv": _csv(header, [report]),
+    }
+    _emit(args, t0, files)
     return 0 if res.found else HYPOTHESIS_EXIT
 
 
@@ -233,13 +232,11 @@ def cmd_nonconc(args) -> int:
             "fitted_c": prof["fitted_c"],
             "N": prof["N"],
         }
-    run_dir = _make_run_dir(_out_root(args))
-    csv_path = run_dir / "nonconc.csv"
-    _write_csv(csv_path, header, rows)
-    json_path = run_dir / "nonconc.json"
-    _write_atomic(json_path, json.dumps(extra, indent=1, sort_keys=True))
-    _finish_run(run_dir, args, t0, [csv_path, json_path])
-    print(csv_path)
+    files = {
+        "nonconc.csv": _csv(header, rows),
+        "nonconc.json": json.dumps(extra, indent=1, sort_keys=True),
+    }
+    _emit(args, t0, files)
     return 0
 
 
@@ -270,15 +267,8 @@ def cmd_addcomb(args) -> int:
         )
         if res["verified"] is False and res["hypothesis_ok"]:
             failures += 1
-    run_dir = _make_run_dir(_out_root(args))
-    csv_path = run_dir / "addcomb.csv"
-    _write_csv(
-        csv_path,
-        ["trial", "q", "size_a", "size_b", "q_prime", "hypothesis_ok", "verified"],
-        rows,
-    )
-    _finish_run(run_dir, args, t0, [csv_path])
-    print(csv_path)
+    header = ["trial", "q", "size_a", "size_b", "q_prime", "hypothesis_ok", "verified"]
+    _emit(args, t0, {"addcomb.csv": _csv(header, rows)})
     return HYPOTHESIS_EXIT if failures else 0
 
 
@@ -323,15 +313,8 @@ def cmd_approxhom(args) -> int:
                 "recovered": recovered,
             }
         )
-    run_dir = _make_run_dir(_out_root(args))
-    csv_path = run_dir / "approxhom.csv"
-    _write_csv(
-        csv_path,
-        ["trial", "n", "m", "corrupted", "agreement", "branch", "recovered"],
-        rows,
-    )
-    _finish_run(run_dir, args, t0, [csv_path])
-    print(csv_path)
+    header = ["trial", "n", "m", "corrupted", "agreement", "branch", "recovered"]
+    _emit(args, t0, {"approxhom.csv": _csv(header, rows)})
     ok = sum(1 for r in rows if r["recovered"] or r["branch"] == "DEFECT")
     return 0 if ok == len(rows) else HYPOTHESIS_EXIT
 
@@ -375,11 +358,7 @@ def cmd_glue(args) -> int:
         warnings.simplefilter("ignore")
         cfg = GluingConfig(q1=q1, q2=q2, q3=q3, theta=args.theta, seed=args.seed, cap=args.cap)
         report = glue_pipeline(b, cfg, a=a)
-    run_dir = _make_run_dir(_out_root(args))
-    json_path = run_dir / "glue.json"
-    _write_atomic(json_path, json.dumps(report.as_dict(), indent=1, sort_keys=True))
-    _finish_run(run_dir, args, t0, [json_path])
-    print(json_path)
+    _emit(args, t0, {"glue.json": json.dumps(report.as_dict(), indent=1, sort_keys=True)})
     if not replay_certificates(report):
         return 1
     return HYPOTHESIS_EXIT if report.no_expansion else 0
@@ -454,11 +433,7 @@ def cmd_lemma_check(args) -> int:
         }
     else:
         raise UsageError(f"unknown lemma {args.lemma!r}")
-    run_dir = _make_run_dir(_out_root(args))
-    json_path = run_dir / "lemma_check.json"
-    _write_atomic(json_path, json.dumps(body, indent=1, sort_keys=True))
-    _finish_run(run_dir, args, t0, [json_path])
-    print(json_path)
+    _emit(args, t0, {"lemma_check.json": json.dumps(body, indent=1, sort_keys=True)})
     print(f"{args.lemma}: {'PASS' if ok else 'FAIL'} ({json.dumps(body, sort_keys=True)})")
     return 0 if ok else HYPOTHESIS_EXIT
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .factored import FactoredModulus, divides, exact_divides, fgcd
 from .growth import GroupSet, product_set
-from .packed import PairContext, isin_sorted, mul_codes, unique_codes
+from .packed import PairContext, _mat_mul, isin_sorted, mul_codes, unique_codes
 from .sl2 import (
     LieVector,
     SL2Residue,
@@ -94,47 +94,25 @@ def commutator_sweep(p: int, depth: int = 4) -> dict:
     depths = congruence_depths((a, b, c, d), p, depth)
     pt_table = np.array([p**min(t, depth) for t in range(4 * depth)], dtype=np.int64)
 
+    # every y at once; x^{-1} = [[d, -b], [-c, a]]
+    y = (a, b, c, d)
+    y_inv = (d, (-b) % P, (-c) % P, a)
     violations = []
     pairs_checked = 0
     for i in range(count):
-        xa, xb, xc, xd = int(a[i]), int(b[i]), int(c[i]), int(d[i])
+        x = tuple(int(v[i]) for v in y)
         m1 = int(depths[i])
-        # x^{-1} = [[d, -b], [-c, a]]
-        # lhs = (x y) (x^{-1} y^{-1}) batched over all y
-        pa = (xa * a + xb * c) % P
-        pb = (xa * b + xb * d) % P
-        pc = (xc * a + xd * c) % P
-        pd = (xc * b + xd * d) % P
-        ia, ib, ic, id_ = xd, (-xb) % P, (-xc) % P, xa
-        ja = (ia * d - ib * c) % P
-        jb = (-ia * b + ib * a) % P
-        jc = (ic * d - id_ * c) % P
-        jd = (-ic * b + id_ * a) % P
-        la = (pa * ja + pb * jc) % P
-        lb = (pa * jb + pb * jd) % P
-        lc = (pc * ja + pd * jc) % P
-        ld = (pc * jb + pd * jd) % P
-        # rhs = 1 + xy - yx
-        qa = (a * xa + b * xc) % P
-        qb = (a * xb + b * xd) % P
-        qc = (c * xa + d * xc) % P
-        qd = (c * xb + d * xd) % P
-        ra = (1 + pa - qa) % P
-        rb = (pb - qb) % P
-        rc = (pc - qc) % P
-        rd = (1 + pd - qd) % P
+        x_inv = (x[3], -x[1] % P, -x[2] % P, x[0])
+        xy, yx = _mat_mul(x, y, P), _mat_mul(y, x, P)
+        lhs = _mat_mul(xy, _mat_mul(x_inv, y_inv, P), P)
+        rhs = (1 + xy[0] - yx[0], xy[1] - yx[1], xy[2] - yx[2], 1 + xy[3] - yx[3])
         t = np.minimum(m1 + depths + np.minimum(m1, depths), depth)
         pt = pt_table[t]
-        ok = (
-            ((la - ra) % pt == 0)
-            & ((lb - rb) % pt == 0)
-            & ((lc - rc) % pt == 0)
-            & ((ld - rd) % pt == 0)
-        )
+        ok = np.logical_and.reduce([(l - r) % pt == 0 for l, r in zip(lhs, rhs)])
         pairs_checked += count
         bad = np.nonzero(~ok)[0]
         for j in bad[:10]:
-            violations.append(((xa, xb, xc, xd), (int(a[j]), int(b[j]), int(c[j]), int(d[j]))))
+            violations.append((x, tuple(int(v[j]) for v in y)))
     return {
         "p": p,
         "depth": depth,

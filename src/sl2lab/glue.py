@@ -34,6 +34,7 @@ from .packed import (
     PairContext,
     congruence_subgroup_codes,
     generated_subgroup,
+    index_sorted,
     isin_sorted,
     unique_codes,
 )
@@ -132,13 +133,6 @@ class GluingReport:
 # helpers on packed kernels
 
 
-def _kernel_subgroup_codes(full: PairContext, cfg: GluingConfig) -> np.ndarray:
-    """Codes of ker(pi_{q1,q2}) = Lambda(q1)/Lambda(q1 q3) x {1}."""
-    return congruence_subgroup_codes(
-        full.q1, full.q2, cfg.q1.value, cfg.q2.value
-    )
-
-
 def _coverage_claim(
     report: GluingReport,
     kind: str,
@@ -165,13 +159,9 @@ def _achieved_congruence(
 ) -> tuple[int, int]:
     """Largest exact divisor d of q3 (with depth divisor m) whose kernel
     Lambda(m)/Lambda(d) embeds in the q3-part of the closure K; certified."""
-    q1v, q2v = cfg.q1.value, cfg.q2.value
     # q3-parts of kernel elements: reduce the left component mod q3
     tgt = PairContext(cfg.q3.value, 1)
-    digits = full.decode(k_codes)
-    red = tgt.encode([d % cfg.q3.value for d in digits[:4]] + [d * 0 for d in digits[4:]])
-    k3 = unique_codes(red)
-    best = (1, 1)
+    k3 = unique_codes(full.reduce_codes(k_codes, tgt))
     for d in sorted(exact_divisors(cfg.q3), key=lambda m: -m.value):
         if d.is_one():
             continue
@@ -191,8 +181,7 @@ def _achieved_congruence(
             ):
                 return d.value, m.value
             report.certificates.pop()  # failed probes are not report claims
-        continue
-    return best
+    return 1, 1
 
 
 # ---------------------------------------------------------------------------
@@ -255,20 +244,14 @@ def glue_pipeline(
     buckets = {"defect": [], "structured_trivial": [], "structured_deep": [], "failed": []}
     psi_tables = {}
     s_common: Optional[set] = None
+    lifts = np.array([psi(c) for c in psi.domain_codes], dtype=np.int64)
     for p, n in cfg.q3.factors:
         d_class = max(1, int(n * theta_q))
         d_half = max(1, math.ceil(d_class / 2))
         g2 = FiniteGroupTable.from_sl2(p**d_class)
-        lab2 = {code: i for i, code in enumerate(g2.labels)}
+        g2_codes = np.array(g2.labels, dtype=np.int64)
         small = PairContext(p**d_class, 1)
-        psi_j = np.empty(g_table.order, dtype=np.int64)
-        for i, code in enumerate(psi.domain_codes):
-            lift = psi.table[int(code)]
-            digits = full.decode(np.array([lift], dtype=np.int64))
-            red = small.encode(
-                [int(v[0]) % p**d_class for v in digits[:4]] + [0, 0, 0, 0]
-            )
-            psi_j[i] = lab2[int(red[()])]
+        psi_j = index_sorted(full.reduce_codes(lifts, small), g2_codes)
         psi_tables[(p, n)] = (psi_j, d_class, d_half, g2)
         try:
             res = dichotomy(psi_j, g_table, g2, cfg.defect_threshold)
@@ -291,7 +274,7 @@ def glue_pipeline(
             )
         else:
             # half-depth triviality of the recovered homomorphism h_j
-            h_vals = np.array(g2.labels, dtype=np.int64)[res.f]
+            h_vals = g2_codes[res.f]
             sm_half = PairContext(p**d_half, 1)
             red_half = small.reduce_codes(h_vals, sm_half)
             trivial = bool(np.all(red_half == sm_half.identity_code()))
@@ -314,7 +297,6 @@ def glue_pipeline(
                 }
             )
 
-    kernel_ctx_sub = _kernel_subgroup_codes(full, cfg)
     achieved_parts: list[tuple[int, int]] = []
 
     # --- scenario 1: common defect pair, conjugated commutator --------------
@@ -414,13 +396,8 @@ def _run_defect_case(
         )
         return None
     x, y = found
-    cx = int(psi.domain_codes[x])
-    cy = int(psi.domain_codes[y])
-    cxy = int(psi.domain_codes[g_table.mul[x, y]])
-    lift = lambda c: np.array([psi.table[c]], dtype=np.int64)  # noqa: E731
-    gamma = full.mul_const(lift(cx), full.element_tuple(int(lift(cy)[0])), "right")
-    gamma = full.mul_const(gamma, full.element_tuple(int(full.inv(lift(cxy))[0])), "right")
-    gamma_code = int(gamma[0])
+    cx, cy, cxy = (psi(psi.domain_codes[i]) for i in (x, y, g_table.mul[x, y]))
+    gamma_code = int(full.mul(full.mul(cx, cy), full.inv(cxy)))
     # certificates: gamma is trivial at (q1, q2) and deep-nontrivial at the primes
     red = full.reduce_codes(np.array([gamma_code]), psi.reduced_ctx)
     report.add_certificate(
@@ -437,17 +414,9 @@ def _run_defect_case(
             depth < d_class,
         )
     pool = _pool_codes(b, a, cfg)
-    gens = [gamma_code]
-    for c in pool:
-        t = full.element_tuple(int(c))
-        conj = full.mul_const(
-            full.mul_const(np.array([gamma_code], dtype=np.int64), t, "left"),
-            full.element_tuple(int(full.inv(np.array([c], dtype=np.int64))[0])),
-            "right",
-        )
-        gens.append(int(conj[0]))
+    gens = np.append(gamma_code, full.mul(full.mul(pool, gamma_code), full.inv(pool)))
     try:
-        k = generated_subgroup(full, np.stack(full.decode(np.array(gens)), axis=1), cfg.cap)
+        k = generated_subgroup(full, np.stack(full.decode(gens), axis=1), cfg.cap)
     except ValueError:
         report.incomplete.append({"stage": "defect-case", "reason": "closure exceeded cap"})
         return None
@@ -479,9 +448,7 @@ def _run_commutator_case(
         )
         return None
     idx = sorted(s_common)
-    lifts = np.array(
-        [psi.table[int(psi.domain_codes[i])] for i in idx], dtype=np.int64
-    )
+    lifts = np.array([psi(psi.domain_codes[i]) for i in idx], dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 2]))
     target = {(p, nn): nn for p, nn in primes}
     cur = lifts
@@ -492,15 +459,8 @@ def _run_commutator_case(
         take = min(m * m, 4096)
         xs = rng.integers(0, m, size=take)
         ys = rng.integers(0, m, size=take)
-        out = np.empty(take, dtype=np.int64)
-        for i, (xi, yi) in enumerate(zip(xs, ys)):
-            u = np.array([cur[int(xi)]], dtype=np.int64)
-            v = np.array([cur[int(yi)]], dtype=np.int64)
-            w = full.mul_const(u, full.element_tuple(int(v[0])), "right")
-            w = full.mul_const(w, full.element_tuple(int(full.inv(u)[0])), "right")
-            w = full.mul_const(w, full.element_tuple(int(full.inv(v)[0])), "right")
-            out[i] = w[0]
-        cur = unique_codes(out)
+        u, v = cur[xs], cur[ys]
+        cur = unique_codes(full.mul(full.mul(u, v), full.mul(full.inv(u), full.inv(v))))
         depths = {
             p: int(congruence_depths(full.decode(cur)[:4], p, nn).min())
             for (p, nn) in primes
@@ -561,7 +521,7 @@ def _run_one_parameter_case(
     # pick g with a nontrivial q3-part of maximal order (deterministic)
     best = None
     for i in sorted(s_common):
-        code = psi.table[int(psi.domain_codes[i])]
+        code = psi(psi.domain_codes[i])
         digits = full.decode(code)[:4]
         ok = all(int(congruence_depths(digits, p, nn)) < nn for (p, nn) in primes)
         if ok:
@@ -577,12 +537,11 @@ def _run_one_parameter_case(
         return None
     # the cyclic one-parameter set {psi(g)^m}
     powers = [full.identity_code()]
-    cur = np.array([best], dtype=np.int64)
-    t = full.element_tuple(best)
+    cur = best
     for _ in range(4 * cfg.q3.value):
-        powers.append(int(cur[0]))
-        cur = full.mul_const(cur, t, "right")
-        if int(cur[0]) == full.identity_code():
+        powers.append(int(cur))
+        cur = full.mul(cur, best)
+        if int(cur) == full.identity_code():
             break
     p_codes = unique_codes(np.array(powers, dtype=np.int64))
     report.stages.append(
@@ -591,15 +550,9 @@ def _run_one_parameter_case(
     pool = _pool_codes(b, a, cfg)
     # <g> lies in the closure of the conjugates, so conjugating the single
     # generator suffices and keeps the generating set small
-    one = np.array([best], dtype=np.int64)
-    gens = [best]
-    for c in pool:
-        tc = full.element_tuple(int(c))
-        inv_c = full.element_tuple(int(full.inv(np.array([c], dtype=np.int64))[0]))
-        conj = full.mul_const(full.mul_const(one, tc, "left"), inv_c, "right")
-        gens.append(int(conj[0]))
+    gens = np.append(best, full.mul(full.mul(pool, best), full.inv(pool)))
     try:
-        k = generated_subgroup(full, np.stack(full.decode(np.array(gens)), axis=1), cfg.cap)
+        k = generated_subgroup(full, np.stack(full.decode(gens), axis=1), cfg.cap)
     except ValueError:
         report.incomplete.append({"stage": "one-parameter-case", "reason": "closure cap"})
         return None

@@ -102,9 +102,6 @@ class GroupSet:
         codes = unique_codes(tgt.encode(list(part) + [z, z, z, z]))
         return GroupSet(q, ONE, codes)
 
-    def inverse_set(self) -> "GroupSet":
-        return GroupSet(self.q1, self.q2, np.sort(self.ctx.inv(self.codes)))
-
 
 def product_set(
     a: GroupSet, b: GroupSet, cap: int = SET_CAP, work_cap: int = 200_000_000

@@ -6,13 +6,17 @@ are sorted code arrays; multiplication, inversion and membership are all
 numpy-vectorized.  Single-factor groups are the q2 = 1 special case.  Safe
 for (q1*q2)**4 < 2**63, far beyond desk scale.
 
-Every product of packed elements goes through ``_product``: one 2x2 digit
-product per factor, skipping the trivial factor when q2 = 1.  ``mul_const``
-feeds it one fixed element on either side; ``mul_codes`` decodes each set
-once and feeds it broadcast blocks of ``BLOCK`` products.  The block size is
-a constant, not a share of the merge threshold ``FLUSH``, because each block
-holds about a dozen int64 temporaries of its size: peak memory then stays
-bounded whatever the sizes of the two sets.
+Every 2x2 product of digit arrays goes through ``_mat_mul``, and every
+product of packed elements through ``_product``: one ``_mat_mul`` per
+factor, skipping the trivial factor when q2 = 1.  ``PairContext.mul`` is
+the elementwise product of two broadcastable code arrays (or single codes),
+the one to use for group words such as conjugates and commutators;
+``mul_const`` feeds ``_product`` one fixed element on either side;
+``mul_codes`` decodes each set once and feeds it broadcast blocks of
+``BLOCK`` products.  The block size is a constant, not a share of the merge
+threshold ``FLUSH``, because each block holds about a dozen int64
+temporaries of its size: peak memory then stays bounded whatever the sizes
+of the two sets.
 
 Every dedupe and union of code arrays goes through ``unique_codes``: one
 ``np.sort`` and a mask of adjacent differences.  ``np.unique`` returns the
@@ -104,6 +108,10 @@ class PairContext:
         x = self.decode(codes)
         g = self.reduce_digits(g)
         return _product(self, g, x) if side == "left" else _product(self, x, g)
+
+    def mul(self, x, y) -> np.ndarray:
+        """Codes of x_i * y_i for broadcastable code arrays or single codes."""
+        return _product(self, self.decode(x), self.decode(y))
 
     def inv(self, codes: np.ndarray) -> np.ndarray:
         a1, b1, c1, d1, a2, b2, c2, d2 = self.decode(codes)
@@ -218,10 +226,7 @@ def sl2_codes(q: int) -> np.ndarray:
 
 def full_pair_codes(q1: int, q2: int) -> np.ndarray:
     """Sorted codes of the full product group SL2(Z/q1) x SL2(Z/q2)."""
-    left = sl2_codes(q1)  # packed with q2' = 1, so codes are the left radix part
-    right = sl2_codes(q2)
-    codes = (left[:, None] * np.int64(q2**4) + right[None, :]).ravel()
-    return np.sort(codes)
+    return congruence_subgroup_codes(q1, q2, 1, 1)
 
 
 def generated_subgroup(

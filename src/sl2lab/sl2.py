@@ -321,9 +321,6 @@ class LieVector:
     def coords(self) -> tuple[int, int, int]:
         return (self.xh, self.xe, self.xf)
 
-    def as_matrix(self) -> tuple[int, int, int, int]:
-        return (self.xh, self.xe, self.xf, (-self.xh) % max(self.q.value, 2))
-
 
 def bracket(u: LieVector, v: LieVector) -> LieVector:
     """Lie bracket uv - vu in (h, e, f) coordinates."""

@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .factored import FactoredModulus
-from .packed import PairContext
+from .packed import PairContext, _mat_mul
 from .sl2 import IMAT_ID, IntMat, IntPair, imat_mul, symmetrize
 from .spectral import CayleyOperator, intpair_digits
 
@@ -93,19 +93,11 @@ def _batched_conj_trace(digits4, xi: IntMat, eta: IntMat, Q: int) -> np.ndarray:
     """Tr(g xi g^{-1} eta) mod Q for g given by four digit arrays (det g = 1)."""
     a, b, c, d = digits4
     # entries reduced first: unreduced ones overflow the int64 digit products
-    (x00, x01), (x10, x11) = ((v % Q for v in row) for row in xi)
-    # m = g * xi
-    m00 = a * x00 + b * x10
-    m01 = a * x01 + b * x11
-    m10 = c * x00 + d * x10
-    m11 = c * x01 + d * x11
-    # k = m * g^{-1}, with g^{-1} = [[d, -b], [-c, a]]
-    k00 = (m00 * d - m01 * c) % Q
-    k01 = (-m00 * b + m01 * a) % Q
-    k10 = (m10 * d - m11 * c) % Q
-    k11 = (-m10 * b + m11 * a) % Q
-    (e00, e01), (e10, e11) = ((v % Q for v in row) for row in eta)
-    return (k00 * e00 + k01 * e10 + k10 * e01 + k11 * e11) % Q
+    xi, eta = (tuple(v % Q for row in m for v in row) for m in (xi, eta))
+    g_inv = (d, -b, -c, a)
+    k = _mat_mul(_mat_mul(digits4, xi, Q), g_inv, Q)
+    t = _mat_mul(k, eta, Q)
+    return (t[0] + t[3]) % Q
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,79 @@ def test_full_group_trivial_success():
     assert rep.q3_star == 5
     assert not rep.no_expansion
     assert replay_certificates(rep)
+    # the defect case: its stages and certificates, gamma's code included
+    out = rep.as_dict()
+    assert out["prime_table"] == [
+        {"p": 5, "n": 1, "scenario": "DEFECT", "agreement": 0.0, "class_depth": 1}
+    ]
+    assert out["stages"] == [
+        {"stage": "section", "power": 1, "d1": 1, "d2": 1, "domain_size": 120},
+        {"stage": "defect-case", "closure_size": 120, "achieved": [5, 1]},
+    ]
+    assert out["certificates"] == [
+        {"kind": "section-valid", "params": {"power": 1, "domain_size": 120}, "verified": True},
+        {
+            "kind": "defect-element-kernel",
+            "params": {"pair": [117, 97], "gamma": 28251},
+            "verified": True,
+        },
+        {
+            "kind": "defect-element-depth",
+            "params": {"p": 5, "class_depth": 1, "observed_depth": 0},
+            "verified": True,
+        },
+        {
+            "kind": "defect-kernel-coverage",
+            "params": {
+                "q3_star": 5, "depth_modulus": 1, "subgroup_size": 120, "achieved_size": 120
+            },
+            "verified": True,
+        },
+    ]
+    assert out["incomplete"] == []
+
+
+def test_commutator_case_on_congruence_kernel():
+    # B: the elements of SL2(Z/12) x SL2(Z/2) whose left factor is 1 mod 4.
+    # The q3 = 4 side is trivial, so the dichotomy finds a structured
+    # homomorphism trivial at half depth and the iterated-commutator case runs.
+    q1, q2, q3 = FactoredModulus.of(3), FactoredModulus.of(2), FactoredModulus.of(4)
+    full = GroupSet.full_group(FactoredModulus.of(12), q2)
+    a1, b1, c1, d1 = full.ctx.decode(full.codes)[:4]
+    keep = (a1 % 4 == 1) & (b1 % 4 == 0) & (c1 % 4 == 0) & (d1 % 4 == 1)
+    b = GroupSet(full.q1, full.q2, full.codes[keep])
+    cfg = quiet_config(q1=q1, q2=q2, q3=q3, theta=0.3, cap=500_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # |B| is below the growth size hypothesis
+        rep = glue_pipeline(b, cfg)
+    out = rep.as_dict()
+    assert out["prime_table"] == [
+        {
+            "p": 2,
+            "n": 2,
+            "scenario": "STRUCTURED",
+            "h_trivial_at_half_depth": True,
+            "agreement": 1.0,
+            "S_size": 144,
+            "S_density_ok": True,
+            "class_depth": 1,
+            "half_depth": 1,
+        }
+    ]
+    assert out["stages"] == [
+        {"stage": "section", "power": 1, "d1": 1, "d2": 1, "domain_size": 144},
+        {"stage": "commutator-case", "rounds": 1, "final_layer": 24, "achieved": [1, 1]},
+    ]
+    assert out["certificates"] == [
+        {"kind": "section-valid", "params": {"power": 1, "domain_size": 144}, "verified": True},
+        {
+            "kind": "commutator-depth",
+            "params": {"p": 2, "target": 2, "achieved": 2, "rounds": 1},
+            "verified": True,
+        },
+    ]
+    assert out["incomplete"] == [] and rep.q3_star == 1 and rep.no_expansion
+    assert replay_certificates(rep)
 
 
 def test_diagonal_without_a_reports_no_expansion():

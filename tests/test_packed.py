@@ -121,6 +121,29 @@ def test_mul_const_unreduced_overflow_regression():
         ctx.reduce_digits((1, 0, 0, 1))
 
 
+@settings(max_examples=40, deadline=None)
+@given(moduli=MODULI, size=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_mul_matches_object_layer(moduli, size, seed):
+    # dual route: the elementwise packed product vs the SL2Residue layer
+    rng = random.Random(seed)
+    ctx = PairContext(*moduli)
+    q1, q2 = FactoredModulus.of(ctx.q1), FactoredModulus.of(ctx.q2)
+    xs, x_codes = random_set(rng, ctx, size)
+    ys, y_codes = random_set(rng, ctx, size)
+    both = ctx.mul(x_codes, y_codes)
+    assert both.shape == (size,)
+    for x, y, c in zip(xs, ys, both):
+        assert ctx.decode_element(int(c), q1, q2) == pair_mul(x, y)
+    # a single code against an array, on either side, and two single codes
+    g, g_code = xs[0], int(x_codes[0])
+    left, right = ctx.mul(g_code, y_codes), ctx.mul(y_codes, g_code)
+    for y, lc, rc in zip(ys, left, right):
+        assert ctx.decode_element(int(lc), q1, q2) == pair_mul(g, y)
+        assert ctx.decode_element(int(rc), q1, q2) == pair_mul(y, g)
+    one = ctx.mul(g_code, int(y_codes[0]))
+    assert one.shape == () and int(one) == int(left[0])
+
+
 def test_inv_matches_object_layer():
     ctx = PairContext(4, 7)
     q4, q7 = FactoredModulus.of(4), FactoredModulus.of(7)

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2lab.factored import FactoredModulus
 from sl2lab.measure import INTEGRAL_PAIR_LAW, convolve_power, mass_on, uniform_on
-from sl2lab.sl2 import IMAT_ID, ipair_inv, symmetrize
+from sl2lab.packed import PairContext, sl2_codes
+from sl2lab.sl2 import IMAT_ID, imat_mul, ipair_inv, symmetrize
 from sl2lab.spectral import standard_dense_pair_generators
 from sl2lab.walks import (
     IntegralLinearEvent,
@@ -206,3 +209,22 @@ def test_conj_trace_reduces_large_entries():
     assert _batched_conj_trace(g, xi, eta, 5).tolist() == _batched_conj_trace(
         g, small_xi, small_eta, 5
     ).tolist()
+
+
+ENTRIES = st.lists(st.integers(-(2**70), 2**70), min_size=4, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(Q=st.sampled_from([2, 3, 4, 5, 7, 9, 12, 25]), xi=ENTRIES, eta=ENTRIES)
+def test_conj_trace_matches_integer_arithmetic(Q, xi, eta):
+    # dual route: Tr(g xi g^-1 eta) in Python integers, reduced mod Q at the end
+    codes = sl2_codes(Q)
+    g = PairContext(Q, 1).decode(codes[:: max(1, codes.size // 100)])[:4]
+    xi = ((xi[0], xi[1]), (xi[2], xi[3]))
+    eta = ((eta[0], eta[1]), (eta[2], eta[3]))
+    got = _batched_conj_trace(g, xi, eta, Q).tolist()
+    for i, value in enumerate(got):
+        a, b, c, d = (int(v[i]) for v in g)
+        k = imat_mul(imat_mul(((a, b), (c, d)), xi), ((d, -b), (-c, a)))
+        (t00, _), (_, t11) = imat_mul(k, eta)
+        assert value == (t00 + t11) % Q
