@@ -5,7 +5,9 @@ DEFECT (with a witnessing pair) or repaired into a genuine homomorphism f
 agreeing with psi off a small exceptional set.  The constructive chain is
 degree pruning on the agreement graph, subgroup closure of A'A'^{-1} in
 G1 x G2, and fiber extraction; every claim the result carries is verified
-exhaustively before it is returned.
+exhaustively before it is returned.  The closure runs through
+``packed.closure`` over sorted pair codes i*|G2| + j, so the fiber over
+each i of G1 is a run of adjacent codes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .packed import PairContext, index_sorted, sl2_codes, unique_codes
+from . import packed
+from .packed import BLOCK, PairContext, index_sorted, sl2_codes, unique_codes
 
 EXACT_AGREEMENT_LIMIT = 4096
 
@@ -75,11 +78,13 @@ class FiniteGroupTable:
     @staticmethod
     def from_codes(ctx, codes: np.ndarray) -> "FiniteGroupTable":
         """Group table from packed codes (must be closed under the group law)."""
-        n = codes.size
-        mul = np.empty((n, n), dtype=np.int64)
-        for j in range(n):
-            col = ctx.mul_const(codes, ctx.element_tuple(int(codes[j])), "right")
-            mul[:, j] = index_sorted(col, codes)
+        # rows of at most BLOCK products: one broadcast for |G| <= 512, and
+        # the temporaries stay near the table's own size for larger groups
+        rows = max(1, BLOCK // codes.size)
+        mul = np.concatenate([
+            index_sorted(ctx.mul(codes[i : i + rows, None], codes[None, :]), codes)
+            for i in range(0, codes.size, rows)
+        ])
         return FiniteGroupTable.from_mul_table(mul, labels=[int(c) for c in codes])
 
     @staticmethod
@@ -128,41 +133,18 @@ def first_defect(psi: np.ndarray, g1: FiniteGroupTable, g2: FiniteGroupTable):
     return int(bad[0][0]), int(bad[1][0])
 
 
-def _table_closure(gens: set, mul, identity, cap: int) -> Optional[set]:
-    """Closure of {identity} | gens under right multiplication by gens, via
-    the table product ``mul(x, g)``; None once it exceeds cap.  In a finite
-    group with gens closed under inverses this is the generated subgroup."""
-    visited = {identity} | gens
-    frontier = list(visited)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                w = mul(x, g)
-                if w not in visited:
-                    visited.add(w)
-                    nxt.append(w)
-                    if len(visited) > cap:
-                        return None
-        frontier = nxt
-    return visited
-
-
 def closure_in_product(
-    pairs: Sequence[tuple[int, int]],
-    g1: FiniteGroupTable,
-    g2: FiniteGroupTable,
-    cap: int,
-) -> Optional[set[tuple[int, int]]]:
-    """Subgroup of G1 x G2 generated by ``pairs``; None if it exceeds cap."""
-    gens = set(pairs)
-    gens |= {(int(g1.inv[i]), int(g2.inv[j])) for i, j in gens}
-    return _table_closure(
-        gens,
-        lambda x, g: (int(g1.mul[x[0], g[0]]), int(g2.mul[x[1], g[1]])),
-        (g1.identity, g2.identity),
-        cap,
-    )
+    gen_codes: np.ndarray, g1: FiniteGroupTable, g2: FiniteGroupTable, cap: int
+) -> Optional[np.ndarray]:
+    """Sorted pair codes i*|G2| + j of the subgroup of G1 x G2 generated by
+    ``gen_codes``; None if it exceeds cap."""
+    m2 = g2.order
+
+    def product(x, g):
+        x = x[:, None]
+        return unique_codes(g1.mul[x // m2, g // m2] * m2 + g2.mul[x % m2, g % m2])
+
+    return packed.closure(gen_codes, g1.identity * m2 + g2.identity, product, cap)
 
 
 @dataclass
@@ -202,18 +184,15 @@ def _attempt_structured(
     gen_codes = unique_codes(left.astype(np.int64) * m2 + right)
     if gen_codes.size > 2 * n:
         return None, f"|A'A'^-1| = {gen_codes.size} > 2|G1| = {2 * n}"
-    gens = [(int(c) // m2, int(c) % m2) for c in gen_codes]
-    h = closure_in_product(gens, g1, g2, cap=2 * n)
+    h = closure_in_product(gen_codes, g1, g2, cap=2 * n)
     if h is None:
         return None, f"|<A'A'^-1>| > 2|G1| = {2 * n} (fiber map cannot be single-valued)"
-    fibers: dict[int, int] = {}
-    for i, j in h:
-        if i in fibers and fibers[i] != j:
-            return None, f"fiber over element {i} is not unique"
-        fibers[i] = j
-    if len(fibers) != n:
-        return None, f"P1(H) has {len(fibers)} elements < |G1| = {n}"
-    f = np.array([fibers[i] for i in range(n)], dtype=np.int64)
+    i, f = np.divmod(h, m2)
+    repeated = np.nonzero(i[1:] == i[:-1])[0]
+    if repeated.size:
+        return None, f"fiber over element {int(i[repeated[0]])} is not unique"
+    if i.size != n:
+        return None, f"P1(H) has {i.size} elements < |G1| = {n}"
     # exhaustive homomorphism check on all of G1 x G1
     if not np.array_equal(f[g1.mul], g2.mul[f[:, None], f[None, :]]):
         return None, "f(xy) = f(x) f(y) fails on some pair"
@@ -222,7 +201,7 @@ def _attempt_structured(
         return None, "f does not agree with psi on S = P1(A')"
     cert = {
         "A_prime_size": int(a_prime.size),
-        "H_size": len(h),
+        "H_size": int(h.size),
         "S_size": int(s.size),
         "f_equals_psi_on_S": True,
         "f_verified_homomorphism": True,
@@ -328,8 +307,10 @@ class SmallDoublingResult:
 
 
 def closure(elements: Sequence[int], g: FiniteGroupTable, cap: int) -> Optional[set[int]]:
-    gens = set(int(v) for v in elements) | {int(g.inv[v]) for v in elements}
-    return _table_closure(gens, lambda x, a: int(g.mul[x, a]), g.identity, cap)
+    """Subgroup generated by ``elements``; None if it exceeds cap."""
+    gens = np.array(elements, dtype=np.int64)
+    h = packed.closure(gens, g.identity, lambda x, a: unique_codes(g.mul[x[:, None], a]), cap)
+    return None if h is None else set(h.tolist())
 
 
 def _coset_cover(s: Sequence[int], h: set[int], g: FiniteGroupTable) -> list[int]:

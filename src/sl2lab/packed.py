@@ -18,6 +18,11 @@ threshold ``FLUSH``, because each block holds about a dozen int64
 temporaries of its size: peak memory then stays bounded whatever the sizes
 of the two sets.
 
+``closure`` is the one subgroup-closure kernel: a breadth-first search over
+sorted int64 codes, with the product of a layer passed in.
+``generated_subgroup`` closes packed elements through ``mul_codes``; the
+table groups of ``approxhom`` close table indices and pair codes with it.
+
 Every dedupe and union of code arrays goes through ``unique_codes``: one
 ``np.sort`` and a mask of adjacent differences.  ``np.unique`` returns the
 same sorted distinct array, but numpy 2.4 routes it through a hash table and
@@ -229,27 +234,40 @@ def full_pair_codes(q1: int, q2: int) -> np.ndarray:
     return congruence_subgroup_codes(q1, q2, 1, 1)
 
 
-def generated_subgroup(
-    ctx: PairContext, gens: list[tuple[int, ...]], cap: int = 10_000_000
-) -> np.ndarray:
-    """Sorted codes of the subgroup generated by ``gens`` (8-digit tuples).
+def closure(gen_codes: np.ndarray, identity: int, product, cap: int):
+    """Sorted codes of the closure of {identity} under right multiplication
+    by ``gen_codes``, or None once it has more than ``cap`` elements.
 
-    Breadth-first closure under right multiplication.  In a finite group the
-    monoid generated by a set is the subgroup it generates, so ``gens`` need
-    not be symmetric.  Raises ValueError when the subgroup exceeds ``cap``.
+    Breadth-first, one ``product(frontier, gen_codes)`` call per layer; the
+    call must return the sorted distinct codes of all products.  In a finite
+    group the monoid generated by a set is the subgroup it generates, so the
+    generators need not be symmetric.  Every element of a layer lies in the
+    closure, so checking the cap once per layer gives the same None-or-set
+    outcome as checking it per element.
     """
-    digits = np.array([ctx.reduce_digits(g) for g in gens], dtype=np.int64).reshape(-1, 8)
-    gen_codes = unique_codes(ctx.encode(digits.T))
-    visited = np.array([ctx.identity_code()], dtype=np.int64)
+    visited = np.array([identity], dtype=np.int64)
     frontier = visited
     while frontier.size:
-        nxt = mul_codes(ctx, frontier, gen_codes)
+        nxt = product(frontier, gen_codes)
         nxt = nxt[~isin_sorted(nxt, visited)]
         if visited.size + nxt.size > cap:
-            raise ValueError(f"generated subgroup exceeds cap {cap}")
+            return None
         visited = np.sort(np.concatenate([visited, nxt]))
         frontier = nxt
     return visited
+
+
+def generated_subgroup(
+    ctx: PairContext, gens: list[tuple[int, ...]], cap: int = 10_000_000
+) -> np.ndarray:
+    """Sorted codes of the subgroup generated by ``gens`` (8-digit tuples);
+    raises ValueError when the subgroup exceeds ``cap``."""
+    digits = np.array([ctx.reduce_digits(g) for g in gens], dtype=np.int64).reshape(-1, 8)
+    gen_codes = unique_codes(ctx.encode(digits.T))
+    h = closure(gen_codes, ctx.identity_code(), lambda x, g: mul_codes(ctx, x, g), cap)
+    if h is None:
+        raise ValueError(f"generated subgroup exceeds cap {cap}")
+    return h
 
 
 def congruence_kernel_codes(q: int, d: int) -> np.ndarray:

@@ -5,18 +5,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2lab.approxhom import (
     FiniteGroupTable,
     SmallDoublingResult,
     StructuredConstructionError,
+    _attempt_structured,
     agreement,
     all_subgroups,
     closure,
+    closure_in_product,
     dichotomy,
     restricted_product_extract,
     small_doubling_subgroup,
 )
+from sl2lab.packed import PairContext, generated_subgroup, sl2_codes
 
 EPS = Fraction(1, 1700)
 
@@ -141,6 +146,74 @@ def test_closure_basics():
     h = closure([4], g, cap=12)
     assert h == {0, 4, 8}
     assert closure([5], g, cap=3) is None  # 5 generates everything, cap hit
+    assert closure([], g, cap=1) == {0}
+
+
+def test_closure_cap_counts_the_generators():
+    # {1, 2, 3} is closed up to the identity, so no product is new; the
+    # closure still has 4 > cap elements and must not be returned
+    assert closure([1, 2, 3], FiniteGroupTable.cyclic(4), cap=3) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 60), data=st.data())
+def test_closure_cyclic_closed_form(n, data):
+    # <S> in Z/n is the multiples of gcd(S u {n}), of order n / gcd
+    s = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    g = FiniteGroupTable.cyclic(n)
+    d = math.gcd(n, *s)
+    assert closure(s, g, cap=n) == set(range(0, n, d))
+    assert closure(s, g, cap=n // d) == set(range(0, n, d))
+    assert closure(s, g, cap=n // d - 1) is None
+
+
+SL2_TABLES = {q: FiniteGroupTable.from_sl2(q) for q in (1, 2, 3, 4)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moduli=st.sampled_from([(2, 1), (3, 2), (2, 3), (4, 2), (3, 3), (4, 3), (1, 4)]),
+    data=st.data(),
+)
+def test_closure_in_product_matches_generated_subgroup(moduli, data):
+    # the table route on G1 x G2 against the packed route on PairContext(q1, q2)
+    q1, q2 = moduli
+    g1, g2 = SL2_TABLES[q1], SL2_TABLES[q2]
+    m2 = g2.order
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(0, g1.order - 1), st.integers(0, m2 - 1)), max_size=3,
+    ))
+    gen_codes = np.unique(np.array([i * m2 + j for i, j in pairs], dtype=np.int64))
+    h = closure_in_product(gen_codes, g1, g2, cap=g1.order * m2)
+    assert np.all(np.diff(h) > 0)
+    # table labels are codes in the (q, 1) contexts; a (q1, q2) code is
+    # the left code times q2^4 plus the right code
+    ctx = PairContext(q1, q2)
+    labels1, labels2 = sl2_codes(q1), sl2_codes(q2)
+    assert labels1.tolist() == g1.labels and labels2.tolist() == g2.labels
+    as_pair = labels1[h // m2] * q2**4 + labels2[h % m2]
+    gens = [ctx.element_tuple(int(labels1[i] * q2**4 + labels2[j])) for i, j in pairs]
+    assert np.sort(as_pair).tolist() == generated_subgroup(ctx, gens).tolist()
+    # cap boundary: None exactly when |H| > cap, on both routes
+    assert np.array_equal(closure_in_product(gen_codes, g1, g2, cap=h.size), h)
+    assert closure_in_product(gen_codes, g1, g2, cap=h.size - 1) is None
+    assert generated_subgroup(ctx, gens, cap=h.size).size == h.size
+    with pytest.raises(ValueError):
+        generated_subgroup(ctx, gens, cap=h.size - 1)
+
+
+def test_attempt_structured_fiber_message():
+    # psi = [0, 0, 0, 1, 1] on Z/5 -> Z/2: pruning at working epsilon 1/5
+    # keeps A' = {0, 1, 3}, and <A'A'^-1> is all of Z/5 x Z/2.
+    # The fibers are cosets of K = {(1, j) in H}, so the identity's fiber
+    # repeats whenever any does; the sorted pair codes name the smallest
+    # repeated index, which is the identity 0 of the cyclic table.
+    psi = np.array([0, 0, 0, 1, 1], dtype=np.int64)
+    res, violated = _attempt_structured(
+        psi, FiniteGroupTable.cyclic(5), FiniteGroupTable.cyclic(2), Fraction(1, 5)
+    )
+    assert res is None
+    assert violated == "fiber over element 0 is not unique"
 
 
 def test_all_subgroups_cyclic():

@@ -1,7 +1,10 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sl2lab.commutator import (
     CongruenceBox,
@@ -81,13 +84,34 @@ def test_solve_mod_prime_power_inconsistent():
     assert solve_mod_prime_power([[2]], [1], 2, 2) is None
 
 
-def test_solve_mod_q_crt():
-    q = FactoredModulus.of(36)
-    m = [[2, 3], [1, 1]]
-    z = solve_mod_q(m, [5, 7], q)
-    assert z is not None
-    assert (2 * z[0] + 3 * z[1]) % 36 == 5
-    assert (z[0] + z[1]) % 36 == 7
+@st.composite
+def linear_systems(draw):
+    """(n, M, c) with n composite and M of at most 2 x 2, entries unreduced."""
+    n = draw(st.sampled_from([6, 12, 18, 20, 36, 45]))
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    entries = st.integers(-n, 2 * n)
+    m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return n, m, draw(st.lists(entries, min_size=rows, max_size=rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=linear_systems())
+@example(system=(36, [[6, 0], [0, 4]], [1, 0]))  # 6 z0 = 1 has no solution mod 36
+@example(system=(36, [[2, 3], [1, 1]], [5, 7]))
+def test_solve_mod_q_crt(system):
+    # brute force over (Z/n)^cols decides solvability; a returned solution
+    # is substituted back into M z = c
+    n, m, c = system
+
+    def solves(z):
+        return all((sum(a * b for a, b in zip(row, z)) - ci) % n == 0 for row, ci in zip(m, c))
+
+    z = solve_mod_q(m, c, FactoredModulus.of(n))
+    if z is None:
+        assert not any(solves(w) for w in itertools.product(range(n), repeat=len(m[0])))
+    else:
+        assert len(z) == len(m[0]) and all(0 <= v < n for v in z)
+        assert solves(z)
 
 
 def test_bracket_span_standard_pair():

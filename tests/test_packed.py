@@ -1,3 +1,4 @@
+import ast
 import random
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from sl2lab.sl2 import (
     reduce_pair,
 )
 
-Q5 = FactoredModulus.of(5)
 Q3 = FactoredModulus.of(3)
 
 
@@ -49,17 +49,22 @@ def random_pair(rng, q1: FactoredModulus, q2: FactoredModulus) -> PairElement:
     return PairElement(one(q1), one(q2))
 
 
-def test_encode_decode_roundtrip():
-    ctx = PairContext(5, 3)
-    rng = random.Random(0)
-    for _ in range(50):
-        x = random_pair(rng, Q5, Q3)
-        code = ctx.encode_element(x)
-        assert ctx.decode_element(code, Q5, Q3) == x
-
-
 # pair moduli with a trivial second factor and with both factors nontrivial
 MODULI = st.sampled_from([(2, 1), (3, 1), (5, 1), (8, 1), (9, 1), (5, 3), (4, 7), (6, 5), (2, 9)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(moduli=MODULI, seed=st.integers(0, 2**32))
+def test_encode_decode_roundtrip(moduli, seed):
+    # the object layer is the reference: a packed element decodes to itself,
+    # and its code is an in-range radix number whose digits are its entries
+    ctx = PairContext(*moduli)
+    q1, q2 = FactoredModulus.of(ctx.q1), FactoredModulus.of(ctx.q2)
+    x = random_pair(random.Random(seed), q1, q2)
+    code = ctx.encode_element(x)
+    assert 0 <= code < (ctx.q1 * ctx.q2) ** 4
+    assert ctx.decode_element(code, q1, q2) == x
+    assert ctx.element_tuple(code) == x.left.entries + x.right.entries
 
 
 def random_set(rng, ctx: PairContext, size: int) -> tuple[list[PairElement], np.ndarray]:
@@ -259,6 +264,27 @@ def test_one_dedupe_kernel_in_src():
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if "np.unique(" in line or "np.union1d(" in line
     ]
+    assert offenders == []
+
+
+def test_one_closure_kernel_in_src():
+    # packed.closure is the only subgroup-closure BFS of the library;
+    # all_subgroups enumerates subgroups rather than closing one
+    src = Path(packed.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "packed.py":
+            continue
+        text = path.read_text()
+        if "_table_closure" in text:
+            offenders.append(f"{path.name}:_table_closure")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and node.name != "all_subgroups":
+                offenders += [
+                    f"{path.name}:{loop.lineno}"
+                    for loop in ast.walk(node)
+                    if isinstance(loop, ast.While) and "frontier" in ast.unparse(loop.test)
+                ]
     assert offenders == []
 
 

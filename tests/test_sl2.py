@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2lab.factored import ONE, FactoredModulus
 from sl2lab.sl2 import (
@@ -223,14 +225,19 @@ def test_lie_primitive():
     assert not lie_is_primitive(LieVector(q, 2, 4, 0))
 
 
-def test_crt_split_join_roundtrip():
-    rng = random.Random(6)
-    q = FactoredModulus.of(360)
-    for _ in range(50):
-        x = random_element(rng, q)
-        parts = crt_split(x)
-        assert sorted(parts) == [2, 3, 5]
-        assert crt_join(parts) == x
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([6, 12, 30, 36, 100, 210, 360, 1001, 2 * 3**4 * 7]), seed=st.integers(0, 2**32))
+def test_crt_split_join_roundtrip(n, seed):
+    # each part is the entrywise reduction to its prime-power factor, and
+    # the join inverts the split
+    q = FactoredModulus.of(n)
+    x = random_element(random.Random(seed), q)
+    parts = crt_split(x)
+    assert sorted(parts) == [p for p, _ in q.factors]
+    for p, e in q.factors:
+        assert parts[p].q.value == p**e
+        assert parts[p].entries == tuple(v % p**e for v in x.entries)
+    assert crt_join(parts) == x
 
 
 def test_trace_and_conjugation():
