@@ -5,13 +5,17 @@ DEFECT (with a witnessing pair) or repaired into a genuine homomorphism f
 agreeing with psi off a small exceptional set.  The constructive chain is
 degree pruning on the agreement graph, subgroup closure of A'A'^{-1} in
 G1 x G2, and fiber extraction; every claim the result carries is verified
-exhaustively before it is returned.  The closure runs through
-``packed.closure`` over sorted pair codes i*|G2| + j, so the fiber over
-each i of G1 is a run of adjacent codes.
+exhaustively before it is returned.  One boolean agreement table
+(``agreement_table``) serves both maps: ``dichotomy`` builds it once for psi,
+reading the agreement fraction, the pruning degrees and the DEFECT witness
+from it, and once for f, as the exhaustive homomorphism check.  The closure
+runs through ``packed.closure`` over sorted pair codes i*|G2| + j, so the
+fiber over each i of G1 is a run of adjacent codes.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -98,39 +102,29 @@ class FiniteGroupTable:
         mul = self.mul[np.ix_(i1, i1)] * m + other.mul[np.ix_(i2, i2)]
         return FiniteGroupTable.from_mul_table(mul)
 
+    def products(self, a, b) -> np.ndarray:
+        """Sorted distinct indices of the product set {x * y : x in a, y in b}."""
+        return unique_codes(self.mul[np.ix_(a, b)])
+
 
 # ---------------------------------------------------------------------------
 
 
-def agreement(psi: np.ndarray, g1: FiniteGroupTable, g2: FiniteGroupTable,
-              n_samples: int = 200_000, seed: int = 0):
-    """Fraction of pairs (x, y) with psi(xy) = psi(x) psi(y).
-
-    Exact (a Fraction) for |G1| <= EXACT_AGREEMENT_LIMIT, else a sampled
-    float estimate.
-    """
+def agreement_table(psi: np.ndarray, g1: FiniteGroupTable, g2: FiniteGroupTable) -> np.ndarray:
+    """Boolean (n, n) table of psi(x_i x_j) == psi(x_i) psi(x_j), exact for
+    |G1| <= EXACT_AGREEMENT_LIMIT."""
     psi = np.asarray(psi, dtype=np.int64)
     n = g1.order
     if psi.shape != (n,):
         raise ValueError("psi must assign an image to every element of G1")
-    if n <= EXACT_AGREEMENT_LIMIT:
-        lhs = psi[g1.mul]
-        rhs = g2.mul[psi[:, None], psi[None, :]]
-        return Fraction(int((lhs == rhs).sum()), n * n)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    xs = rng.integers(0, n, size=n_samples)
-    ys = rng.integers(0, n, size=n_samples)
-    good = psi[g1.mul[xs, ys]] == g2.mul[psi[xs], psi[ys]]
-    return float(good.mean())
+    if n > EXACT_AGREEMENT_LIMIT:
+        raise ValueError(f"|G1| = {n} exceeds the exact agreement limit {EXACT_AGREEMENT_LIMIT}")
+    return psi[g1.mul] == g2.mul[psi][:, psi]
 
 
-def first_defect(psi: np.ndarray, g1: FiniteGroupTable, g2: FiniteGroupTable):
-    lhs = psi[g1.mul]
-    rhs = g2.mul[np.asarray(psi)[:, None], np.asarray(psi)[None, :]]
-    bad = np.nonzero(lhs != rhs)
-    if bad[0].size == 0:
-        return None
-    return int(bad[0][0]), int(bad[1][0])
+def agreement(psi: np.ndarray, g1: FiniteGroupTable, g2: FiniteGroupTable) -> Fraction:
+    """Exact fraction of pairs (x, y) with psi(xy) = psi(x) psi(y)."""
+    return Fraction(int(agreement_table(psi, g1, g2).sum()), g1.order**2)
 
 
 def closure_in_product(
@@ -161,16 +155,14 @@ class DichotomyResult:
 
 def _attempt_structured(
     psi: np.ndarray,
+    good: np.ndarray,
     g1: FiniteGroupTable,
     g2: FiniteGroupTable,
     eps_work: Fraction,
-) -> tuple[Optional[DichotomyResult], str]:
-    """The constructive chain; returns (result, "") or (None, violated claim)."""
+) -> tuple[Optional[tuple[np.ndarray, np.ndarray, dict]], str]:
+    """The constructive chain on psi's agreement table ``good``; returns
+    ((S, f, certificate), "") or (None, violated claim)."""
     n = g1.order
-    psi = np.asarray(psi, dtype=np.int64)
-    lhs = psi[g1.mul]
-    rhs = g2.mul[psi[:, None], psi[None, :]]
-    good = lhs == rhs
     # degree pruning: keep x whose row in the agreement graph is nearly full
     threshold = (1 - _sqrt_fraction(eps_work)) * n
     degrees = good.sum(axis=1)
@@ -194,7 +186,7 @@ def _attempt_structured(
     if i.size != n:
         return None, f"P1(H) has {i.size} elements < |G1| = {n}"
     # exhaustive homomorphism check on all of G1 x G1
-    if not np.array_equal(f[g1.mul], g2.mul[f[:, None], f[None, :]]):
+    if not agreement_table(f, g1, g2).all():
         return None, "f(xy) = f(x) f(y) fails on some pair"
     s = a_prime
     if not np.array_equal(f[s], psi[s]):
@@ -206,18 +198,7 @@ def _attempt_structured(
         "f_equals_psi_on_S": True,
         "f_verified_homomorphism": True,
     }
-    return (
-        DichotomyResult(
-            agreement_fraction=Fraction(int(good.sum()), n * n),
-            branch="STRUCTURED",
-            epsilon=Fraction(0),  # filled by the caller
-            epsilon_work=eps_work,
-            s_indices=s,
-            f=f,
-            certificate=cert,
-        ),
-        "",
-    )
+    return (s, f, cert), ""
 
 
 def _sqrt_fraction(x: Fraction) -> float:
@@ -235,9 +216,10 @@ def dichotomy(
     The structured construction is attempted whenever the empirical defect
     fraction leaves it room (below 1/4, the pruning lemma's range), using the
     larger of epsilon and the empirical defect rate as the working parameter;
-    agreement below 1 - epsilon with no recoverable structure is DEFECT.  A
-    high-agreement map whose construction chain breaks raises
-    StructuredConstructionError naming the violated inequality.
+    agreement below 1 - epsilon with no recoverable structure is DEFECT, with
+    the first failing pair in row-major order as witness.  A high-agreement
+    map whose construction chain breaks raises StructuredConstructionError
+    naming the violated inequality.
     """
     epsilon = Fraction(epsilon)
     if not 0 < epsilon:
@@ -247,47 +229,40 @@ def dichotomy(
             f"epsilon = {epsilon} is outside the guaranteed range (0, 1/1600)",
             stacklevel=2,
         )
+    psi = np.asarray(psi, dtype=np.int64)
+    good = agreement_table(psi, g1, g2)
     n = g1.order
-    if n > EXACT_AGREEMENT_LIMIT:
-        raise ValueError(f"|G1| = {n} exceeds the exact dichotomy limit {EXACT_AGREEMENT_LIMIT}")
-    agree = agreement(psi, g1, g2)
+    agree = Fraction(int(good.sum()), n * n)
     defect = 1 - agree
+    eps_work = max(epsilon, defect)
     high_agreement = agree >= 1 - epsilon
 
-    result = None
+    found = None
     violated = "empirical defect fraction >= 1/4, no pruning range left"
     if defect < Fraction(1, 4):
-        eps_work = max(epsilon, defect)
-        result, violated = _attempt_structured(psi, g1, g2, eps_work)
-    if result is not None:
-        result.epsilon = epsilon
-        result.agreement_fraction = agree
+        found, violated = _attempt_structured(psi, good, g1, g2, eps_work)
+    if found is not None:
+        s, f, cert = found
         if high_agreement:
-            result.certificate["within_stated_threshold"] = True
-        _assert_coprime_remark(result, psi, g1, g2)
-        return result
+            cert["within_stated_threshold"] = True
+        _assert_coprime_remark(cert, psi, eps_work, g1, g2)
+        return DichotomyResult(agree, "STRUCTURED", epsilon, eps_work, s_indices=s, f=f,
+                               certificate=cert)
     if not high_agreement:
-        return DichotomyResult(
-            agreement_fraction=agree,
-            branch="DEFECT",
-            epsilon=epsilon,
-            epsilon_work=max(epsilon, defect),
-            witness=first_defect(psi, g1, g2),
-        )
+        x, y = divmod(int(np.argmin(good)), n)
+        return DichotomyResult(agree, "DEFECT", epsilon, eps_work, witness=(x, y))
     raise StructuredConstructionError(
         f"agreement {agree} >= 1 - epsilon but the construction failed: {violated}"
     )
 
 
-def _assert_coprime_remark(res: DichotomyResult, psi, g1, g2):
+def _assert_coprime_remark(cert: dict, psi, eps_work: Fraction, g1, g2):
     """gcd(|G1|, |G2|) = 1 forces f trivial, so psi is 1 off a sqrt(eps) set."""
-    import math
-
-    if math.gcd(g1.order, g2.order) != 1 or res.branch != "STRUCTURED":
+    if math.gcd(g1.order, g2.order) != 1:
         return
-    nontrivial = int((np.asarray(psi) != g2.identity).sum())
-    bound = _sqrt_fraction(res.epsilon_work) * g1.order
-    res.certificate["coprime_remark_nontrivial_count"] = nontrivial
+    nontrivial = int((psi != g2.identity).sum())
+    bound = _sqrt_fraction(eps_work) * g1.order
+    cert["coprime_remark_nontrivial_count"] = nontrivial
     if not nontrivial < bound:
         raise StructuredConstructionError(
             f"coprime-order remark violated: |psi != 1| = {nontrivial} >= sqrt(eps)|G1| = {bound:.2f}"
@@ -319,7 +294,7 @@ def _coset_cover(s: Sequence[int], h: set[int], g: FiniteGroupTable) -> list[int
     seen = set()
     h_sorted = sorted(h)
     for x in s:
-        canonical = min(int(g.mul[u, x]) for u in h_sorted)
+        canonical = int(g.products(h_sorted, [x])[0])
         if canonical not in seen:
             seen.add(canonical)
             reps.append(canonical)
@@ -368,17 +343,16 @@ def small_doubling_subgroup(
     a = [int(v) for v in a]
     if not s:
         raise ValueError("S must be nonempty")
-    prod = {int(g.mul[x, y]) for x in a for y in s}
-    if len(prod) > (2 - epsilon) * len(s):
+    prod = g.products(a, s)
+    if prod.size > (2 - epsilon) * len(s):
         warnings.warn(
-            f"|A S| = {len(prod)} > (2 - eps)|S| = {(2 - epsilon) * len(s):.1f}",
+            f"|A S| = {prod.size} > (2 - eps)|S| = {(2 - epsilon) * len(s):.1f}",
             stacklevel=2,
         )
     if len(a) < len(s):
         warnings.warn(f"|A| = {len(a)} < |S| = {len(s)}", stacklevel=2)
     bound = (2.0 / epsilon) - 1.0
-    ss_inv = {int(g.mul[x, g.inv[y]]) for x in s for y in s}
-    h = closure(sorted(ss_inv), g, cap=g.order)
+    h = closure(g.products(s, g.inv[s]), g, cap=g.order)
     if h is not None and len(h) <= bound * len(s):
         reps = _coset_cover(s, h, g)
         if len(reps) <= bound:
@@ -397,10 +371,7 @@ def small_doubling_subgroup(
 
 
 def _cover_verified(s, h: set[int], reps: list[int], g: FiniteGroupTable) -> bool:
-    covered = set()
-    for r in reps:
-        covered |= {int(g.mul[u, r]) for u in h}
-    return set(s) <= covered
+    return set(s) <= set(g.products(sorted(h), reps).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +412,13 @@ def restricted_product_extract(
         deg[x] += 1
     root = epsilon**0.5
     a_prime = [x for x in a if deg[x] > (1 - root) * n]
-    products = {int(g.mul[x, y]) for x in a_prime for y in a_prime}
+    products = g.products(a_prime, a_prime)
     restricted = {int(g.mul[x, y]) for x, y in graph}
     bound = len(restricted) ** 4 / ((1 - root) * (1 - 2 * root) ** 2 * n**3)
     return ExtractionResult(
         a_prime=a_prime,
         size_ok=len(a_prime) > (1 - root) * n,
-        doubling_ok=len(products) < bound,
-        doubling=len(products),
+        doubling_ok=products.size < bound,
+        doubling=int(products.size),
         doubling_bound=bound,
     )

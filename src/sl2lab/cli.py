@@ -462,7 +462,6 @@ def build_parser() -> _Parser:
     gr.add_argument("--q2", type=int, required=True)
     gr.add_argument("--delta", type=float, default=0.04)
     gr.add_argument("--kmax", type=int, default=12)
-    gr.add_argument("--seed", type=int, default=0)
     gr.set_defaults(func=cmd_growth)
 
     nc = sub.add_parser("nonconc", help="random-walk non-concentration")

@@ -78,17 +78,8 @@ def commutator_sweep(p: int, depth: int = 4) -> dict:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     P = p**depth
-    r = p ** (depth - 1)  # parameter range for each Lie coordinate
-    # elements 1 + p*M with det 1: alpha, beta, gamma free, delta solved
-    alpha, beta, gamma = np.meshgrid(
-        np.arange(r, dtype=np.int64), np.arange(r, dtype=np.int64),
-        np.arange(r, dtype=np.int64), indexing="ij",
-    )
-    a = (1 + p * alpha.ravel()) % P
-    b = (p * beta.ravel()) % P
-    c = (p * gamma.ravel()) % P
-    a_inv = _batch_inv_mod(a, P)
-    d = ((1 + b * c) % P) * a_inv % P
+    # elements 1 + p*M with det 1, each Lie coordinate ranging over Z/p^(depth-1)
+    a, b, c, d = _unit_lift_digits(p, 1, p ** (depth - 1), P)
     count = a.size
 
     depths = congruence_depths((a, b, c, d), p, depth)
@@ -141,6 +132,19 @@ def _batch_inv_mod(a: np.ndarray, q: int) -> np.ndarray:
             cache[v] = pow(v, -1, q)
         out[i] = cache[v]
     return out
+
+
+def _unit_lift_digits(p: int, m: int, r: int, P: int):
+    """Digits (a, b, c, d) of the elements 1 + p^m [[alpha, beta], [gamma, *]]
+    mod P with det 1, over the ij meshgrid of alpha, beta, gamma in [0, r);
+    d is solved from the determinant (a is a unit since m >= 1)."""
+    alpha, beta, gamma = np.meshgrid(*[np.arange(r, dtype=np.int64)] * 3, indexing="ij")
+    pm = p**m
+    a = (1 + pm * alpha.ravel()) % P
+    b = (pm * beta.ravel()) % P
+    c = (pm * gamma.ravel()) % P
+    d = ((1 + b * c) % P) * _batch_inv_mod(a, P) % P
+    return a, b, c, d
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +345,9 @@ def box_lift_codes(p: int, m1: int, m2: int, big: int, extra: int = 0) -> np.nda
     """
     P = p**big
     r = min(p ** (m2 - m1 + extra), p ** (big - m1))
-    ctx = PairContext(P, 1)
-    vh, ve, vf = np.meshgrid(
-        np.arange(r, dtype=np.int64), np.arange(r, dtype=np.int64),
-        np.arange(r, dtype=np.int64), indexing="ij",
-    )
-    a = (1 + p**m1 * vh.ravel()) % P
-    b = (p**m1 * ve.ravel()) % P
-    c = (p**m1 * vf.ravel()) % P
-    d = ((1 + b * c) % P) * _batch_inv_mod(a, P) % P
+    a, b, c, d = _unit_lift_digits(p, m1, r, P)
     z = np.zeros_like(a)
-    return unique_codes(ctx.encode([a, b, c, d, z, z, z, z]))
+    return unique_codes(PairContext(P, 1).encode([a, b, c, d, z, z, z, z]))
 
 
 def amplify_exhaustive_check(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 QL_MAX_ITER = 100  # QL sweeps allowed per eigenvalue
+STORE_BASIS_BUDGET = 30_000_000  # floats of Lanczos basis kept for reorthogonalization
 
 
 def tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,12 +176,11 @@ def lanczos_extreme(
     seed: int = 0,
     tol: float = 1e-10,
     max_iter: int = 2000,
-    store_basis_budget: int = 30_000_000,
     deflate_constants: bool = True,
 ):
     """Largest (signed) eigenvalue of a symmetric operator on mean-zero vectors.
 
-    Full reorthogonalization whenever the basis fits in ``store_basis_budget``
+    Full reorthogonalization whenever the basis fits in ``STORE_BASIS_BUDGET``
     floats; otherwise plain three-term Lanczos, which still resolves the
     extreme eigenvalue of gapped operators.  Deterministic for a fixed seed.
 
@@ -198,7 +198,7 @@ def lanczos_extreme(
     max_basis = min(max_iter, n - 1 if deflate_constants else n)
     if max_basis < 1:
         raise ValueError("Lanczos needs at least one iteration")
-    keep_basis = n * max_basis <= store_basis_budget
+    keep_basis = n * max_basis <= STORE_BASIS_BUDGET
     basis = [v.copy()] if keep_basis else None
     v_prev = np.zeros(n)
     alphas: list[float] = []

@@ -21,6 +21,7 @@ from .sl2 import IntPair, symmetrize
 
 DENSE_THRESHOLD = 2048
 GROUP_CAP = 10_000_000
+EXACT_CHEEGER_MAX = 22  # largest N for the exhaustive Cheeger sweep (2^(N-1) subsets)
 
 
 def intpair_digits(g: IntPair, q1: int, q2: int) -> tuple[int, ...]:
@@ -102,28 +103,14 @@ class CayleyOperator:
 
 
 def cayley_for_sl2_pair(
-    gens: Sequence[IntPair],
-    q1: int,
-    q2: int,
-    generated: bool = True,
-    cap: int = GROUP_CAP,
+    gens: Sequence[IntPair], q1: int, q2: int, cap: int = GROUP_CAP
 ) -> CayleyOperator:
-    """Cayley operator for integral pair generators reduced mod (q1, q2).
-
-    ``generated=True`` takes the vertex set to be the subgroup the reduced
-    generators actually generate (the graph is then connected by construction);
-    otherwise the full product group is enumerated.
-    """
+    """Cayley operator for integral pair generators reduced mod (q1, q2), on
+    the subgroup the reduced generators generate (connected by construction)."""
     gens = symmetrize(list(gens))
     ctx = PairContext(q1, q2)
     digit_gens = [intpair_digits(g, q1, q2) for g in gens]
-    if generated:
-        return CayleyOperator.build(ctx, digit_gens, cap=cap)
-    from .packed import full_pair_codes
-
-    if ctx.order > cap:
-        raise ValueError(f"group order {ctx.order} exceeds cap {cap}")
-    return CayleyOperator.build(ctx, digit_gens, codes=full_pair_codes(q1, q2))
+    return CayleyOperator.build(ctx, digit_gens, cap=cap)
 
 
 @dataclass
@@ -205,15 +192,15 @@ def lambda2(
     )
 
 
-def cheeger_exact(op: CayleyOperator, max_n: int = 22) -> Fraction:
+def cheeger_exact(op: CayleyOperator) -> Fraction:
     """Exact min |boundary A| / |A| over 0 < |A| <= N/2, edges with multiplicity.
 
     Exhaustive sweep over subsets containing vertex 0 (valid by vertex
     transitivity of Cayley graphs), Gray-code incremental boundary updates.
     """
     n = op.n
-    if n > max_n:
-        raise ValueError(f"N={n} exceeds the exhaustive cap {max_n}")
+    if n > EXACT_CHEEGER_MAX:
+        raise ValueError(f"N={n} exceeds the exhaustive cap {EXACT_CHEEGER_MAX}")
     if n < 2:
         raise ValueError("need at least two vertices")
     nb = op.neighbor_table()
@@ -263,16 +250,15 @@ def gap_sweep(
     seed: int = 0,
     cap: int = GROUP_CAP,
     method: str = "auto",
-    exact_cheeger_max: int = 22,
 ) -> list[dict]:
     """lambda2 and Cheeger data per modulus; the table behind the CLI CSV."""
     rows = []
     for q in moduli:
         t0 = time.perf_counter()
-        op = cayley_for_sl2_pair(gens, q, q if pair else 1, generated=True, cap=cap)
+        op = cayley_for_sl2_pair(gens, q, q if pair else 1, cap=cap)
         rep = lambda2(op, tol=tol, seed=seed, method=method)
         exact = None
-        if op.n <= exact_cheeger_max:
+        if op.n <= EXACT_CHEEGER_MAX:
             exact = cheeger_exact(op)
         rows.append(
             {

@@ -241,21 +241,28 @@ def _sample_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), index]))
 
 
+def _walk_prefixes(
+    S: Sequence[IntPair], l: int, n_samples: int, seed: int
+) -> Iterator[tuple[int, IntPair]]:
+    """(i, s_i ... s_1) for i = 1..l along each sample's seeded l-step walk."""
+    for idx in range(n_samples):
+        steps = _sample_rng(seed, idx).integers(0, len(S), size=l)
+        g = (IMAT_ID, IMAT_ID)
+        for i, s in enumerate(steps, start=1):
+            step = S[int(s)]
+            g = (imat_mul(step[0], g[0]), imat_mul(step[1], g[1]))
+            yield i, g
+
+
 def sample_walk(
     S: Sequence[IntPair], l: int, n_samples: int, seed: int = 0
 ) -> Iterator[IntPair]:
     """Samples of the l-step walk s_l ... s_1, exact integer entries."""
     if l < 1:
         raise ValueError("walk length must be >= 1")
-    S = list(S)
-    for idx in range(n_samples):
-        rng = _sample_rng(seed, idx)
-        steps = rng.integers(0, len(S), size=l)
-        g = (IMAT_ID, IMAT_ID)
-        for s in steps:
-            step = S[int(s)]
-            g = (imat_mul(step[0], g[0]), imat_mul(step[1], g[1]))
-        yield g
+    for i, g in _walk_prefixes(list(S), l, n_samples, seed):
+        if i == l:
+            yield g
 
 
 def _wilson_interval(hits: int, n: int, z: float = 1.959964) -> tuple[float, float]:
@@ -286,15 +293,9 @@ def archimedean_decay(
     lmax = l_values[-1]
     want = set(l_values)
     hits = {l: 0 for l in l_values}
-    for idx in range(n_samples):
-        rng = _sample_rng(seed, idx)
-        steps = rng.integers(0, len(S), size=lmax)
-        g = (IMAT_ID, IMAT_ID)
-        for i, s in enumerate(steps, start=1):
-            step = S[int(s)]
-            g = (imat_mul(step[0], g[0]), imat_mul(step[1], g[1]))
-            if i in want and event.test(g):
-                hits[i] += 1
+    for i, g in _walk_prefixes(S, lmax, n_samples, seed):
+        if i in want and event.test(g):
+            hits[i] += 1
     rows = []
     for l in l_values:
         lo, hi = _wilson_interval(hits[l], n_samples)

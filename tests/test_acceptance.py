@@ -105,7 +105,7 @@ def run_criterion_03():
     lams = {}
     canon = []
     for qv in (3, 4, 5, 7, 9, 11, 13):
-        op = cayley_for_sl2_pair(gens, qv, qv, generated=True)
+        op = cayley_for_sl2_pair(gens, qv, qv)
         rep = lambda2(op, tol=1e-6, max_iter=1500, seed=0, method="auto")
         lams[qv] = rep.lambda2
         canon.append(f"q{qv}:N{op.n}:{rep.lambda2!r}")

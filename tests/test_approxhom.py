@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2lab import approxhom
 from sl2lab.approxhom import (
     FiniteGroupTable,
     SmallDoublingResult,
     StructuredConstructionError,
     _attempt_structured,
     agreement,
+    agreement_table,
     all_subgroups,
     closure,
     closure_in_product,
@@ -73,6 +75,66 @@ def test_agreement_random_map_near_reciprocal():
     a = agreement(psi, g1, g2)
     # Monte-Carlo-free exactness: expected about 1/7, allow a wide band
     assert Fraction(1, 20) < a < Fraction(1, 3)
+
+
+# (G1, G2, a homomorphism G1 -> G2) over cyclic and SL2(Z/3) tables
+SL2_3 = FiniteGroupTable.from_sl2(3)
+HOM_CASES = {
+    "Z12->Z4": (FiniteGroupTable.cyclic(12), FiniteGroupTable.cyclic(4), cyclic_hom(12, 4, 1)),
+    "Z9->Z3": (FiniteGroupTable.cyclic(9), FiniteGroupTable.cyclic(3), cyclic_hom(9, 3, 2)),
+    "Z8->SL2(3)": (FiniteGroupTable.cyclic(8), SL2_3, np.full(8, SL2_3.identity)),
+    "SL2(3)->Z5": (SL2_3, FiniteGroupTable.cyclic(5), np.zeros(24, dtype=np.int64)),
+    "SL2(3)->SL2(3)": (SL2_3, SL2_3, np.arange(24, dtype=np.int64)),
+}
+
+
+def python_agreement(psi, g1, g2):
+    """Plain double loop: agreeing pair count and the first failing pair, row-major."""
+    psi, mul1, mul2 = list(map(int, psi)), g1.mul.tolist(), g2.mul.tolist()
+    count, first = 0, None
+    for x in range(g1.order):
+        for y in range(g1.order):
+            if psi[mul1[x][y]] == mul2[psi[x]][psi[y]]:
+                count += 1
+            elif first is None:
+                first = (x, y)
+    return count, first
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(HOM_CASES)), data=st.data())
+def test_agreement_table_and_dichotomy_match_double_loop(case, data):
+    g1, g2, hom = HOM_CASES[case]
+    n = g1.order
+    if data.draw(st.booleans(), label="random map"):
+        psi = np.array(data.draw(st.lists(st.integers(0, g2.order - 1), min_size=n, max_size=n)))
+    else:
+        psi = hom.copy()
+        for x in data.draw(st.lists(st.integers(0, n - 1), max_size=3), label="corrupted"):
+            psi[x] = data.draw(st.integers(0, g2.order - 1))
+    count, first = python_agreement(psi, g1, g2)
+    table = agreement_table(psi, g1, g2)
+    assert table.shape == (n, n) and int(table.sum()) == count
+    assert agreement(psi, g1, g2) == Fraction(count, n * n)
+    res = dichotomy(psi, g1, g2, EPS)
+    assert res.agreement_fraction == Fraction(count, n * n)
+    if res.branch == "DEFECT":
+        assert res.witness == first
+    else:
+        assert python_agreement(res.f, g1, g2) == (n * n, None)
+
+
+def test_exact_agreement_limit_enforced(monkeypatch):
+    g1, g2 = FiniteGroupTable.cyclic(12), FiniteGroupTable.cyclic(3)
+    psi = np.zeros(12, dtype=np.int64)
+    monkeypatch.setattr(approxhom, "EXACT_AGREEMENT_LIMIT", 12)
+    assert agreement(psi, g1, g2) == 1
+    assert dichotomy(psi, g1, g2, EPS).branch == "STRUCTURED"
+    monkeypatch.setattr(approxhom, "EXACT_AGREEMENT_LIMIT", 11)
+    with pytest.raises(ValueError, match="exact agreement limit 11"):
+        agreement(psi, g1, g2)
+    with pytest.raises(ValueError, match="exact agreement limit 11"):
+        dichotomy(psi, g1, g2, EPS)
 
 
 def test_dichotomy_exact_homomorphism():
@@ -209,9 +271,8 @@ def test_attempt_structured_fiber_message():
     # repeats whenever any does; the sorted pair codes name the smallest
     # repeated index, which is the identity 0 of the cyclic table.
     psi = np.array([0, 0, 0, 1, 1], dtype=np.int64)
-    res, violated = _attempt_structured(
-        psi, FiniteGroupTable.cyclic(5), FiniteGroupTable.cyclic(2), Fraction(1, 5)
-    )
+    g1, g2 = FiniteGroupTable.cyclic(5), FiniteGroupTable.cyclic(2)
+    res, violated = _attempt_structured(psi, agreement_table(psi, g1, g2), g1, g2, Fraction(1, 5))
     assert res is None
     assert violated == "fiber over element 0 is not unique"
 

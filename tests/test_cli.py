@@ -44,6 +44,8 @@ def test_pair_spectral_csv_cells_are_plain(tmp_path):
 def test_unknown_flag_exits_64(tmp_path):
     assert main(["--out", str(tmp_path), "spectral", "--moduli", "5", "--bogus"]) == 64
     assert main(["--out", str(tmp_path), "--threads", "2", "spectral", "--moduli", "5"]) == 64
+    growth = ["--out", str(tmp_path), "growth", "--set", "full", "--q1", "5", "--q2", "1"]
+    assert main(growth + ["--seed", "1"]) == 64
 
 
 def test_unknown_subcommand_exits_64(tmp_path):

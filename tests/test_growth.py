@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl2lab.factored import ONE, FactoredModulus
@@ -73,10 +73,18 @@ def test_product_set_identity_and_subgroup():
     assert len(product_set(h, h)) == len(h)
 
 
-def test_product_set_matches_bruteforce():
-    rng = random.Random(1)
-    a = random_groupset(rng, Q11, ONE, 50)
-    b = random_groupset(rng, Q11, ONE, 30)
+@settings(max_examples=40, deadline=None)
+@given(
+    moduli=st.sampled_from([(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (2, 3), (3, 2)]),
+    draws=st.tuples(st.integers(0, 60), st.integers(0, 60)),
+    seed=st.integers(0, 2**32),
+)
+@example(moduli=(2, 1), draws=(40, 40), seed=0)  # |A| + |B| > |G|: the pigeonhole route
+def test_product_set_matches_bruteforce(moduli, draws, seed):
+    rng = random.Random(seed)
+    q1, q2 = (FactoredModulus.of(v) for v in moduli)
+    a = random_groupset(rng, q1, q2, draws[0])
+    b = random_groupset(rng, q1, q2, draws[1])
     got = product_set(a, b)
     expect = brute_product(a, b)
     assert len(got) == len(expect)
