@@ -27,6 +27,11 @@ from . import packed
 from .packed import BLOCK, PairContext, index_sorted, sl2_codes, unique_codes
 
 EXACT_AGREEMENT_LIMIT = 4096
+ASSOCIATIVITY_CHECKS = 64  # seeded random triples from_mul_table tests
+SUBGROUP_COUNT_CAP = 100_000  # subgroups all_subgroups may find
+# largest |G| whose subgroups are enumerated exhaustively; a larger value
+# could only raise in all_subgroups
+EXHAUSTIVE_SUBGROUP_LIMIT = 512
 
 
 class StructuredConstructionError(RuntimeError):
@@ -48,7 +53,7 @@ class FiniteGroupTable:
         return int(self.mul.shape[0])
 
     @staticmethod
-    def from_mul_table(mul: np.ndarray, labels=None, check_triples: int = 64, seed: int = 0):
+    def from_mul_table(mul: np.ndarray, labels=None):
         mul = np.asarray(mul)
         n = mul.shape[0]
         if mul.shape != (n, n):
@@ -66,8 +71,8 @@ class FiniteGroupTable:
             if js.size != 1 or mul[js[0], i] != ident:
                 raise ValueError(f"element {i} has no unique inverse")
             inv[i] = js[0]
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        for _ in range(check_triples):
+        rng = np.random.Generator(np.random.Philox(key=0))
+        for _ in range(ASSOCIATIVITY_CHECKS):
             a, b, c = (int(v) for v in rng.integers(0, n, size=3))
             if mul[mul[a, b], c] != mul[a, mul[b, c]]:
                 raise ValueError(f"associativity fails on ({a}, {b}, {c})")
@@ -301,10 +306,13 @@ def _coset_cover(s: Sequence[int], h: set[int], g: FiniteGroupTable) -> list[int
     return reps
 
 
-def all_subgroups(g: FiniteGroupTable, cap: int = 100_000) -> list[frozenset[int]]:
-    """All subgroups by cyclic extension; exhaustive oracle for |G| <= 512."""
-    if g.order > 512:
-        raise ValueError("exhaustive subgroup enumeration is limited to |G| <= 512")
+def all_subgroups(g: FiniteGroupTable) -> list[frozenset[int]]:
+    """All subgroups by cyclic extension; exhaustive oracle for
+    |G| <= EXHAUSTIVE_SUBGROUP_LIMIT."""
+    if g.order > EXHAUSTIVE_SUBGROUP_LIMIT:
+        raise ValueError(
+            f"exhaustive subgroup enumeration is limited to |G| <= {EXHAUSTIVE_SUBGROUP_LIMIT}"
+        )
     found = {frozenset([g.identity])}
     frontier = [frozenset([g.identity])]
     while frontier:
@@ -318,7 +326,7 @@ def all_subgroups(g: FiniteGroupTable, cap: int = 100_000) -> list[frozenset[int
                 if fs not in found:
                     found.add(fs)
                     nxt.append(fs)
-                    if len(found) > cap:
+                    if len(found) > SUBGROUP_COUNT_CAP:
                         raise ValueError("subgroup count exceeds cap")
         frontier = nxt
     return sorted(found, key=lambda h: (len(h), sorted(h)))
@@ -329,13 +337,12 @@ def small_doubling_subgroup(
     a: Sequence[int],
     g: FiniteGroupTable,
     epsilon: float,
-    exhaustive_limit: int = 512,
 ) -> SmallDoublingResult:
     """A subgroup H with |H| <= (2/eps - 1)|S| covering S by at most
     2/eps - 1 right cosets, under the small-doubling hypothesis |A S| <= (2 - eps)|S|.
 
     Fast path: H = <S S^{-1}>.  If its size bound fails, exhaustive subgroup
-    enumeration (|G| <= exhaustive_limit) searches for a qualifying H.
+    enumeration (|G| <= EXHAUSTIVE_SUBGROUP_LIMIT) searches for a qualifying H.
     """
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -357,7 +364,7 @@ def small_doubling_subgroup(
         reps = _coset_cover(s, h, g)
         if len(reps) <= bound:
             return SmallDoublingResult(True, set(h), reps)
-    if g.order <= exhaustive_limit:
+    if g.order <= EXHAUSTIVE_SUBGROUP_LIMIT:
         for cand in all_subgroups(g):
             if len(cand) > bound * len(s):
                 continue
@@ -366,7 +373,7 @@ def small_doubling_subgroup(
                 return SmallDoublingResult(True, set(cand), reps)
         return SmallDoublingResult(False, reason="no qualifying subgroup exists")
     return SmallDoublingResult(
-        False, reason=f"fast path failed and |G| = {g.order} > {exhaustive_limit}"
+        False, reason=f"fast path failed and |G| = {g.order} > {EXHAUSTIVE_SUBGROUP_LIMIT}"
     )
 
 

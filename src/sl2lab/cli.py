@@ -364,6 +364,14 @@ def cmd_glue(args) -> int:
     return HYPOTHESIS_EXIT if report.no_expansion else 0
 
 
+def _largest_exponent(cap: int, p: int) -> int:
+    """The largest e with p^e <= cap, in integers."""
+    e = 0
+    while p ** (e + 1) <= cap:
+        e += 1
+    return e
+
+
 def cmd_lemma_check(args) -> int:
     t0 = time.perf_counter()
     if args.lemma == "commutator-identity":
@@ -404,12 +412,16 @@ def cmd_lemma_check(args) -> int:
         from .commutator import CongruenceBox, amplify_exhaustive_check
         from .factored import FactoredModulus
 
+        # the smallest window, m1 = m2 = n1 = n2 = 1, needs p^2 <= cap
+        primes = [p for p in (2, 3, 5) if p * p <= args.window_cap]
+        if not primes:
+            raise UsageError(f"--window-cap {args.window_cap} fits no window: it needs 4 or more")
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         bad = 0
         checked = 0
         for _ in range(args.trials):
-            p = int(rng.choice([2, 3, 5]))
-            max_total = int(np.log(args.window_cap) / np.log(p))
+            p = int(rng.choice(primes))
+            max_total = _largest_exponent(args.window_cap, p)
             while True:
                 m1 = int(rng.integers(1, 4))
                 m2 = int(rng.integers(m1, 2 * m1 + 1))

@@ -4,19 +4,31 @@ Exact verification of the depth-additive commutator congruence, spanning of
 the Lie algebra by brackets against two independent directions, congruence
 box amplification with exhaustive product-set checks at small moduli, and
 connecting-map sections used by the gluing pipeline.
+
+A section is one array: ``ConnectingMap.lifts[i]`` is the lift of
+``domain_codes[i]``, so the gluing pipeline reads lifts by index.
+``congruence_depths`` counts depths with ``packed.one_mod``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .factored import FactoredModulus, divides, exact_divides, fgcd
+from .factored import FactoredModulus, divides
 from .growth import GroupSet, product_set
-from .packed import PairContext, _mat_mul, isin_sorted, mul_codes, unique_codes
+from .packed import (
+    PairContext,
+    _mat_mul,
+    congruence_subgroup_codes,
+    index_sorted,
+    isin_sorted,
+    mul_codes,
+    one_mod,
+    unique_codes,
+)
 from .sl2 import (
     LieVector,
     SL2Residue,
@@ -115,11 +127,9 @@ def commutator_sweep(p: int, depth: int = 4) -> dict:
 
 def congruence_depths(digits, p: int, n: int) -> np.ndarray:
     """Largest t <= n with x = 1 (mod p^t), for x given by digit arrays (a, b, c, d)."""
-    a, b, c, d = digits
-    out = np.zeros(np.shape(a), dtype=np.int64)
+    out = np.zeros(np.shape(digits[0]), dtype=np.int64)
     for t in range(1, n + 1):
-        pt = p**t
-        out += ((a - 1) % pt == 0) & (b % pt == 0) & (c % pt == 0) & ((d - 1) % pt == 0)
+        out += one_mod(digits, p**t)
     return out
 
 
@@ -408,26 +418,22 @@ _product_layer = mul_codes
 
 @dataclass
 class ConnectingMap:
-    """A section psi of the reduction onto a congruence subgroup: for each
-    x in the subgroup, the lexicographically smallest preimage in B^k."""
+    """A section psi of the reduction onto a congruence subgroup: lifts[i]
+    is the smallest-code preimage of domain_codes[i] in B^power."""
 
     q1: FactoredModulus
     q2: FactoredModulus
     d1: FactoredModulus
     d2: FactoredModulus
     power: int
-    domain_codes: np.ndarray  # subgroup codes in the reduced context
-    table: dict  # reduced code -> full-modulus code
+    domain_codes: np.ndarray  # subgroup codes in the reduced context, sorted
+    lifts: np.ndarray  # full-modulus codes, aligned with domain_codes
     full_ctx: PairContext
     reduced_ctx: PairContext
 
-    def __call__(self, reduced_code: int) -> int:
-        return self.table[int(reduced_code)]
-
     def validate(self) -> bool:
         """reduce(psi(x)) = x for every x in the domain."""
-        full = np.array([self.table[int(c)] for c in self.domain_codes], dtype=np.int64)
-        red = self.full_ctx.reduce_codes(full, self.reduced_ctx)
+        red = self.full_ctx.reduce_codes(self.lifts, self.reduced_ctx)
         return bool(np.array_equal(red, self.domain_codes))
 
 
@@ -440,50 +446,38 @@ def connecting_map(
 ) -> ConnectingMap:
     """Build a section of pi_{q1,q2} out of powers of B.
 
-    The smallest power k with B^k (reduced) covering the bounded-generation
-    congruence subgroup is recorded; the choice of preimage is the smallest
-    packed code, so sections are deterministic.
+    Reduction is a homomorphism, so B^k reduces onto (B reduced)^k: the
+    smallest power whose reduction covers the bounded-generation congruence
+    subgroup is the k that ``bounded_generation_search`` finds for the
+    reduced B.  Each element of the subgroup gets its smallest-code
+    preimage in B^k, so sections are deterministic.
     """
     from .growth import bounded_generation_search
 
     if not (divides(q1, b.q1) and divides(q2, b.q2)):
         raise ValueError("target moduli must divide the ambient moduli of B")
-    reduced_ctx = PairContext(q1.value, q2.value)
     if q1.is_one() and q2.is_one():
-        # trivial target: the section is the constant map at the smallest element
-        domain = np.array([reduced_ctx.identity_code()], dtype=np.int64)
-        table = {int(domain[0]): int(b.codes[0])}
-        cm = ConnectingMap(q1, q2, q1, q2, 1, domain, table, b.ctx, reduced_ctx)
-        if not cm.validate():
-            raise AssertionError("section validation failed")
-        return cm
-    res = bounded_generation_search(b.reduce_to(q1, q2), k_max=k_max, cap=cap)
-    if not res.found:
-        raise ValueError(f"B-powers do not cover a congruence subgroup within k_max={k_max}")
-    from .packed import congruence_subgroup_codes
-
-    domain = congruence_subgroup_codes(q1.value, q2.value, res.q1p.value, res.q2p.value)
+        # trivial target: B covers the one-element group
+        k, d1, d2 = 1, q1, q2
+    else:
+        res = bounded_generation_search(b.reduce_to(q1, q2), k_max=k_max, cap=cap)
+        if not res.found:
+            raise ValueError(f"B-powers do not cover a congruence subgroup within k_max={k_max}")
+        k, d1, d2 = res.k, res.q1p, res.q2p
+    reduced_ctx = PairContext(q1.value, q2.value)
+    domain = congruence_subgroup_codes(q1.value, q2.value, d1.value, d2.value)
     power = b
-    for k in range(1, k_max + 1):
-        if k > 1:
-            power = product_set(power, b, cap)
-        red = power.ctx.reduce_codes(power.codes, reduced_ctx)
-        if not np.all(isin_sorted(domain, unique_codes(red))):
-            continue
-        order = np.lexsort((power.codes, red))
-        red_sorted = red[order]
-        full_sorted = power.codes[order]
-        first = np.ones(red_sorted.size, dtype=bool)
-        first[1:] = red_sorted[1:] != red_sorted[:-1]
-        in_domain = isin_sorted(red_sorted[first], domain)
-        table = {
-            int(rc): int(fc)
-            for rc, fc in zip(red_sorted[first][in_domain], full_sorted[first][in_domain])
-        }
-        cm = ConnectingMap(
-            q1, q2, res.q1p, res.q2p, k, domain, table, power.ctx, reduced_ctx
-        )
-        if not cm.validate():
-            raise AssertionError("section validation failed")
-        return cm
-    raise ValueError("no power of B covers the congruence subgroup at full modulus")
+    for _ in range(k - 1):
+        power = product_set(power, b, cap)
+    red = power.ctx.reduce_codes(power.codes, reduced_ctx)
+    # power.codes ascend, so a stable sort by reduced code puts the smallest
+    # preimage of each reduced code first
+    order = np.argsort(red, kind="stable")
+    red, full = red[order], power.codes[order]
+    first = np.ones(red.size, dtype=bool)
+    first[1:] = red[1:] != red[:-1]
+    lifts = full[first][index_sorted(domain, red[first])]
+    cm = ConnectingMap(q1, q2, d1, d2, k, domain, lifts, power.ctx, reduced_ctx)
+    if not cm.validate():
+        raise AssertionError("section validation failed")
+    return cm

@@ -38,7 +38,12 @@ from .packed import (
     isin_sorted,
     unique_codes,
 )
-from .sl2 import group_order
+
+DEFECT_THRESHOLD = Fraction(1, 10_000)  # dichotomy threshold per prime of q3
+STRUCTURED_DENSITY = Fraction(99, 100)  # share of the domain S must reach
+K_MAX = 8  # largest power of B tried for the section
+POOL_SIZE = 48  # conjugators sampled from B u A
+PAIR_ATTEMPTS = 50_000  # random pairs drawn in search of a common defect
 
 
 @dataclass
@@ -47,11 +52,6 @@ class GluingConfig:
     q2: FactoredModulus
     q3: FactoredModulus
     theta: float
-    defect_threshold: Fraction = Fraction(1, 10_000)
-    structured_density: Fraction = Fraction(99, 100)
-    k_max: int = 8
-    pool_size: int = 48
-    pair_attempts: int = 50_000
     cap: int = 2_000_000
     seed: int = 0
 
@@ -133,23 +133,6 @@ class GluingReport:
 # helpers on packed kernels
 
 
-def _coverage_claim(
-    report: GluingReport,
-    kind: str,
-    kernel_sub: np.ndarray,
-    achieved: np.ndarray,
-    params: dict,
-) -> bool:
-    """Assert kernel_sub <= achieved, replaying through a sorted-membership scan."""
-    ok = bool(np.all(isin_sorted(kernel_sub, achieved)))
-    report.add_certificate(
-        kind,
-        dict(params, subgroup_size=int(kernel_sub.size), achieved_size=int(achieved.size)),
-        ok,
-    )
-    return ok
-
-
 def _achieved_congruence(
     full: PairContext,
     cfg: GluingConfig,
@@ -158,7 +141,8 @@ def _achieved_congruence(
     label: str,
 ) -> tuple[int, int]:
     """Largest exact divisor d of q3 (with depth divisor m) whose kernel
-    Lambda(m)/Lambda(d) embeds in the q3-part of the closure K; certified."""
+    Lambda(m)/Lambda(d) embeds in the q3-part of the closure K.  The
+    coverage certificate is recorded once its membership scan passes."""
     # q3-parts of kernel elements: reduce the left component mod q3
     tgt = PairContext(cfg.q3.value, 1)
     k3 = unique_codes(full.reduce_codes(k_codes, tgt))
@@ -172,15 +156,18 @@ def _achieved_congruence(
             if m == d:
                 continue
             sub = congruence_subgroup_codes(d.value, 1, m.value, 1)
-            if _coverage_claim(
-                report,
-                f"{label}-kernel-coverage",
-                sub,
-                k3_red,
-                {"q3_star": d.value, "depth_modulus": m.value},
-            ):
+            if np.all(isin_sorted(sub, k3_red)):
+                report.add_certificate(
+                    f"{label}-kernel-coverage",
+                    {
+                        "q3_star": d.value,
+                        "depth_modulus": m.value,
+                        "subgroup_size": int(sub.size),
+                        "achieved_size": int(k3_red.size),
+                    },
+                    True,
+                )
                 return d.value, m.value
-            report.certificates.pop()  # failed probes are not report claims
     return 1, 1
 
 
@@ -217,7 +204,7 @@ def glue_pipeline(
 
     # --- stage: bounded generation and the section -------------------------
     try:
-        psi = connecting_map(b, cfg.q1, cfg.q2, k_max=cfg.k_max, cap=cfg.cap)
+        psi = connecting_map(b, cfg.q1, cfg.q2, k_max=K_MAX, cap=cfg.cap)
     except ValueError as exc:
         report.incomplete.append({"stage": "section", "reason": str(exc)})
         report.no_expansion = True
@@ -244,17 +231,16 @@ def glue_pipeline(
     buckets = {"defect": [], "structured_trivial": [], "structured_deep": [], "failed": []}
     psi_tables = {}
     s_common: Optional[set] = None
-    lifts = np.array([psi(c) for c in psi.domain_codes], dtype=np.int64)
     for p, n in cfg.q3.factors:
         d_class = max(1, int(n * theta_q))
         d_half = max(1, math.ceil(d_class / 2))
         g2 = FiniteGroupTable.from_sl2(p**d_class)
         g2_codes = np.array(g2.labels, dtype=np.int64)
         small = PairContext(p**d_class, 1)
-        psi_j = index_sorted(full.reduce_codes(lifts, small), g2_codes)
+        psi_j = index_sorted(full.reduce_codes(psi.lifts, small), g2_codes)
         psi_tables[(p, n)] = (psi_j, d_class, d_half, g2)
         try:
-            res = dichotomy(psi_j, g_table, g2, cfg.defect_threshold)
+            res = dichotomy(psi_j, g_table, g2, DEFECT_THRESHOLD)
         except StructuredConstructionError as exc:
             buckets["failed"].append((p, n))
             report.prime_table.append(
@@ -274,15 +260,12 @@ def glue_pipeline(
             )
         else:
             # half-depth triviality of the recovered homomorphism h_j
-            h_vals = g2_codes[res.f]
-            sm_half = PairContext(p**d_half, 1)
-            red_half = small.reduce_codes(h_vals, sm_half)
-            trivial = bool(np.all(red_half == sm_half.identity_code()))
+            trivial = bool(np.all(small.kernel_mask(g2_codes[res.f], p**d_half, 1)))
             key = "structured_trivial" if trivial else "structured_deep"
             buckets[key].append((p, n))
             s_set = set(int(v) for v in res.s_indices)
             s_common = s_set if s_common is None else (s_common & s_set)
-            density_ok = Fraction(len(s_set), g_table.order) >= cfg.structured_density
+            density_ok = Fraction(len(s_set), g_table.order) >= STRUCTURED_DENSITY
             report.prime_table.append(
                 {
                     "p": p,
@@ -359,10 +342,10 @@ def glue_pipeline(
 def _pool_codes(b: GroupSet, a: Optional[GroupSet], cfg: GluingConfig) -> np.ndarray:
     """Deterministic conjugator pool: a seeded sample of (B u A) codes."""
     codes = b.codes if a is None else b.union(a).codes
-    if codes.size <= cfg.pool_size:
+    if codes.size <= POOL_SIZE:
         return codes
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    pick = np.sort(rng.choice(codes.size, size=cfg.pool_size, replace=False))
+    pick = np.sort(rng.choice(codes.size, size=POOL_SIZE, replace=False))
     return codes[pick]
 
 
@@ -375,7 +358,7 @@ def _run_defect_case(
     rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 1]))
     n = g_table.order
     found = None
-    for _ in range(cfg.pair_attempts):
+    for _ in range(PAIR_ATTEMPTS):
         x, y = int(rng.integers(0, n)), int(rng.integers(0, n))
         ok = True
         for (p, nn) in primes:
@@ -396,14 +379,13 @@ def _run_defect_case(
         )
         return None
     x, y = found
-    cx, cy, cxy = (psi(psi.domain_codes[i]) for i in (x, y, g_table.mul[x, y]))
+    cx, cy, cxy = psi.lifts[[x, y, g_table.mul[x, y]]]
     gamma_code = int(full.mul(full.mul(cx, cy), full.inv(cxy)))
     # certificates: gamma is trivial at (q1, q2) and deep-nontrivial at the primes
-    red = full.reduce_codes(np.array([gamma_code]), psi.reduced_ctx)
     report.add_certificate(
         "defect-element-kernel",
         {"pair": [x, y], "gamma": gamma_code},
-        bool(red[0] == psi.reduced_ctx.identity_code()),
+        bool(full.kernel_mask(gamma_code, cfg.q1.value, cfg.q2.value)),
     )
     for p, nn in primes:
         _, d_class, _, _ = psi_tables[(p, nn)]
@@ -447,11 +429,9 @@ def _run_commutator_case(
             {"stage": "commutator-case", "reason": "common structured set is empty"}
         )
         return None
-    idx = sorted(s_common)
-    lifts = np.array([psi(psi.domain_codes[i]) for i in idx], dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 2]))
     target = {(p, nn): nn for p, nn in primes}
-    cur = lifts
+    cur = psi.lifts[sorted(s_common)]
     depth_hist = []
     for round_no in range(1, 9):
         # sampled commutator layer, deduplicated
@@ -521,7 +501,7 @@ def _run_one_parameter_case(
     # pick g with a nontrivial q3-part of maximal order (deterministic)
     best = None
     for i in sorted(s_common):
-        code = psi(psi.domain_codes[i])
+        code = int(psi.lifts[i])
         digits = full.decode(code)[:4]
         ok = all(int(congruence_depths(digits, p, nn)) < nn for (p, nn) in primes)
         if ok:
@@ -557,10 +537,7 @@ def _run_one_parameter_case(
         report.incomplete.append({"stage": "one-parameter-case", "reason": "closure cap"})
         return None
     # the kernel part of the closure is what covers new congruence classes
-    kernel_mask = isin_sorted(
-        k, congruence_subgroup_codes(full.q1, full.q2, cfg.q1.value, cfg.q2.value)
-    )
-    k_kernel = k[kernel_mask]
+    k_kernel = k[full.kernel_mask(k, cfg.q1.value, cfg.q2.value)]
     report.stages.append(
         {
             "stage": "one-parameter-case",

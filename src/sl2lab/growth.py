@@ -26,6 +26,7 @@ from .packed import (
 from .sl2 import IntPair, PairElement, reduce_pair
 
 SET_CAP = 10_000_000
+PRODUCT_WORK_CAP = 200_000_000  # multiplications one product_set may spend
 
 
 @dataclass(frozen=True)
@@ -103,9 +104,7 @@ class GroupSet:
         return GroupSet(q, ONE, codes)
 
 
-def product_set(
-    a: GroupSet, b: GroupSet, cap: int = SET_CAP, work_cap: int = 200_000_000
-) -> GroupSet:
+def product_set(a: GroupSet, b: GroupSet, cap: int = SET_CAP) -> GroupSet:
     """{x*y : x in a, y in b}, deduplicated."""
     if (a.q1, a.q2) != (b.q1, b.q2):
         raise ValueError("modulus mismatch")
@@ -115,8 +114,10 @@ def product_set(
         if order > cap:
             raise ValueError(f"product set size {order} exceeds cap {cap}")
         return GroupSet.full_group(a.q1, a.q2)
-    if len(a) * len(b) > work_cap:
-        raise ValueError(f"product needs {len(a) * len(b)} multiplications > {work_cap}")
+    if len(a) * len(b) > PRODUCT_WORK_CAP:
+        raise ValueError(
+            f"product needs {len(a) * len(b)} multiplications > {PRODUCT_WORK_CAP}"
+        )
     codes = mul_codes(a.ctx, a.codes, b.codes)
     if codes.size > cap:
         raise ValueError(f"product set size {codes.size} exceeds cap {cap}")
@@ -258,14 +259,7 @@ def kernel_filter(a: GroupSet, q_l: FactoredModulus, cap: int = SET_CAP) -> Grou
     if not (divides(q0, a.q1) and divides(q0, a.q2)):
         raise ValueError(f"radical {q0.value} must divide both moduli")
     aa = product_set(a, a, cap)
-    if q0.is_one():
-        return aa
-    digits = aa.ctx.decode(aa.codes)
-    d = q0.value
-    keep = np.ones(aa.codes.size, dtype=bool)
-    for idx, arr in enumerate(digits):
-        target = 1 if idx in (0, 3, 4, 7) else 0
-        keep &= arr % d == target
+    keep = aa.ctx.kernel_mask(aa.codes, q0.value, q0.value)
     return GroupSet(a.q1, a.q2, aa.codes[keep])
 
 

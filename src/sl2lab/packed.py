@@ -18,6 +18,10 @@ threshold ``FLUSH``, because each block holds about a dozen int64
 temporaries of its size: peak memory then stays bounded whatever the sizes
 of the two sets.
 
+``one_mod`` is the one test of 2x2 digit arrays for x = 1 mod d, and
+``PairContext.kernel_mask(codes, d1, d2)`` applies it to both factors: the
+kernel of the reduction to (d1, d2), wherever the library needs it.
+
 ``closure`` is the one subgroup-closure kernel: a breadth-first search over
 sorted int64 codes, with the product of a layer passed in.
 ``generated_subgroup`` closes packed elements through ``mul_codes``; the
@@ -144,6 +148,15 @@ class PairContext:
         red = [d % target.q1 for d in digits[:4]] + [d % target.q2 for d in digits[4:]]
         return target.encode(red)
 
+    def kernel_mask(self, codes, d1: int, d2: int) -> np.ndarray:
+        """Mask of the codes in the kernel of the reduction to (d1, d2),
+        d1 | q1 and d2 | q2: the elements = 1 mod d1 on the left factor and
+        = 1 mod d2 on the right."""
+        if self.q1 % d1 or self.q2 % d2:
+            raise ValueError("kernel moduli must divide the current moduli")
+        digits = self.decode(codes)
+        return one_mod(digits[:4], d1) & one_mod(digits[4:], d2)
+
 
 def _mat_mul(x, y, q: int) -> tuple:
     """Entries (a, b, c, d) of the 2x2 product x*y mod q, entrywise over arrays."""
@@ -155,6 +168,12 @@ def _mat_mul(x, y, q: int) -> tuple:
         (xc * ya + xd * yc) % q,
         (xc * yb + xd * yd) % q,
     )
+
+
+def one_mod(x, d: int) -> np.ndarray:
+    """Mask of the 2x2 digit arrays x = (a, b, c, d) that are = 1 mod d."""
+    a, b, c, dd = x
+    return (a % d == 1 % d) & (b % d == 0) & (c % d == 0) & (dd % d == 1 % d)
 
 
 def _product(ctx: PairContext, x, y) -> np.ndarray:
@@ -272,13 +291,8 @@ def generated_subgroup(
 
 def congruence_kernel_codes(q: int, d: int) -> np.ndarray:
     """Sorted codes (context (q, 1)) of {x in SL2(Z/q): x = 1 mod d}."""
-    ctx = PairContext(q, 1)
     codes = sl2_codes(q)
-    if d == 1:
-        return codes
-    a1, b1, c1, d1 = ctx.decode(codes)[:4]
-    keep = (a1 % d == 1 % d) & (b1 % d == 0) & (c1 % d == 0) & (d1 % d == 1 % d)
-    return codes[keep]
+    return codes[PairContext(q, 1).kernel_mask(codes, d, 1)]
 
 
 def congruence_subgroup_codes(q1: int, q2: int, d1: int, d2: int) -> np.ndarray:

@@ -120,7 +120,6 @@ class SpectralReport:
     residual: float
     cheeger_lower: float
     cheeger_upper: float
-    exact_cheeger: Optional[Fraction] = None
     converged: bool = True
     method: str = "iterative"
     n: int = 0

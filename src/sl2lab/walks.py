@@ -290,6 +290,8 @@ def archimedean_decay(
     l_values = sorted(set(int(l) for l in l_values))
     if not l_values or l_values[0] < 1:
         raise ValueError("l values must be positive")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     lmax = l_values[-1]
     want = set(l_values)
     hits = {l: 0 for l in l_values}

@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sl2lab
 from sl2lab.cli import main
 
 
@@ -203,14 +206,53 @@ def test_lemma_check_commutator(tmp_path, capsys):
         ["lemma-check", "--lemma", "commutator-identity", "--depth", "0"],
         ["lemma-check", "--lemma", "commutator-identity", "--depth", "-1"],
         ["nonconc", "--event", "lower-left", "--Q", "0"],
+        ["nonconc", "--event", "integral-linear:0,1,0,0,0,0,0,0:0", "--lmax", "4", "--samples", "0"],
+        ["nonconc", "--event", "integral-linear:0,1,0,0,0,0,0,0:0", "--lmax", "4", "--samples", "-1"],
     ],
-    ids=["p0", "p1", "p-3", "depth0", "depth-1", "nonconc-Q0"],
+    ids=["p0", "p1", "p-3", "depth0", "depth-1", "nonconc-Q0", "samples0", "samples-1"],
 )
 def test_bad_input_exits_1_without_run_dir(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path), *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("run-*"))
+
+
+def run_child(tmp_path: Path, argv: list[str]) -> subprocess.CompletedProcess:
+    # a child process with a timeout turns a hang into a failure
+    src = str(Path(sl2lab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sl2lab.cli", "--out", str(tmp_path), *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+def test_box_amplify_small_window_cap_terminates(tmp_path):
+    # at cap 10, p = 5 has no window
+    argv = ["lemma-check", "--lemma", "box-amplify", "--trials", "20", "--window-cap", "10"]
+    proc = run_child(tmp_path, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert "box-amplify: PASS" in proc.stdout
+
+
+def test_box_amplify_window_cap_without_windows_exits_64(tmp_path):
+    proc = run_child(tmp_path, ["lemma-check", "--lemma", "box-amplify", "--window-cap", "3"])
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("usage error: ")
+    assert not list(tmp_path.glob("run-*"))
+
+
+def test_box_amplify_window_exponent_is_exact():
+    from sl2lab.cli import _largest_exponent
+
+    # int(log(243) / log(3)) is 4
+    assert _largest_exponent(243, 3) == 5
+    assert [_largest_exponent(128, p) for p in (2, 3, 5)] == [7, 4, 3]
+    assert _largest_exponent(3, 2) == 1 and _largest_exponent(1, 5) == 0
 
 
 def test_lemma_check_bracket_span(tmp_path):

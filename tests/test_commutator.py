@@ -1,5 +1,7 @@
+import functools
 import itertools
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +20,18 @@ from sl2lab.commutator import (
     solve_mod_prime_power,
     solve_mod_q,
 )
-from sl2lab.factored import ONE, FactoredModulus
+from sl2lab.factored import ONE, FactoredModulus, exact_divisors
 from sl2lab.growth import GroupSet
-from sl2lab.sl2 import LieVector, SL2Residue, identity, inverse, mul
+from sl2lab.packed import PairContext, full_pair_codes
+from sl2lab.sl2 import (
+    LieVector,
+    SL2Residue,
+    enumerate_group,
+    identity,
+    inverse,
+    mul,
+    reduce_residue,
+)
 
 
 def test_commutator_congruence_example():
@@ -269,7 +280,7 @@ def test_connecting_map_full_group():
     assert cm.validate()
     # identity-lift: the smallest preimage of x reducing to x is x itself
     some = int(cm.domain_codes[7])
-    assert cm(some) == some
+    assert cm.lifts[7] == some
 
 
 def test_connecting_map_trivial_target():
@@ -293,6 +304,76 @@ def test_connecting_map_proper_powers():
     cm = connecting_map(b, q3, ONE, k_max=8)
     assert cm.power > 1
     assert cm.validate()
+
+
+@functools.lru_cache(maxsize=None)
+def _congruence_subgroup(q1: FactoredModulus, q2: FactoredModulus, d1, d2) -> tuple:
+    # sorted reduced codes of the x with x = 1 mod (d1, d2), by the object route
+    ctx = PairContext(q1.value, q2.value)
+    left = [x for x in enumerate_group(q1) if reduce_residue(x, d1) == identity(d1)]
+    right = [y for y in enumerate_group(q2) if reduce_residue(y, d2) == identity(d2)]
+    return tuple(sorted(ctx.encode([*x.entries, *y.entries]).item() for x in left for y in right))
+
+
+def plain_section(b: GroupSet, q1: FactoredModulus, q2: FactoredModulus, k_max: int):
+    """(power, d1, d2, domain, lifts) by a plain search, or None: B^k at the
+    full modulus for k = 1..k_max, coverage re-tested at every k, the
+    strongest divisor pair first and the smallest-code preimage."""
+    full, red_ctx = b.ctx, PairContext(q1.value, q2.value)
+    powers = [b.codes.tolist()]
+    for _ in range(k_max - 1):
+        prev = np.array(powers[-1], dtype=np.int64)
+        powers.append(sorted(set(full.mul(prev[:, None], b.codes[None, :]).ravel().tolist())))
+    pairs = [
+        (d1, d2)
+        for d1 in exact_divisors(q1)
+        for d2 in exact_divisors(q2)
+        if (d1, d2) != (q1, q2) or q1.value * q2.value == 1
+    ]
+    for d1, d2 in sorted(pairs, key=lambda p: (p[0].value * p[1].value, p[0].value)):
+        domain = _congruence_subgroup(q1, q2, d1, d2)
+        for k, power in enumerate(powers, 1):
+            preimage = {}
+            for code in power:  # ascending, so the first preimage is the smallest
+                t = full.element_tuple(code)
+                x = red_ctx.encode([v % q1.value for v in t[:4]] + [v % q2.value for v in t[4:]])
+                preimage.setdefault(x.item(), code)
+            if all(x in preimage for x in domain):
+                return k, d1.value, d2.value, list(domain), [preimage[x] for x in domain]
+    return None
+
+
+SECTION_MODULI = [
+    ((4, 1), (2, 1)),
+    ((6, 1), (2, 1)),
+    ((6, 1), (3, 1)),
+    ((9, 1), (3, 1)),
+    ((10, 1), (5, 1)),
+    ((4, 3), (2, 3)),
+    ((6, 2), (3, 2)),
+    ((6, 2), (1, 1)),
+    ((4, 4), (2, 2)),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(moduli=st.sampled_from(SECTION_MODULI), size=st.integers(1, 30), seed=st.integers(0, 2**32))
+def test_connecting_map_matches_plain_search(moduli, size, seed):
+    (a1, a2), (t1, t2) = moduli
+    codes = full_pair_codes(a1, a2)
+    pick = np.random.default_rng(seed).choice(codes.size, size=size, replace=False)
+    b = GroupSet(FactoredModulus.of(a1), FactoredModulus.of(a2), np.sort(codes[pick]))
+    q1, q2 = FactoredModulus.of(t1), FactoredModulus.of(t2)
+    expect = plain_section(b, q1, q2, k_max=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the size hypothesis of bounded generation
+        if expect is None:
+            with pytest.raises(ValueError):
+                connecting_map(b, q1, q2, k_max=4)
+            return
+        cm = connecting_map(b, q1, q2, k_max=4)
+    got = (cm.power, cm.d1.value, cm.d2.value, cm.domain_codes.tolist(), cm.lifts.tolist())
+    assert got == expect
 
 
 def test_connecting_map_coverage_failure():

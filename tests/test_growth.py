@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import warnings
@@ -33,18 +34,15 @@ Q5 = FactoredModulus.of(5)
 Q11 = FactoredModulus.of(11)
 
 
-def random_groupset(rng, q1, q2, size) -> GroupSet:
-    def one(q):
-        n = q.value
-        while True:
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            try:
-                d = (1 + b * c) * pow(a, -1, n) % n
-            except ValueError:
-                continue
-            return SL2Residue(q, a, b, c, d)
+@functools.lru_cache(maxsize=None)
+def group_elements(q: FactoredModulus) -> tuple:
+    return tuple(enumerate_group(q))
 
-    elems = [PairElement(one(q1), one(q2)) for _ in range(size)]
+
+def random_groupset(rng, q1, q2, size) -> GroupSet:
+    # uniform draws from the whole group, non-unit corners included
+    g1, g2 = group_elements(q1), group_elements(q2)
+    elems = [PairElement(rng.choice(g1), rng.choice(g2)) for _ in range(size)]
     return GroupSet.from_elements(q1, q2, elems)
 
 

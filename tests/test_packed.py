@@ -1,5 +1,7 @@
 import ast
+import functools
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sl2lab import packed
-from sl2lab.factored import FactoredModulus
+from sl2lab.factored import FactoredModulus, divisors
 from sl2lab.packed import (
     PairContext,
     congruence_kernel_codes,
@@ -27,9 +29,11 @@ from sl2lab.sl2 import (
     SL2Residue,
     enumerate_group,
     group_order,
+    identity,
     mul,
     pair_mul,
     reduce_pair,
+    reduce_residue,
 )
 
 Q3 = FactoredModulus.of(3)
@@ -226,6 +230,50 @@ def test_congruence_kernel_codes():
     assert np.all(a % 2 == 1) and np.all(b % 2 == 0) and np.all(c % 2 == 0)
 
 
+def _in_kernel(x: PairElement, d1: FactoredModulus, d2: FactoredModulus) -> bool:
+    # the object route: x reduces to the identity at (d1, d2)
+    return reduce_residue(x.left, d1) == identity(d1) and reduce_residue(x.right, d2) == identity(d2)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_group(q1: int, q2: int) -> tuple:
+    g1 = list(enumerate_group(FactoredModulus.of(q1)))
+    g2 = list(enumerate_group(FactoredModulus.of(q2)))
+    return tuple(PairElement(x, y) for x in g1 for y in g2)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_kernel(q1: int, q2: int, d1: FactoredModulus, d2: FactoredModulus) -> tuple:
+    return tuple(x for x in _pair_group(q1, q2) if _in_kernel(x, d1, d2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moduli=st.sampled_from([(4, 1), (6, 1), (8, 1), (9, 1), (2, 2), (4, 2), (3, 4), (6, 2)]),
+    seed=st.integers(0, 2**32),
+)
+def test_kernel_mask_matches_reduction_to_identity(moduli, seed):
+    rng = random.Random(seed)
+    ctx = PairContext(*moduli)
+    group = _pair_group(*moduli)
+    q1, q2 = (FactoredModulus.of(v) for v in moduli)
+    for d1 in divisors(q1):
+        for d2 in divisors(q2):
+            # uniform draws rarely meet a deep kernel, so draw from it too
+            kernel = _pair_kernel(*moduli, d1, d2)
+            elems = rng.choices(group, k=20) + rng.choices(kernel, k=10)
+            codes = np.array([ctx.encode_element(x) for x in elems], dtype=np.int64)
+            expect = [_in_kernel(x, d1, d2) for x in elems]
+            assert ctx.kernel_mask(codes, d1.value, d2.value).tolist() == expect
+
+
+def test_kernel_mask_rejects_non_divisors():
+    with pytest.raises(ValueError):
+        PairContext(8, 3).kernel_mask(np.array([0]), 3, 1)
+    with pytest.raises(ValueError):
+        PairContext(8, 3).kernel_mask(np.array([0]), 2, 2)
+
+
 def test_congruence_subgroup_codes():
     codes = congruence_subgroup_codes(4, 3, 2, 1)
     expected = (group_order(FactoredModulus.of(4)) // group_order(FactoredModulus.of(2))) * group_order(Q3)
@@ -285,6 +333,20 @@ def test_one_closure_kernel_in_src():
                     for loop in ast.walk(node)
                     if isinstance(loop, ast.While) and "frontier" in ast.unparse(loop.test)
                 ]
+    assert offenders == []
+
+
+def test_one_kernel_test_in_src():
+    # packed.one_mod is the only x = 1 (mod d) test of the library
+    mask = re.compile(r"\(\w+ - 1\) % \w+|% \w+ == 1 % \w+")
+    src = Path(packed.__file__).parent
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "packed.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if mask.search(line)
+    ]
     assert offenders == []
 
 
