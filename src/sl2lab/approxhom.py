@@ -174,11 +174,16 @@ def _attempt_structured(
     a_prime = np.nonzero(degrees > threshold)[0]
     if a_prime.size <= threshold:
         return None, f"|A'| = {a_prime.size} <= (1 - sqrt(eps)) |G1| = {float(threshold):.3f}"
-    # subgroup closure of A' A'^{-1} inside G1 x G2
-    left = g1.mul[np.ix_(a_prime, g1.inv[a_prime])]
-    right = g2.mul[np.ix_(psi[a_prime], g2.inv[psi[a_prime]])]
+    # subgroup closure of A' A'^{-1} inside G1 x G2; the |A'|^2 products are
+    # formed in row blocks of A' of about BLOCK products each
     m2 = g2.order
-    gen_codes = unique_codes(left.astype(np.int64) * m2 + right)
+    inv1, inv2 = g1.inv[a_prime], g2.inv[psi[a_prime]]
+    rows = max(1, BLOCK // a_prime.size)
+    gen_codes = np.array([], dtype=np.int64)
+    for i in range(0, a_prime.size, rows):
+        block = a_prime[i : i + rows, None]
+        codes = g1.mul[block, inv1] * m2 + g2.mul[psi[block], inv2]
+        gen_codes = unique_codes(np.concatenate([gen_codes, codes.ravel()]))
     if gen_codes.size > 2 * n:
         return None, f"|A'A'^-1| = {gen_codes.size} > 2|G1| = {2 * n}"
     h = closure_in_product(gen_codes, g1, g2, cap=2 * n)

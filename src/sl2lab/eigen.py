@@ -201,6 +201,9 @@ def lanczos_extreme(
     keep_basis = n * max_basis <= STORE_BASIS_BUDGET
     basis = [v.copy()] if keep_basis else None
     v_prev = np.zeros(n)
+    # the three-term step runs through this buffer and spends v_prev, so an
+    # iteration allocates no vector beyond the one matvec returns
+    step = np.empty(n)
     alphas: list[float] = []
     betas: list[float] = []
     beta = 0.0
@@ -212,7 +215,10 @@ def lanczos_extreme(
             w -= w.mean()
         alpha = float(v @ w)
         alphas.append(alpha)
-        w -= alpha * v + beta * v_prev
+        np.multiply(alpha, v, out=step)
+        np.multiply(beta, v_prev, out=v_prev)
+        np.add(step, v_prev, out=step)
+        w -= step  # w -= alpha * v + beta * v_prev
         if keep_basis:
             B = np.asarray(basis).T
             w -= B @ (B.T @ w)
@@ -228,8 +234,8 @@ def lanczos_extreme(
             if converged or k == max_basis:
                 break
         betas.append(beta)
-        v_prev = v
-        v = w / beta
+        w /= beta
+        v_prev, v = v, w
         if keep_basis:
             basis.append(v.copy())
 

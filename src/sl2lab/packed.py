@@ -23,9 +23,26 @@ of the two sets.
 kernel of the reduction to (d1, d2), wherever the library needs it.
 
 ``closure`` is the one subgroup-closure kernel: a breadth-first search over
-sorted int64 codes, with the product of a layer passed in.
-``generated_subgroup`` closes packed elements through ``mul_codes``; the
-table groups of ``approxhom`` close table indices and pair codes with it.
+sorted int64 codes, with the product of a layer passed in.  It closes factor
+groups through ``mul_codes``, and the table groups of ``approxhom`` close
+table indices and pair codes with it.
+
+``pair_subgroup`` is the one pair-group enumerator, and ``generated_subgroup``
+returns its codes.  It never searches the N = |H| pair codes.  Following
+Schreier's lemma (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, ch. 4), for H = <S> <= G1 x G2 it
+- searches the left projection A = pi1(H) breadth-first in the (q1, 1)
+  context, carrying for each a the right part t(a) of the first element
+  (a, t(a)) of H found over it;
+- closes the Schreier generators t(a) s2 t(a s1)^-1, one per edge (a, s),
+  in the (q2, 1) context: they generate N2 = H n (1 x G2);
+- checks |H| = |A| |N2| against the cap before building any pair code;
+- writes H = U {a} x t(a) N2.  When every right part s2 lies in N2, H is
+  the direct product A x N2, and its sorted codes are the Kronecker sums
+  a q2^4 + n in row-major order, with no sort.  Otherwise each row
+  t(a) N2 is sorted on its own.
+Pair codes order by the left factor first, so either way the rows run in
+sorted order: the codes of H are the array a search over pair codes returns.
 
 Every dedupe and union of code arrays goes through ``unique_codes``: one
 ``np.sort`` and a mask of adjacent differences.  ``np.unique`` returns the
@@ -276,17 +293,88 @@ def closure(gen_codes: np.ndarray, identity: int, product, cap: int):
     return visited
 
 
+@dataclass(frozen=True)
+class PairSubgroup:
+    """H <= G1 x G2 as Schreier's lemma gives it: ``left`` is the sorted
+    A = pi1(H) in the (q1, 1) context, ``kernel`` the sorted
+    N2 = H n (1 x G2) in the (q2, 1) context, ``codes`` the sorted pair codes
+    of H, and ``direct`` whether H = A x N2."""
+
+    left: np.ndarray
+    kernel: np.ndarray
+    codes: np.ndarray
+    direct: bool
+
+
+def _edge_products(ctx: PairContext, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Codes of x_i * s_j in row-major order, formed ``BLOCK`` products at a time."""
+    rows = max(1, BLOCK // max(1, s.size))
+    blocks = [ctx.mul(x[i : i + rows, None], s).ravel() for i in range(0, x.size, rows)]
+    return np.concatenate(blocks)
+
+
+def pair_subgroup(ctx: PairContext, gens, cap: int) -> PairSubgroup:
+    """The subgroup generated by ``gens`` (8-digit tuples) from factor-sized
+    work; raises ValueError when it has more than ``cap`` elements."""
+    digits = np.array([ctx.reduce_digits(g) for g in gens], dtype=np.int64).reshape(-1, 8)
+    m = np.int64(ctx.q2**4)
+    gen_codes = unique_codes(ctx.encode(digits.T))
+    s1, s2 = gen_codes // m, gen_codes % m
+    c1, c2 = PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)
+    one2 = c2.identity_code()
+    if (s2 == one2).all():
+        # H = A x 1, as for every single-factor group: no transversal to carry
+        left = closure(s1, c1.identity_code(), lambda x, g: mul_codes(c1, x, g), cap)
+        if left is None:
+            raise ValueError(f"generated subgroup exceeds cap {cap}")
+        return PairSubgroup(left, np.array([one2]), left * m + one2, True)
+    left = np.array([c1.identity_code()], dtype=np.int64)
+    trans = np.array([one2], dtype=np.int64)  # t(a) for each a of left
+    schreier = np.array([], dtype=np.int64)
+    frontier, f_trans = left, trans
+    while frontier.size:
+        # edges (a, s) of the layer, a s1 and t(a) s2, stably sorted by a s1:
+        # the first edge into each new a s1 is the first found in row-major order
+        nl, nr = _edge_products(c1, frontier, s1), _edge_products(c2, f_trans, s2)
+        order = np.argsort(nl, kind="stable")
+        nl, nr = nl[order], nr[order]
+        new = ~isin_sorted(nl, left)
+        new[1:] &= nl[1:] != nl[:-1]
+        frontier, f_trans = nl[new], nr[new]
+        left = np.concatenate([left, frontier])
+        if left.size > cap:
+            raise ValueError(f"generated subgroup exceeds cap {cap}")
+        order = np.argsort(left)
+        left, trans = left[order], np.concatenate([trans, f_trans])[order]
+        # t(a) s2 t(a s1)^-1 is the identity exactly when t(a s1) = t(a) s2
+        t_end = trans[index_sorted(nl, left)]
+        moved = nr != t_end
+        gens2 = c2.mul(nr[moved], c2.inv(t_end[moved]))
+        schreier = unique_codes(np.concatenate([schreier, gens2]))
+    # |H| = |A| |N2| > cap exactly when |N2| > cap // |A|
+    kernel = closure(schreier, one2, lambda x, g: mul_codes(c2, x, g), cap // left.size)
+    if kernel is None:
+        raise ValueError(f"generated subgroup exceeds cap {cap}")
+    direct = bool(isin_sorted(s2, kernel).all())
+    if direct:
+        codes = (left[:, None] * m + kernel).ravel()
+    else:
+        codes = np.empty((left.size, kernel.size), dtype=np.int64)
+        rows = max(1, BLOCK // kernel.size)
+        for i in range(0, left.size, rows):
+            coset = c2.mul(trans[i : i + rows, None], kernel)
+            coset.sort(axis=1)
+            codes[i : i + rows] = left[i : i + rows, None] * m + coset
+        codes = codes.ravel()
+    return PairSubgroup(left, kernel, codes, direct)
+
+
 def generated_subgroup(
     ctx: PairContext, gens: list[tuple[int, ...]], cap: int = 10_000_000
 ) -> np.ndarray:
     """Sorted codes of the subgroup generated by ``gens`` (8-digit tuples);
     raises ValueError when the subgroup exceeds ``cap``."""
-    digits = np.array([ctx.reduce_digits(g) for g in gens], dtype=np.int64).reshape(-1, 8)
-    gen_codes = unique_codes(ctx.encode(digits.T))
-    h = closure(gen_codes, ctx.identity_code(), lambda x, g: mul_codes(ctx, x, g), cap)
-    if h is None:
-        raise ValueError(f"generated subgroup exceeds cap {cap}")
-    return h
+    return pair_subgroup(ctx, gens, cap).codes
 
 
 def congruence_kernel_codes(q: int, d: int) -> np.ndarray:

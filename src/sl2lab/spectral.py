@@ -16,7 +16,7 @@ import numpy as np
 
 from .eigen import lanczos_extreme, symmetric_eigenvalues
 from .factored import FactoredModulus
-from .packed import PairContext, _product, generated_subgroup, index_sorted
+from .packed import PairContext, _product, index_sorted, pair_subgroup
 from .sl2 import IntPair, symmetrize
 
 DENSE_THRESHOLD = 2048
@@ -54,22 +54,32 @@ class CayleyOperator:
         ctx: PairContext,
         gens: Sequence[tuple[int, ...]],
         codes: Optional[np.ndarray] = None,
-        cap: int = GROUP_CAP,
     ) -> "CayleyOperator":
         """Construct over the given vertex codes, or over <gens> if codes is None.
 
         The generator multiset is used as given (duplicates kept, entries
         reduced mod the moduli); it must be closed under inverse for the
-        operator to be self-adjoint.
+        operator to be self-adjoint.  Over <gens> = A x N2 (see
+        ``packed.pair_subgroup``) vertex i is (A[i // |N2|], N2[i % |N2|]),
+        so each permutation is the Kronecker sum of two factor permutations.
         """
         gens = [ctx.reduce_digits(g) for g in gens]
+        g_invs = [ctx.element_tuple(int(ctx.inv(ctx.encode(g)))) for g in gens]
         if codes is None:
-            codes = generated_subgroup(ctx, gens, cap=cap)
+            sub = pair_subgroup(ctx, gens, GROUP_CAP)
+            codes = sub.codes
+            if sub.direct:
+                c1, c2 = PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)
+                x1, x2 = c1.decode(sub.left), c2.decode(sub.kernel)
+                zero = (0, 0, 0, 0)
+                perms = []
+                for g in g_invs:
+                    p1 = index_sorted(_product(c1, g[:4] + zero, x1), sub.left)
+                    p2 = index_sorted(_product(c2, g[4:] + zero, x2), sub.kernel)
+                    perms.append((p1[:, None] * sub.kernel.size + p2).ravel())
+                return CayleyOperator(ctx, codes, gens, perms)
         x = ctx.decode(codes)
-        perms = []
-        for g in gens:
-            g_inv = ctx.element_tuple(int(ctx.inv(ctx.encode(g))))
-            perms.append(index_sorted(_product(ctx, g_inv, x), codes))
+        perms = [index_sorted(_product(ctx, g, x), codes) for g in g_invs]
         return CayleyOperator(ctx, codes, gens, perms)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -102,15 +112,13 @@ class CayleyOperator:
         return out
 
 
-def cayley_for_sl2_pair(
-    gens: Sequence[IntPair], q1: int, q2: int, cap: int = GROUP_CAP
-) -> CayleyOperator:
+def cayley_for_sl2_pair(gens: Sequence[IntPair], q1: int, q2: int) -> CayleyOperator:
     """Cayley operator for integral pair generators reduced mod (q1, q2), on
     the subgroup the reduced generators generate (connected by construction)."""
     gens = symmetrize(list(gens))
     ctx = PairContext(q1, q2)
     digit_gens = [intpair_digits(g, q1, q2) for g in gens]
-    return CayleyOperator.build(ctx, digit_gens, cap=cap)
+    return CayleyOperator.build(ctx, digit_gens)
 
 
 @dataclass
@@ -247,15 +255,22 @@ def gap_sweep(
     pair: bool = True,
     tol: float = 1e-8,
     seed: int = 0,
-    cap: int = GROUP_CAP,
     method: str = "auto",
 ) -> list[dict]:
-    """lambda2 and Cheeger data per modulus; the table behind the CLI CSV."""
+    """lambda2 and Cheeger data per modulus; the table behind the CLI CSV.
+
+    Raises ValueError when Lanczos stops short of ``tol`` at some modulus,
+    so no unconverged lambda2 is reported."""
     rows = []
     for q in moduli:
         t0 = time.perf_counter()
-        op = cayley_for_sl2_pair(gens, q, q if pair else 1, cap=cap)
+        op = cayley_for_sl2_pair(gens, q, q if pair else 1)
         rep = lambda2(op, tol=tol, seed=seed, method=method)
+        if not rep.converged:
+            raise ValueError(
+                f"lambda2 at q={q} did not converge in {rep.iterations} Lanczos iterations "
+                f"(residual {rep.residual:.3g} > tol {tol:g})"
+            )
         exact = None
         if op.n <= EXACT_CHEEGER_MAX:
             exact = cheeger_exact(op)

@@ -168,7 +168,7 @@ class IntegralLinearEvent:
 
 
 def walk_operator(
-    S: Sequence[IntPair], Q: FactoredModulus, event, cap: int = 10_000_000
+    S: Sequence[IntPair], Q: FactoredModulus, event
 ) -> tuple[CayleyOperator, np.ndarray]:
     """Cayley operator of the quotient walk plus the event indicator vector.
 
@@ -186,7 +186,7 @@ def walk_operator(
         ctx = PairContext(q, 1)
         comp = [g[side - 1] for g in S]
         gens = [intpair_digits((m, IMAT_ID), q, 1) for m in comp]
-    op = CayleyOperator.build(ctx, gens, cap=cap)
+    op = CayleyOperator.build(ctx, gens)
     digits = op.ctx.decode(op.codes)
     picked = digits if getattr(event, "needs_pair", False) else digits[:4]
     ind = event.indicator(picked, q).astype(float)
@@ -198,7 +198,6 @@ def decay_profile(
     event,
     Q: FactoredModulus,
     l_values: Sequence[int],
-    cap: int = 10_000_000,
 ) -> dict:
     """Exact event mass of the l-step walk for each l, plus the fitted exponent.
 
@@ -212,7 +211,7 @@ def decay_profile(
     l_values = sorted(set(int(l) for l in l_values))
     if not l_values or l_values[0] < 1:
         raise ValueError("l values must be positive")
-    op, ind = walk_operator(S, Q, event, cap=cap)
+    op, ind = walk_operator(S, Q, event)
     f = np.zeros(op.n)
     f[int(np.searchsorted(op.codes, op.ctx.identity_code()))] = 1.0
     rows = []

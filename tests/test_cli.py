@@ -218,6 +218,17 @@ def test_bad_input_exits_1_without_run_dir(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("run-*"))
 
 
+def test_unconverged_spectral_exits_1_without_run_dir(tmp_path, capsys, monkeypatch):
+    from sl2lab import spectral
+
+    monkeypatch.setattr(spectral, "lanczos_extreme", lambda *a, **k: (0.5, 7, 1e-3, False, None))
+    argv = ["spectral", "--moduli", "5", "--no-pair", "--method", "iterative"]
+    assert main(["--out", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda2 at q=5 did not converge") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run-*"))
+
+
 def run_child(tmp_path: Path, argv: list[str]) -> subprocess.CompletedProcess:
     # a child process with a timeout turns a hang into a failure
     src = str(Path(sl2lab.__file__).parents[1])

@@ -21,6 +21,7 @@ from sl2lab.packed import (
     index_sorted,
     isin_sorted,
     mul_codes,
+    pair_subgroup,
     sl2_codes,
     unique_codes,
 )
@@ -34,6 +35,12 @@ from sl2lab.sl2 import (
     pair_mul,
     reduce_pair,
     reduce_residue,
+    symmetrize,
+)
+from sl2lab.spectral import (
+    intpair_digits,
+    standard_dense_pair_generators,
+    unit_dense_pair_generators,
 )
 
 Q3 = FactoredModulus.of(3)
@@ -409,6 +416,106 @@ def test_generated_subgroup_matches_enumerate_group(moduli, block):
         mp.setattr(packed, "BLOCK", block)
         sub = generated_subgroup(ctx, elementary_generators(q1, q2))
     assert sub.tolist() == expected
+
+
+def pair_bfs(ctx: PairContext, gens, cap: int):
+    """Sorted codes of <gens> by breadth-first search over all pair codes
+    (``closure`` over ``mul_codes``), or None above ``cap``: the reference
+    for the Schreier route of ``pair_subgroup``."""
+    digits = np.array([ctx.reduce_digits(g) for g in gens], dtype=np.int64).reshape(-1, 8)
+    gen_codes = unique_codes(ctx.encode(digits.T))
+    return packed.closure(gen_codes, ctx.identity_code(), lambda x, g: mul_codes(ctx, x, g), cap)
+
+
+def stock_digits(name: str, q1: int, q2: int) -> list[tuple[int, ...]]:
+    base = (standard_dense_pair_generators if name == "stock" else unit_dense_pair_generators)()
+    return [intpair_digits(g, q1, q2) for g in symmetrize(base)]
+
+
+# the stock set at 9 and 16, the unit set at 8, and every diagonal set
+# generate subgroups that are not the direct product of their projections
+STOCK_MODULI = [(3, 3), (4, 4), (5, 5), (6, 6), (8, 8), (9, 9), (12, 12), (16, 16),
+                (4, 9), (5, 7), (9, 4), (7, 1), (11, 1), (29, 1), (1, 5)]
+UNIT_MODULI = [(3, 3), (4, 4), (5, 5), (6, 6), (8, 8), (4, 9), (5, 7), (9, 4), (7, 1), (1, 5)]
+RANDOM_MODULI = [(2, 1), (3, 3), (4, 4), (5, 5), (4, 9), (5, 7), (2, 9), (8, 2), (6, 3), (1, 5)]
+DIAGONAL_MODULI = [(4, 2), (5, 5), (6, 3), (7, 7), (8, 4), (9, 3), (12, 6)]
+SUBGROUP_CASES = (
+    [("stock", m) for m in STOCK_MODULI]
+    + [("unit", m) for m in UNIT_MODULI]
+    + [("random", m) for m in RANDOM_MODULI]
+    + [("diagonal", m) for m in DIAGONAL_MODULI]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(SUBGROUP_CASES),
+    k=st.integers(0, 3),
+    seed=st.integers(0, 2**32),
+    cap_offset=st.integers(-3, 3),
+    cap_scale=st.sampled_from([None, 0.0, 0.3, 0.7, 2.0]),
+)
+def test_generated_subgroup_matches_pair_bfs(case, k, seed, cap_offset, cap_scale):
+    family, (q1, q2) = case
+    ctx = PairContext(q1, q2)
+    rng = random.Random(seed)
+    if family in ("stock", "unit"):
+        gens = stock_digits(family, q1, q2)
+    else:
+        # k random elements and their inverses; a diagonal set pairs each
+        # x in SL2(Z/q1) with its reduction mod q2
+        qq1, qq2 = FactoredModulus.of(q1), FactoredModulus.of(q2)
+        xs = [random_pair(rng, qq1, qq2) for _ in range(k)]
+        if family == "diagonal":
+            xs = [PairElement(x.left, reduce_residue(x.left, qq2)) for x in xs]
+        codes = np.array([ctx.encode_element(x) for x in xs], dtype=np.int64)
+        gens = [ctx.element_tuple(int(c)) for c in np.append(codes, ctx.inv(codes))]
+    ref = pair_bfs(ctx, gens, 10**6)
+    order = ref.size
+    cap = max(0, order + cap_offset) if cap_scale is None else int(cap_scale * order)
+    if order > cap:
+        assert pair_bfs(ctx, gens, cap) is None
+        with pytest.raises(ValueError, match="exceeds cap"):
+            generated_subgroup(ctx, gens, cap=cap)
+        return
+    sub = pair_subgroup(ctx, gens, cap)
+    assert sub.codes.dtype == np.int64
+    assert np.array_equal(sub.codes, ref)
+    assert np.array_equal(generated_subgroup(ctx, gens, cap=cap), ref)
+    # A = pi1(H), N2 = H n (1 x G2), and direct means H = A x N2
+    m = q2**4
+    left, right = np.divmod(ref, m)
+    assert np.array_equal(sub.left, unique_codes(left))
+    assert np.array_equal(sub.kernel, right[left == PairContext(q1, 1).identity_code()])
+    assert sub.left.size * sub.kernel.size == order
+    product = (sub.left[:, None] * m + sub.kernel).ravel()
+    assert sub.direct == np.array_equal(product, ref)
+
+
+def test_pair_subgroup_direct_and_not():
+    # the stock set generates all of SL2(Z/5)^2; mod 9 it does not split
+    full = pair_subgroup(PairContext(5, 5), stock_digits("stock", 5, 5), 10**6)
+    assert full.direct and full.codes.size == 120**2
+    assert np.array_equal(full.codes, full_pair_codes(5, 5))
+    split = pair_subgroup(PairContext(9, 9), stock_digits("stock", 9, 9), 10**6)
+    assert not split.direct
+    assert split.codes.size == split.left.size * split.kernel.size == 5832
+
+
+def test_generated_subgroup_searches_factors_only(monkeypatch):
+    # the pair group is never searched: every mul_codes call of the
+    # enumeration runs in a (q, 1) factor context
+    contexts = []
+    orig = packed.mul_codes
+
+    def spy(ctx, a, b):
+        contexts.append(ctx)
+        return orig(ctx, a, b)
+
+    monkeypatch.setattr(packed, "mul_codes", spy)
+    sub = generated_subgroup(PairContext(9, 9), stock_digits("stock", 9, 9))
+    assert sub.size == 5832
+    assert contexts and all(ctx == PairContext(9, 1) for ctx in contexts)
 
 
 def test_reduce_codes():

@@ -15,7 +15,9 @@ from sl2lab.eigen import (
     tridiag_eigh,
     tridiag_eigvals,
 )
-from sl2lab.packed import PairContext, full_pair_codes, sl2_codes
+from sl2lab import spectral
+from sl2lab.packed import PairContext, full_pair_codes, generated_subgroup, sl2_codes
+from sl2lab.sl2 import symmetrize
 from sl2lab.spectral import (
     CayleyOperator,
     cayley_for_sl2_pair,
@@ -23,8 +25,10 @@ from sl2lab.spectral import (
     cheeger_exact,
     dense_lambda2,
     gap_sweep,
+    intpair_digits,
     lambda2,
     standard_dense_pair_generators,
+    unit_dense_pair_generators,
 )
 
 
@@ -191,6 +195,25 @@ def test_build_unreduced_overflow_regression():
     assert np.array_equal(op.perms[0], ref.perms[0])
 
 
+@pytest.mark.parametrize(
+    "name, q1, q2",
+    [("stock", 5, 5), ("stock", 7, 1), ("stock", 4, 9), ("stock", 9, 9), ("stock", 16, 16),
+     ("unit", 6, 6), ("unit", 8, 8), ("unit", 5, 7), ("unit", 1, 5)],
+)
+def test_kronecker_build_matches_index_sorted_build(name, q1, q2):
+    # over <gens> the permutations are Kronecker sums of factor permutations
+    # when <gens> = A x N2; given codes, they are index lookups in the codes
+    base = standard_dense_pair_generators() if name == "stock" else unit_dense_pair_generators()
+    ctx = PairContext(q1, q2)
+    gens = [intpair_digits(g, q1, q2) for g in symmetrize(base)]
+    op = CayleyOperator.build(ctx, gens)
+    ref = CayleyOperator.build(ctx, gens, codes=generated_subgroup(ctx, gens))
+    assert np.array_equal(op.codes, ref.codes)
+    assert len(op.perms) == len(ref.perms) == len(gens)
+    for got, want in zip(op.perms, ref.perms):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_lambda2_circulant_closed_form():
     for n in (4, 6, 9, 16, 33):
         op = cycle_operator(n)
@@ -348,3 +371,13 @@ def test_gap_sweep_prime_columns():
     assert [r["q"] for r in rows] == [5, 7]
     for r in rows:
         assert r["lambda2"] < 0.995
+
+
+def test_gap_sweep_rejects_unconverged_lambda2(monkeypatch):
+    # an unconverged Lanczos run is an error, never a row of the table
+    def stalled(matvec, n, **kwargs):
+        return 0.5, 7, 1e-3, False, None
+
+    monkeypatch.setattr(spectral, "lanczos_extreme", stalled)
+    with pytest.raises(ValueError, match="did not converge"):
+        gap_sweep(standard_dense_pair_generators(), [5], pair=False, method="iterative")
