@@ -41,6 +41,8 @@ Theory*, ch. 4), for H = <S> <= G1 x G2 it
   the direct product A x N2, and its sorted codes are the Kronecker sums
   a q2^4 + n in row-major order, with no sort.  Otherwise each row
   t(a) N2 is sorted on its own.
+When every right part is the identity, as in every single-factor group,
+H = A x 1 and A is closed directly, with no transversal.
 Pair codes order by the left factor first, so either way the rows run in
 sorted order: the codes of H are the array a search over pair codes returns.
 

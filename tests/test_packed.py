@@ -454,8 +454,9 @@ SUBGROUP_CASES = (
     seed=st.integers(0, 2**32),
     cap_offset=st.integers(-3, 3),
     cap_scale=st.sampled_from([None, 0.0, 0.3, 0.7, 2.0]),
+    block=st.sampled_from([packed.BLOCK, 64, 500]),
 )
-def test_generated_subgroup_matches_pair_bfs(case, k, seed, cap_offset, cap_scale):
+def test_generated_subgroup_matches_pair_bfs(case, k, seed, cap_offset, cap_scale, block):
     family, (q1, q2) = case
     ctx = PairContext(q1, q2)
     rng = random.Random(seed)
@@ -473,12 +474,15 @@ def test_generated_subgroup_matches_pair_bfs(case, k, seed, cap_offset, cap_scal
     ref = pair_bfs(ctx, gens, 10**6)
     order = ref.size
     cap = max(0, order + cap_offset) if cap_scale is None else int(cap_scale * order)
-    if order > cap:
-        assert pair_bfs(ctx, gens, cap) is None
-        with pytest.raises(ValueError, match="exceeds cap"):
-            generated_subgroup(ctx, gens, cap=cap)
-        return
-    sub = pair_subgroup(ctx, gens, cap)
+    # a small BLOCK splits the edge products and the coset rows into blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed, "BLOCK", block)
+        if order > cap:
+            assert pair_bfs(ctx, gens, cap) is None
+            with pytest.raises(ValueError, match="exceeds cap"):
+                generated_subgroup(ctx, gens, cap=cap)
+            return
+        sub = pair_subgroup(ctx, gens, cap)
     assert sub.codes.dtype == np.int64
     assert np.array_equal(sub.codes, ref)
     assert np.array_equal(generated_subgroup(ctx, gens, cap=cap), ref)
