@@ -1,14 +1,20 @@
 """In-repo symmetric eigensolvers used as the dense spectral oracle.
 
-The primary dense path is Householder tridiagonalization followed by
-implicit-shift QL on the tridiagonal; a classical cyclic Jacobi sweep is
-kept as an independent cross-check for small matrices.  No LAPACK calls
-anywhere on the oracle path.
+The primary dense path is a blocked Householder tridiagonalization
+(``tridiagonalize``, the dsytrd/dlatrd panel scheme, its matrix products
+through numpy ``@`` on BLAS) followed by implicit-shift QL on the
+tridiagonal; a classical cyclic Jacobi sweep is kept as an independent
+cross-check for small matrices.  No LAPACK calls anywhere on the oracle path.
 
 One QL loop (``_ql``) serves every tridiagonal solve: the dense oracle
 (eigenvalues only), the Lanczos convergence check (eigenvalues and the last
 row of the eigenvector matrix, which gives the residual beta_k |s_k|) and
 Ritz vectors (the full eigenvector matrix, built only when asked for).
+
+``sturm_count`` counts the eigenvalues of a tridiagonal below given shifts
+by the inertia of its LDL^T factorization (bisection's test, no iteration),
+so the oracle checks the eigenvalue QL returns against the same tridiagonal
+by a second route.
 """
 
 from __future__ import annotations
@@ -17,36 +23,87 @@ import numpy as np
 
 QL_MAX_ITER = 100  # QL sweeps allowed per eigenvalue
 STORE_BASIS_BUDGET = 30_000_000  # floats of Lanczos basis kept for reorthogonalization
+TRIDIAG_BLOCK = 32  # Householder reflectors per panel of the blocked reduction
+TRIDIAG_SLICE = 32  # trailing-block rows per product of the rank-2b panel update
 
 
 def tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduction of a symmetric matrix to (diag, offdiag)."""
+    """Blocked Householder reduction of a symmetric matrix to (diag, offdiag).
+
+    Dongarra, Hammarling and Sorensen (1989), the scheme of LAPACK
+    dsytrd/dlatrd.  A panel of ``TRIDIAG_BLOCK`` reflectors H = I - tau v v^T
+    is built against the trailing block as it stood before the panel, with
+    H..H A H..H = A - V W^T - W V^T: column k is first brought up to date
+    with the panel's earlier reflectors, and its reflector adds v to V and
+    w = p - (tau / 2) (p^T v) v to W, where p = tau (A - V W^T - W V^T) v.
+    The panel then leaves as one rank-2b update A -= [V W] [W V]^T of the
+    trailing block, ``TRIDIAG_SLICE`` rows at a time, so besides the working
+    copy of A only the panel (n x 4b) and one slice of the product are held.
+    """
     A = np.array(A, dtype=float)
     n = A.shape[0]
     if n == 1:
         return np.diag(A).copy(), np.zeros(0)
-    e = np.zeros(n - 1)
-    for k in range(n - 2):
-        x = A[k + 1 :, k]
-        nx = float(np.sqrt((x * x).sum()))
-        if nx == 0.0:
-            e[k] = 0.0
-            continue
-        alpha = -nx if x[0] >= 0 else nx
-        v = x.copy()
-        v[0] -= alpha
-        vnorm2 = float((v * v).sum())
-        if vnorm2 == 0.0:
+    d = np.empty(n)
+    e = np.empty(n - 1)
+    b = TRIDIAG_BLOCK
+    VW = np.empty((n, 2 * b))  # [V W]
+    WV = np.empty((n, 2 * b))  # [W V]
+    V, W = VW[:, :b], VW[:, b:]
+    for j0 in range(0, n - 2, b):
+        j1 = min(j0 + b, n - 2)
+        VW[j0:] = 0.0
+        WV[j0:] = 0.0
+        for k in range(j0, j1):
+            i = k - j0
+            A[k:, k] -= V[k:, :i] @ W[k, :i] + W[k:, :i] @ V[k, :i]
+            d[k] = A[k, k]
+            x = A[k + 1 :, k]
+            nx = float(np.sqrt(x @ x))
+            if nx == 0.0:
+                e[k] = 0.0
+                continue
+            alpha = -nx if x[0] >= 0 else nx
             e[k] = alpha
-            continue
-        S = A[k + 1 :, k + 1 :]
-        w = S @ v * (2.0 / vnorm2)
-        w -= ((v @ w) / vnorm2) * v
-        S -= np.outer(w, v)
-        S -= np.outer(v, w)
-        e[k] = alpha
+            v = x.copy()
+            v[0] -= alpha
+            vnorm2 = float(v @ v)
+            if vnorm2 == 0.0:
+                continue
+            Vk, Wk = V[k + 1 :, :i], W[k + 1 :, :i]
+            w = A[k + 1 :, k + 1 :] @ v
+            w -= Vk @ (Wk.T @ v)
+            w -= Wk @ (Vk.T @ v)
+            w *= 2.0 / vnorm2
+            w -= ((v @ w) / vnorm2) * v
+            VW[k + 1 :, i] = WV[k + 1 :, b + i] = v
+            VW[k + 1 :, b + i] = WV[k + 1 :, i] = w
+        S, U, Z = A[j1:, j1:], VW[j1:], WV[j1:]
+        for r in range(0, n - j1, TRIDIAG_SLICE):
+            S[r : r + TRIDIAG_SLICE] -= U[r : r + TRIDIAG_SLICE] @ Z.T
+    d[n - 2 :] = A[n - 2 :, n - 2 :].diagonal()
     e[n - 2] = A[n - 1, n - 2]
-    return np.diag(A).copy(), e
+    return d, e
+
+
+def sturm_count(d: np.ndarray, e: np.ndarray, shifts) -> np.ndarray:
+    """Number of eigenvalues of the symmetric tridiagonal (d, e) below each shift.
+
+    Sylvester's inertia of T - s I = L D L^T: the count of negative pivots
+    q_i = d_i - s - e_{i-1}^2 / q_{i-1}, run for all shifts at once.  A pivot
+    with |q_i| <= pivmin becomes -pivmin (LAPACK dlaebz), which keeps every
+    quotient finite; pivmin scales with max e^2 so e^2 / pivmin cannot overflow.
+    """
+    d = np.asarray(d, dtype=float)
+    e2 = np.square(np.asarray(e, dtype=float))
+    shifts = np.asarray(shifts, dtype=float)
+    pivmin = np.finfo(float).tiny * max(1.0, e2.max(initial=0.0))
+    count = np.zeros(shifts.shape, dtype=np.int64)
+    for i in range(d.size):
+        q = d[i] - shifts - (e2[i - 1] / q if i else 0.0)
+        q = np.where(np.abs(q) <= pivmin, -pivmin, q)
+        count += q < 0
+    return count
 
 
 def _ql(d, e, z: np.ndarray | None = None):

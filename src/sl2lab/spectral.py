@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eigen import lanczos_extreme, symmetric_eigenvalues
+from .eigen import lanczos_extreme, sturm_count, tridiag_eigvals, tridiagonalize
 from .factored import FactoredModulus
 from .packed import PairContext, _product, index_sorted, pair_subgroup
 from .sl2 import IntPair, symmetrize
@@ -22,6 +22,9 @@ from .sl2 import IntPair, symmetrize
 DENSE_THRESHOLD = 2048
 GROUP_CAP = 10_000_000
 EXACT_CHEEGER_MAX = 22  # largest N for the exhaustive Cheeger sweep (2^(N-1) subsets)
+# half-width of the Sturm-count window around a dense lambda2; QL and the
+# counts each err by about N ulps of ||T|| = 1, far inside it
+STURM_DELTA = 1e-9
 
 
 def intpair_digits(g: IntPair, q1: int, q2: int) -> tuple[int, ...]:
@@ -147,12 +150,25 @@ def cheeger_bounds(lambda2: float, degree: int) -> tuple[float, float]:
 
 
 def dense_lambda2(op: CayleyOperator) -> float:
-    """Second eigenvalue via the in-repo dense eigensolver (oracle route)."""
-    vals = symmetric_eigenvalues(op.dense_matrix())
+    """Second eigenvalue via the in-repo dense eigensolver (oracle route).
+
+    QL gives the value; a Sturm count on the same tridiagonal must then find
+    at most one eigenvalue above lambda2 + STURM_DELTA (the trivial 1) and at
+    least two at or above lambda2 - STURM_DELTA, else ValueError."""
+    d, e = tridiagonalize(op.dense_matrix())
+    vals = tridiag_eigvals(d, e)
     # remove one copy of the trivial eigenvalue (the constant eigenvector)
     drop = int(np.argmin(np.abs(vals - 1.0)))
-    rest = np.delete(vals, drop)
-    return float(rest.max())
+    lam = float(np.delete(vals, drop).max())
+    below = sturm_count(d, e, [lam - STURM_DELTA, lam + STURM_DELTA])
+    above, at_least = d.size - int(below[1]), d.size - int(below[0])
+    if above > 1 or at_least < 2:
+        raise ValueError(
+            f"dense lambda2={lam!r} at N={d.size} fails its Sturm count: {above} eigenvalues "
+            f"above lambda2+{STURM_DELTA:g} (at most 1) and {at_least} at or above "
+            f"lambda2-{STURM_DELTA:g} (at least 2)"
+        )
+    return lam
 
 
 def lambda2(

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2lab.eigen import (
+    TRIDIAG_BLOCK,
+    TRIDIAG_SLICE,
     _ql,
     jacobi_eigenvalues,
     lanczos_extreme,
+    sturm_count,
     symmetric_eigenvalues,
     tridiag_eigh,
     tridiag_eigvals,
+    tridiagonalize,
 )
-from sl2lab import spectral
+from sl2lab import eigen, spectral
 from sl2lab.packed import PairContext, full_pair_codes, generated_subgroup, sl2_codes
 from sl2lab.sl2 import symmetrize
 from sl2lab.spectral import (
@@ -98,6 +103,78 @@ def test_single_ql_loop_paths_agree(data, n):
     m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     scale = max(np.abs(d).max(), np.abs(e).max(initial=0.0), 1.0)
     assert np.abs(jacobi_eigenvalues(m) - vals).max() <= 1e-10 * scale
+
+
+def symmetric_case(kind: str, n: int, seed: int) -> np.ndarray:
+    """A symmetric test matrix of the given kind, drawn from a Philox seed."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    m = rng.standard_normal((n, n))
+    m = (m + m.T) / 2
+    if kind == "blocks":
+        # contiguous diagonal blocks, and some rows and columns zeroed outright
+        labels = np.sort(rng.integers(0, 4, size=n))
+        m *= labels[:, None] == labels[None, :]
+        zero = rng.random(n) < 0.2
+        m[zero] = 0.0
+        m[:, zero] = 0.0
+    elif kind == "diagonal":
+        m = np.diag(np.diag(m))
+    elif kind == "tridiagonal":
+        m = np.triu(np.tril(m, 1), -1)
+    elif kind == "repeated":
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = (q * rng.choice([-1.0, 0.0, 0.5, 2.0], size=n)) @ q.T
+        m = (m + m.T) / 2
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 2 * TRIDIAG_BLOCK + 5),
+    kind=st.sampled_from(["dense", "blocks", "diagonal", "tridiagonal", "repeated"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocked_tridiagonalize_matches_jacobi(n, kind, seed):
+    # n runs past two panels, so first, middle and last panels of every width occur
+    m = symmetric_case(kind, n, seed)
+    d, e = tridiagonalize(m)
+    assert d.shape == (n,) and e.shape == (n - 1,)
+    scale = max(np.abs(m).max(), 1.0)
+    assert np.abs(tridiag_eigvals(d, e) - jacobi_eigenvalues(m)).max() <= 1e-10 * scale
+    # orthogonal similarity keeps the trace and the Frobenius norm
+    assert abs(d.sum() - np.trace(m)) <= 1e-13 * n * scale
+    fro2 = float((m * m).sum())
+    assert abs((d * d).sum() + 2 * (e * e).sum() - fro2) <= 1e-13 * n * max(fro2, 1.0)
+
+
+def test_tridiagonalize_holds_no_square_temporary():
+    n = 512
+    m = symmetric_case("dense", n, 7)
+    tracemalloc.start()
+    try:
+        tridiagonalize(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    extra = peak - m.nbytes  # beyond the working copy of A
+    # the panel [V W] and [W V], one slice of the update product and numpy's
+    # copy of it for the in-place subtract into the strided trailing block
+    assert extra <= 8 * n * (4 * TRIDIAG_BLOCK + 2 * TRIDIAG_SLICE) + 65536
+    assert extra < m.nbytes / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_sturm_count_matches_eigvalsh(data, n):
+    d = np.array(data.draw(st.lists(DIAG, min_size=n, max_size=n)))
+    e = np.array(data.draw(st.lists(OFFDIAG, min_size=n - 1, max_size=n - 1)))
+    vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    drawn = data.draw(st.lists(st.floats(-12, 12), max_size=6))
+    # shifts just off each eigenvalue and between neighbours, where a count can slip
+    near = np.concatenate([vals - 2e-8, vals + 2e-8, (vals[1:] + vals[:-1]) / 2])
+    shifts = [s for s in [*drawn, *near] if np.abs(vals - s).min() > 1e-8]
+    expect = [int((vals < s).sum()) for s in shifts]
+    assert sturm_count(d, e, shifts).tolist() == expect
 
 
 def test_lanczos_on_explicit_matrix():
@@ -245,6 +322,27 @@ def test_lambda2_sl2_f5_sanov_like():
     dense = dense_lambda2(op)
     rep = lambda2(op, tol=1e-11, method="iterative", seed=1)
     assert abs(rep.lambda2 - dense) < 1e-8
+
+
+def shift_lambda2(shift: float):
+    """eigen.tridiag_eigvals with every eigenvalue but the largest moved by shift."""
+
+    def shifted(d, e):
+        vals = eigen.tridiag_eigvals(d, e)
+        vals[:-1] += shift
+        return vals
+
+    return shifted
+
+
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_dense_lambda2_rejects_value_off_its_sturm_count(monkeypatch, shift):
+    op = cayley_for_sl2_pair(standard_dense_pair_generators(), 5, 1)
+    exact = (1 + math.sqrt(5)) / 4
+    assert abs(dense_lambda2(op) - exact) < 1e-14
+    monkeypatch.setattr(spectral, "tridiag_eigvals", shift_lambda2(shift))
+    with pytest.raises(ValueError, match="fails its Sturm count"):
+        dense_lambda2(op)
 
 
 def test_lambda2_disconnected_is_one():
