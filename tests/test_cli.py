@@ -229,23 +229,6 @@ def test_unconverged_spectral_exits_1_without_run_dir(tmp_path, capsys, monkeypa
     assert not list(tmp_path.glob("run-*"))
 
 
-def test_dense_lambda2_off_its_sturm_count_exits_1_without_run_dir(tmp_path, capsys, monkeypatch):
-    from sl2lab import eigen, spectral
-
-    def shifted(d, e):
-        vals = eigen.tridiag_eigvals(d, e)
-        vals[:-1] += 1e-6
-        return vals
-
-    monkeypatch.setattr(spectral, "tridiag_eigvals", shifted)
-    argv = ["spectral", "--moduli", "5", "--no-pair", "--method", "dense"]
-    assert main(["--out", str(tmp_path), *argv]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: dense lambda2=") and "fails its Sturm count" in err
-    assert err.count("\n") == 1
-    assert not list(tmp_path.glob("run-*"))
-
-
 def run_child(tmp_path: Path, argv: list[str]) -> subprocess.CompletedProcess:
     # a child process with a timeout turns a hang into a failure
     src = str(Path(sl2lab.__file__).parents[1])

@@ -21,6 +21,7 @@ from sl2lab.eigen import (
     tridiagonalize,
 )
 from sl2lab import eigen, spectral
+from sl2lab.cli import main
 from sl2lab.packed import PairContext, full_pair_codes, generated_subgroup, sl2_codes
 from sl2lab.sl2 import symmetrize
 from sl2lab.spectral import (
@@ -324,25 +325,25 @@ def test_lambda2_sl2_f5_sanov_like():
     assert abs(rep.lambda2 - dense) < 1e-8
 
 
-def shift_lambda2(shift: float):
-    """eigen.tridiag_eigvals with every eigenvalue but the largest moved by shift."""
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+def test_dense_lambda2_off_its_sturm_count_is_an_error(monkeypatch, tmp_path, capsys, shift):
+    op = cayley_for_sl2_pair(standard_dense_pair_generators(), 5, 1)
+    assert abs(dense_lambda2(op) - (1 + math.sqrt(5)) / 4) < 1e-14
 
     def shifted(d, e):
+        # every eigenvalue but the trivial largest one moves by shift
         vals = eigen.tridiag_eigvals(d, e)
         vals[:-1] += shift
         return vals
 
-    return shifted
-
-
-@pytest.mark.parametrize("shift", [1e-6, -1e-6])
-def test_dense_lambda2_rejects_value_off_its_sturm_count(monkeypatch, shift):
-    op = cayley_for_sl2_pair(standard_dense_pair_generators(), 5, 1)
-    exact = (1 + math.sqrt(5)) / 4
-    assert abs(dense_lambda2(op) - exact) < 1e-14
-    monkeypatch.setattr(spectral, "tridiag_eigvals", shift_lambda2(shift))
+    monkeypatch.setattr(spectral, "tridiag_eigvals", shifted)
     with pytest.raises(ValueError, match="fails its Sturm count"):
         dense_lambda2(op)
+    # the CLI reports it as an error and writes no run directory
+    assert main(["--out", str(tmp_path), "spectral", "--moduli", "5", "--no-pair"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: dense lambda2=") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run-*"))
 
 
 def test_lambda2_disconnected_is_one():
