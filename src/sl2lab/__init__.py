@@ -9,9 +9,9 @@ Modules:
     eigen      in-repo symmetric eigensolvers (dense oracle + Lanczos)
     spectral   Cayley operators, second eigenvalues, Cheeger constants
     walks      random-walk non-concentration harness
-    growth     product-set growth, bounded generation, coverage searches
-    addcomb    sumset covering oracles over Z/qZ and pairs
-    approxhom  approximate-homomorphism dichotomy and subgroup recovery
+    growth     product-set growth, congruence covers, bounded generation
+    addcomb    sumset covering oracles over Z/qZ
+    approxhom  approximate-homomorphism dichotomy
     commutator congruence identities, box amplification, sections
     glue       the modulus-gluing pipeline
     cli        experiment runner (``sl2lab`` entry point)

@@ -1,9 +1,9 @@
-"""Exact sumset/productset oracles over Z/qZ and Z/q1Z x Z/q2Z.
+"""Exact sumset/productset oracles over Z/qZ.
 
-One-dimensional sets are bitmasks in a Python integer (word-parallel
-rotations implement wraparound sumsets); q <= 2**16 stays on the bitset
-path and larger moduli fall back to hashed sets.  Pair sets use dense
-boolean arrays.  These are the hot loops behind the covering searches.
+Sets are bitmasks in a Python integer (word-parallel rotations implement
+wraparound sumsets); q <= 2**16 stays on the bitset path and larger moduli
+fall back to hashed sets.  These are the hot loops behind the covering
+searches.
 """
 
 from __future__ import annotations
@@ -174,122 +174,4 @@ def subgroup_cover_1d(
     }
     if gamma is not None:
         out["verified"] = q_prime < q ** (12 * gamma / 5)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# two-dimensional sets over Z/q1 x Z/q2
-
-
-@dataclass(frozen=True)
-class ResidueSetPair:
-    """A subset of Z/q1Z x Z/q2Z as a dense boolean grid."""
-
-    q1: int
-    q2: int
-    grid: np.ndarray  # shape (q1, q2), bool
-
-    @staticmethod
-    def of(q1: int, q2: int, members: Iterable[tuple[int, int]]) -> "ResidueSetPair":
-        grid = np.zeros((q1, q2), dtype=bool)
-        for x, y in members:
-            grid[x % q1, y % q2] = True
-        return ResidueSetPair(q1, q2, grid)
-
-    @staticmethod
-    def full(q1: int, q2: int) -> "ResidueSetPair":
-        return ResidueSetPair(q1, q2, np.ones((q1, q2), dtype=bool))
-
-    def __len__(self) -> int:
-        return int(self.grid.sum())
-
-    def __contains__(self, xy: tuple[int, int]) -> bool:
-        return bool(self.grid[xy[0] % self.q1, xy[1] % self.q2])
-
-    def members(self) -> list[tuple[int, int]]:
-        xs, ys = np.nonzero(self.grid)
-        return [(int(x), int(y)) for x, y in zip(xs, ys)]
-
-
-def _check_same_pair(a: ResidueSetPair, b: ResidueSetPair):
-    if (a.q1, a.q2) != (b.q1, b.q2):
-        raise ValueError("modulus mismatch")
-
-
-def sumset_pair(a: ResidueSetPair, b: ResidueSetPair) -> ResidueSetPair:
-    _check_same_pair(a, b)
-    if len(a) < len(b):
-        a, b = b, a
-    out = np.zeros_like(a.grid)
-    for x, y in b.members():
-        out |= np.roll(np.roll(a.grid, x, axis=0), y, axis=1)
-    return ResidueSetPair(a.q1, a.q2, out)
-
-
-def negate_pair(a: ResidueSetPair) -> ResidueSetPair:
-    return ResidueSetPair.of(a.q1, a.q2, (((-x) % a.q1, (-y) % a.q2) for x, y in a.members()))
-
-
-def productset_pair(a: ResidueSetPair, b: ResidueSetPair) -> ResidueSetPair:
-    _check_same_pair(a, b)
-    am = np.array(a.members(), dtype=np.int64)
-    out = np.zeros_like(a.grid)
-    for x, y in b.members():
-        out[(am[:, 0] * x) % a.q1, (am[:, 1] * y) % a.q2] = True
-    return ResidueSetPair(a.q1, a.q2, out)
-
-
-def fold_sum_pair(x: ResidueSetPair, k: int) -> ResidueSetPair:
-    return power_by_doubling(x, k, sumset_pair)
-
-
-def subgroup_cover_2d(
-    a: ResidueSetPair,
-    b: ResidueSetPair,
-    folds: int = 96,
-    delta: Optional[float] = None,
-) -> dict:
-    """Minimal divisor pair (q1', q2') with the box q1'Z/q1Z x q2'Z/q2Z inside
-    the folds-fold sum of AB - AB; records both exponent bounds."""
-    _check_same_pair(a, b)
-    q1, q2 = a.q1, a.q2
-    if delta is not None and delta >= 0.125:
-        warnings.warn(f"delta = {delta} is outside the lemma range (0, 1/8)", stacklevel=2)
-    hypothesis_ok = None
-    if delta is not None:
-        need = (q1 * q2) ** (1 - delta)
-        hypothesis_ok = len(a) > need and len(b) > need
-        if not hypothesis_ok:
-            warnings.warn(
-                f"|A|={len(a)}, |B|={len(b)} below the hypothesis (q1 q2)^(1-delta)={need:.1f}",
-                stacklevel=2,
-            )
-    d = productset_pair(a, b)
-    s = fold_sum_pair(sumset_pair(d, negate_pair(d)), folds)
-    pairs = [
-        (d1.value, d2.value)
-        for d1 in divisors(FactoredModulus.of(q1))
-        for d2 in divisors(FactoredModulus.of(q2))
-    ]
-    pairs.sort(key=lambda p: (p[0] * p[1], p[0]))
-    best = (q1, q2)
-    for d1, d2 in pairs:
-        if np.all(s.grid[np.ix_(np.arange(0, q1, d1), np.arange(0, q2, d2))]):
-            best = (d1, d2)
-            break
-    out = {
-        "q1": q1,
-        "q2": q2,
-        "folds": folds,
-        "q1_prime": best[0],
-        "q2_prime": best[1],
-        "hypothesis_ok": hypothesis_ok,
-        "verified_statement_bound": None,
-        "verified_proof_bound": None,
-        "cover_size": len(s),
-    }
-    if delta is not None:
-        prod = best[0] * best[1]
-        out["verified_statement_bound"] = prod < (q1 * q2) ** (10 * delta)
-        out["verified_proof_bound"] = prod < (q1 * q2) ** (24 * delta / 5)
     return out

@@ -19,7 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,10 +28,6 @@ from .packed import BLOCK, PairContext, index_sorted, sl2_codes, unique_codes
 
 EXACT_AGREEMENT_LIMIT = 4096
 ASSOCIATIVITY_CHECKS = 64  # seeded random triples from_mul_table tests
-SUBGROUP_COUNT_CAP = 100_000  # subgroups all_subgroups may find
-# largest |G| whose subgroups are enumerated exhaustively; a larger value
-# could only raise in all_subgroups
-EXHAUSTIVE_SUBGROUP_LIMIT = 512
 
 
 class StructuredConstructionError(RuntimeError):
@@ -100,19 +96,9 @@ class FiniteGroupTable:
     def from_sl2(q: int) -> "FiniteGroupTable":
         return FiniteGroupTable.from_codes(PairContext(q, 1), sl2_codes(q))
 
-    def direct_product(self, other: "FiniteGroupTable") -> "FiniteGroupTable":
-        n, m = self.order, other.order
-        i1 = np.arange(n * m) // m
-        i2 = np.arange(n * m) % m
-        mul = self.mul[np.ix_(i1, i1)] * m + other.mul[np.ix_(i2, i2)]
-        return FiniteGroupTable.from_mul_table(mul)
-
-    def products(self, a, b) -> np.ndarray:
-        """Sorted distinct indices of the product set {x * y : x in a, y in b}."""
-        return unique_codes(self.mul[np.ix_(a, b)])
-
 
 # ---------------------------------------------------------------------------
+# the dichotomy: agreement table, closure in G1 x G2, constructive chain
 
 
 def agreement_table(psi: np.ndarray, g1: FiniteGroupTable, g2: FiniteGroupTable) -> np.ndarray:
@@ -125,11 +111,6 @@ def agreement_table(psi: np.ndarray, g1: FiniteGroupTable, g2: FiniteGroupTable)
     if n > EXACT_AGREEMENT_LIMIT:
         raise ValueError(f"|G1| = {n} exceeds the exact agreement limit {EXACT_AGREEMENT_LIMIT}")
     return psi[g1.mul] == g2.mul[psi][:, psi]
-
-
-def agreement(psi: np.ndarray, g1: FiniteGroupTable, g2: FiniteGroupTable) -> Fraction:
-    """Exact fraction of pairs (x, y) with psi(xy) = psi(x) psi(y)."""
-    return Fraction(int(agreement_table(psi, g1, g2).sum()), g1.order**2)
 
 
 def closure_in_product(
@@ -277,160 +258,3 @@ def _assert_coprime_remark(cert: dict, psi, eps_work: Fraction, g1, g2):
         raise StructuredConstructionError(
             f"coprime-order remark violated: |psi != 1| = {nontrivial} >= sqrt(eps)|G1| = {bound:.2f}"
         )
-
-
-# ---------------------------------------------------------------------------
-# small doubling: subgroup detection with a coset cover
-
-
-@dataclass
-class SmallDoublingResult:
-    found: bool
-    subgroup: Optional[set[int]] = None
-    coset_reps: Optional[list[int]] = None
-    reason: str = ""
-
-
-def closure(elements: Sequence[int], g: FiniteGroupTable, cap: int) -> Optional[set[int]]:
-    """Subgroup generated by ``elements``; None if it exceeds cap."""
-    gens = np.array(elements, dtype=np.int64)
-    h = packed.closure(gens, g.identity, lambda x, a: unique_codes(g.mul[x[:, None], a]), cap)
-    return None if h is None else set(h.tolist())
-
-
-def _coset_cover(s: Sequence[int], h: set[int], g: FiniteGroupTable) -> list[int]:
-    """Right-coset representatives Hx covering s, canonical choice per coset."""
-    reps = []
-    seen = set()
-    h_sorted = sorted(h)
-    for x in s:
-        canonical = int(g.products(h_sorted, [x])[0])
-        if canonical not in seen:
-            seen.add(canonical)
-            reps.append(canonical)
-    return reps
-
-
-def all_subgroups(g: FiniteGroupTable) -> list[frozenset[int]]:
-    """All subgroups by cyclic extension; exhaustive oracle for
-    |G| <= EXHAUSTIVE_SUBGROUP_LIMIT."""
-    if g.order > EXHAUSTIVE_SUBGROUP_LIMIT:
-        raise ValueError(
-            f"exhaustive subgroup enumeration is limited to |G| <= {EXHAUSTIVE_SUBGROUP_LIMIT}"
-        )
-    found = {frozenset([g.identity])}
-    frontier = [frozenset([g.identity])]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for x in range(g.order):
-                if x in h:
-                    continue
-                bigger = closure(list(h) + [x], g, cap=g.order)
-                fs = frozenset(bigger)
-                if fs not in found:
-                    found.add(fs)
-                    nxt.append(fs)
-                    if len(found) > SUBGROUP_COUNT_CAP:
-                        raise ValueError("subgroup count exceeds cap")
-        frontier = nxt
-    return sorted(found, key=lambda h: (len(h), sorted(h)))
-
-
-def small_doubling_subgroup(
-    s: Sequence[int],
-    a: Sequence[int],
-    g: FiniteGroupTable,
-    epsilon: float,
-) -> SmallDoublingResult:
-    """A subgroup H with |H| <= (2/eps - 1)|S| covering S by at most
-    2/eps - 1 right cosets, under the small-doubling hypothesis |A S| <= (2 - eps)|S|.
-
-    Fast path: H = <S S^{-1}>.  If its size bound fails, exhaustive subgroup
-    enumeration (|G| <= EXHAUSTIVE_SUBGROUP_LIMIT) searches for a qualifying H.
-    """
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
-    s = [int(v) for v in s]
-    a = [int(v) for v in a]
-    if not s:
-        raise ValueError("S must be nonempty")
-    prod = g.products(a, s)
-    if prod.size > (2 - epsilon) * len(s):
-        warnings.warn(
-            f"|A S| = {prod.size} > (2 - eps)|S| = {(2 - epsilon) * len(s):.1f}",
-            stacklevel=2,
-        )
-    if len(a) < len(s):
-        warnings.warn(f"|A| = {len(a)} < |S| = {len(s)}", stacklevel=2)
-    bound = (2.0 / epsilon) - 1.0
-    h = closure(g.products(s, g.inv[s]), g, cap=g.order)
-    if h is not None and len(h) <= bound * len(s):
-        reps = _coset_cover(s, h, g)
-        if len(reps) <= bound:
-            return SmallDoublingResult(True, set(h), reps)
-    if g.order <= EXHAUSTIVE_SUBGROUP_LIMIT:
-        for cand in all_subgroups(g):
-            if len(cand) > bound * len(s):
-                continue
-            reps = _coset_cover(s, set(cand), g)
-            if len(reps) <= bound and _cover_verified(s, set(cand), reps, g):
-                return SmallDoublingResult(True, set(cand), reps)
-        return SmallDoublingResult(False, reason="no qualifying subgroup exists")
-    return SmallDoublingResult(
-        False, reason=f"fast path failed and |G| = {g.order} > {EXHAUSTIVE_SUBGROUP_LIMIT}"
-    )
-
-
-def _cover_verified(s, h: set[int], reps: list[int], g: FiniteGroupTable) -> bool:
-    return set(s) <= set(g.products(sorted(h), reps).tolist())
-
-
-# ---------------------------------------------------------------------------
-# graph-restricted extraction (the pruning lemma, constructive form)
-
-
-@dataclass
-class ExtractionResult:
-    a_prime: list
-    size_ok: bool
-    doubling_ok: bool
-    doubling: int
-    doubling_bound: float
-
-
-def restricted_product_extract(
-    a: Sequence[int],
-    graph: set[tuple[int, int]],
-    g: FiniteGroupTable,
-    epsilon: float,
-) -> ExtractionResult:
-    """Degree pruning: A' = {x in A: deg_graph(x) > (1 - sqrt(eps))|A|}.
-
-    Requires |graph| > (1 - eps)|A|^2; the returned record carries the
-    cardinality guarantee and the restricted-doubling bound check
-    |A'A'| < |A ._graph A|^4 / ((1-sqrt(eps))(1-2 sqrt(eps))^2 |A|^3).
-    """
-    if not 0 < epsilon < 0.25:
-        raise ValueError("epsilon must lie in (0, 1/4)")
-    a = [int(v) for v in a]
-    n = len(a)
-    if len(graph) <= (1 - epsilon) * n * n:
-        raise ValueError(
-            f"|graph| = {len(graph)} <= (1 - eps)|A|^2 = {(1 - epsilon) * n * n:.1f}"
-        )
-    deg = {x: 0 for x in a}
-    for x, y in graph:
-        deg[x] += 1
-    root = epsilon**0.5
-    a_prime = [x for x in a if deg[x] > (1 - root) * n]
-    products = g.products(a_prime, a_prime)
-    restricted = {int(g.mul[x, y]) for x, y in graph}
-    bound = len(restricted) ** 4 / ((1 - root) * (1 - 2 * root) ** 2 * n**3)
-    return ExtractionResult(
-        a_prime=a_prime,
-        size_ok=len(a_prime) > (1 - root) * n,
-        doubling_ok=products.size < bound,
-        doubling=int(products.size),
-        doubling_bound=bound,
-    )

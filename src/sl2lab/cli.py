@@ -321,7 +321,7 @@ def cmd_approxhom(args) -> int:
 
 def cmd_glue(args) -> int:
     t0 = time.perf_counter()
-    from .factored import ONE, FactoredModulus
+    from .factored import FactoredModulus
     from .glue import GluingConfig, glue_pipeline, replay_certificates
     from .growth import GroupSet
     from .packed import PairContext, generated_subgroup

@@ -191,12 +191,6 @@ def tridiag_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def symmetric_eigenvalues(A: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, sorted ascending."""
-    d, e = tridiagonalize(A)
-    return tridiag_eigvals(d, e)
-
-
 def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
     """Cyclic Jacobi with threshold; independent cross-check for small N."""
     A = np.array(A, dtype=float)
@@ -212,8 +206,14 @@ def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) 
                 apq = A[p, q]
                 if abs(apq) <= thresh or apq == 0.0:
                     continue
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + float(np.hypot(tau, 1.0)))
+                h = A[q, q] - A[p, p]
+                if abs(h) + 100.0 * abs(apq) == abs(h):
+                    # apq is negligible against h: tau = h / (2 apq) can overflow,
+                    # and t = 1 / (2 tau) = apq / h to working precision
+                    t = apq / h
+                else:
+                    tau = h / (2.0 * apq)
+                    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + float(np.hypot(tau, 1.0)))
                 c = 1.0 / float(np.hypot(t, 1.0))
                 s = t * c
                 rp = A[p, :].copy()

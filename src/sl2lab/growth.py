@@ -1,8 +1,9 @@
-"""Product-set growth, bounded generation, and congruence coverage searches.
+"""Product-set growth, congruence-subgroup covers and bounded generation.
 
-Group sets are deduplicated packed-code arrays over a fixed pair modulus;
-the expensive searches (incremental powering, divisor sweeps) keep only a
-frontier layer plus the accumulated union, trading recompute for memory.
+Group sets are deduplicated packed-code arrays over a fixed pair modulus.
+``bounded_generation_search`` tries exact-divisor pairs strongest first and
+builds the powers A^k incrementally, sharing them across pair attempts and
+stopping once a power stabilizes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .factored import FactoredModulus, divides, exact_divisors, frac_power, radical
+from .factored import FactoredModulus, divides, exact_divisors
 from .packed import (
     PairContext,
     congruence_subgroup_codes,
@@ -47,11 +48,6 @@ class GroupSet:
 
     def __len__(self) -> int:
         return int(self.codes.size)
-
-    def contains(self, other: "GroupSet") -> bool:
-        if (self.q1, self.q2) != (other.q1, other.q2):
-            raise ValueError("modulus mismatch")
-        return bool(np.all(isin_sorted(other.codes, self.codes)))
 
     def union(self, other: "GroupSet") -> "GroupSet":
         return GroupSet(self.q1, self.q2, unique_codes(np.concatenate([self.codes, other.codes])))
@@ -146,27 +142,6 @@ def tripling(a: GroupSet, delta: Optional[float] = None, cap: int = SET_CAP) -> 
     return GrowthReport(n, n3, exponent, delta, grows, trajectory=[n, len(aa), n3])
 
 
-def power_trajectory(a: GroupSet, l_max: int, cap: int = SET_CAP) -> list[int]:
-    """|A^l| for l = 1..l_max, by incremental frontier powering."""
-    sizes = [len(a)]
-    cur = a
-    for _ in range(l_max - 1):
-        cur = product_set(cur, a, cap)
-        sizes.append(len(cur))
-    return sizes
-
-
-def triple_product_chain_holds(sizes: Sequence[int]) -> bool:
-    """|A^l| <= (|A^3| / |A|)^{l-2} |A| for every l >= 3 in the trajectory."""
-    if len(sizes) < 3:
-        return True
-    n, n3 = sizes[0], sizes[2]
-    for l in range(3, len(sizes) + 1):
-        if sizes[l - 1] > (n3 / n) ** (l - 2) * n + 1e-9:
-            return False
-    return True
-
-
 def covers_congruence(
     x: GroupSet, q1p: FactoredModulus, q2p: FactoredModulus, cap: int = SET_CAP
 ) -> bool:
@@ -250,56 +225,3 @@ def bounded_generation_search(
             if stabilized and k >= len(powers):
                 break
     return BoundedGenerationResult(False, sizes=sizes)
-
-
-def kernel_filter(a: GroupSet, q_l: FactoredModulus, cap: int = SET_CAP) -> GroupSet:
-    """(A*A) intersected with the congruence kernel at the radical of q_l,
-    componentwise on the pair."""
-    q0 = radical(q_l)
-    if not (divides(q0, a.q1) and divides(q0, a.q2)):
-        raise ValueError(f"radical {q0.value} must divide both moduli")
-    aa = product_set(a, a, cap)
-    keep = aa.ctx.kernel_mask(aa.codes, q0.value, q0.value)
-    return GroupSet(a.q1, a.q2, aa.codes[keep])
-
-
-def congruence_coverage_search(
-    a0: GroupSet,
-    side: int,
-    q_l: FactoredModulus,
-    c_max: int = 12,
-    rho_grid: Sequence = (1, 0.75, 0.5),
-    cap: int = SET_CAP,
-) -> list[dict]:
-    """For each exact divisor q' of q_l (largest first) and each rho, the
-    smallest C <= c_max with P_side(A0)^C containing Lambda(q'^rho)/Lambda(q')."""
-    from fractions import Fraction
-    from .factored import ONE
-
-    proj = a0.project(side)
-    rows = []
-    for qp in sorted(exact_divisors(q_l), key=lambda d: -d.value):
-        if qp.is_one():
-            continue
-        base = proj.reduce_to(qp, ONE)
-        for rho in rho_grid:
-            depth = frac_power(qp, Fraction(rho).limit_denominator(1000))
-            if _kernel_order(qp, depth) > cap:
-                continue
-            power = base
-            found_c = None
-            for c in range(1, c_max + 1):
-                if c > 1:
-                    power = product_set(power, base, cap)
-                if covers_congruence(power, depth, ONE, cap):
-                    found_c = c
-                    break
-            rows.append(
-                {
-                    "q_prime": qp.value,
-                    "rho": float(rho),
-                    "depth_modulus": depth.value,
-                    "C": found_c,
-                }
-            )
-    return rows

@@ -7,14 +7,13 @@ measure and operations never mix modes.  The convolution convention is
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable
 
 from .addcomb import power_by_doubling
 from .factored import FactoredModulus
-from .sl2 import PairElement, ipair_mul, pair_mul, reduce_pair
+from .sl2 import ipair_mul, pair_mul, reduce_pair
 
 
 @dataclass(frozen=True)
@@ -44,10 +43,6 @@ class SparseMeasure:
     @property
     def support_size(self) -> int:
         return len(self.weights)
-
-    def total_mass(self):
-        zero = Fraction(0) if self.exact else 0.0
-        return sum(self.weights.values(), zero)
 
     def __call__(self, x) -> Fraction | float:
         return self.weights.get(x, Fraction(0) if self.exact else 0.0)
@@ -116,60 +111,3 @@ def pushforward_pair(
 def mass_on(f: SparseMeasure, predicate: Callable[[Hashable], bool]):
     zero = Fraction(0) if f.exact else 0.0
     return sum((w for x, w in f.weights.items() if predicate(x)), zero)
-
-
-def l2_distance_to_uniform(f: SparseMeasure, group_size: int) -> float:
-    """||f - u||_2 over a group of the given size (zero weights included)."""
-    u = 1.0 / group_size
-    acc = 0.0
-    for w in f.weights.values():
-        acc += (float(w) - u) ** 2
-    acc += (group_size - len(f.weights)) * u * u
-    return acc**0.5
-
-
-def to_floating(f: SparseMeasure) -> SparseMeasure:
-    if not f.exact:
-        return f
-    return SparseMeasure(f.law, {k: float(w) for k, w in f.weights.items()}, exact=False)
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization (pair measures): canonical element string -> weight string
-
-
-def _pair_key(x: PairElement) -> str:
-    l, r = x.left, x.right
-    return f"{l.a},{l.b},{l.c},{l.d}|{r.a},{r.b},{r.c},{r.d}"
-
-
-def pair_measure_to_json(f: SparseMeasure) -> str:
-    if f.law.tag[0] != "pair":
-        raise ValueError("only pair-group measures serialize")
-    items = sorted((_pair_key(x), str(w)) for x, w in f.weights.items())
-    return json.dumps(
-        {
-            "moduli": [str(f.law.tag[1]), str(f.law.tag[2])],
-            "exact": f.exact,
-            "weights": dict(items),
-        },
-        indent=0,
-        sort_keys=True,
-    )
-
-
-def pair_measure_from_json(text: str) -> SparseMeasure:
-    from .sl2 import SL2Residue
-
-    data = json.loads(text)
-    q1 = FactoredModulus.of(int(data["moduli"][0]))
-    q2 = FactoredModulus.of(int(data["moduli"][1]))
-    exact = bool(data["exact"])
-    weights = {}
-    for key, wstr in data["weights"].items():
-        lpart, rpart = key.split("|")
-        la, lb, lc, ld = (int(v) for v in lpart.split(","))
-        ra, rb, rc, rd = (int(v) for v in rpart.split(","))
-        x = PairElement(SL2Residue(q1, la, lb, lc, ld), SL2Residue(q2, ra, rb, rc, rd))
-        weights[x] = Fraction(wstr) if exact else float(wstr)
-    return SparseMeasure(pair_law(q1, q2), weights, exact)

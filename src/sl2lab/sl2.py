@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
-from .factored import ONE, FactoredModulus, divides
+from .factored import FactoredModulus, divides
 
 # ---------------------------------------------------------------------------
 # integral 2x2 matrices: ((a, b), (c, d)) with int or Fraction entries
@@ -48,9 +48,6 @@ def ipair_mul(x: IntPair, y: IntPair) -> IntPair:
 
 def ipair_inv(x: IntPair) -> IntPair:
     return (imat_inv(x[0]), imat_inv(x[1]))
-
-
-IPAIR_ID: IntPair = (IMAT_ID, IMAT_ID)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +112,6 @@ def inverse(x: SL2Residue) -> SL2Residue:
     return SL2Residue(x.q, x.d, -x.b, -x.c, x.a)
 
 
-def conjugate(g: SL2Residue, x: SL2Residue) -> SL2Residue:
-    """g * x * g^{-1}."""
-    return mul(mul(g, x), inverse(g))
-
-
 def trace(x: SL2Residue) -> int:
     return (x.a + x.d) % x.q.value
 
@@ -139,32 +131,6 @@ def reduce_intmat(m: IntMat, q: FactoredModulus) -> SL2Residue:
         _reduce_entry(m[1][0], n),
         _reduce_entry(m[1][1], n),
     )
-
-
-def congruence_depth(x: SL2Residue, p: int) -> int:
-    """Largest t <= n (p^n || q) with x = 1 mod p^t, measured entrywise on x - 1."""
-    n = x.q.exponent_of(p)
-    if n == 0:
-        raise ValueError(f"{p} does not divide the modulus {x.q.value}")
-    pn = p**n
-    depth = n
-    for v in (x.a - 1, x.b, x.c, x.d - 1):
-        v %= pn
-        if v == 0:
-            continue  # valuation >= n at this entry
-        t = 0
-        while v % p == 0:
-            v //= p
-            t += 1
-        depth = min(depth, t)
-    return depth
-
-
-def in_congruence_coset(x: SL2Residue, q_sub: FactoredModulus) -> bool:
-    """True iff x lies in Lambda(q_sub)/Lambda(q), i.e. reduces to 1 mod q_sub."""
-    if not divides(q_sub, x.q):
-        raise ValueError(f"{q_sub.value} does not divide the modulus {x.q.value}")
-    return reduce_residue(x, q_sub) == identity(q_sub)
 
 
 def group_order(q: FactoredModulus) -> int:
@@ -215,41 +181,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# CRT across coprime factor moduli
-
-
-def crt_split(x: SL2Residue) -> dict[int, SL2Residue]:
-    """Componentwise reduction to each prime-power factor of the modulus."""
-    out = {}
-    for p, e in x.q.factors:
-        qp = FactoredModulus(p**e, ((p, e),))
-        out[p] = reduce_residue(x, qp)
-    return out
-
-
-def crt_join(parts: dict[int, SL2Residue]) -> SL2Residue:
-    """Inverse of crt_split: glue residues over pairwise coprime prime powers."""
-    q_val = 1
-    factors = []
-    for p in sorted(parts):
-        part = parts[p]
-        if part.q.factors and (len(part.q.factors) != 1 or part.q.factors[0][0] != p):
-            raise ValueError(f"part at {p} has modulus {part.q.value}")
-        q_val *= part.q.value
-        factors.extend(part.q.factors)
-    q = FactoredModulus(q_val, tuple(sorted(factors)))
-    entries = []
-    for idx in range(4):
-        r = 0
-        for p in sorted(parts):
-            m = parts[p].q.value
-            rest = q_val // m
-            r = (r + parts[p].entries[idx] * rest * pow(rest, -1, m)) % q_val
-        entries.append(r)
-    return SL2Residue(q, *entries)
-
-
-# ---------------------------------------------------------------------------
 # pairs
 
 
@@ -275,15 +206,6 @@ def pair_mul(x: PairElement, y: PairElement) -> PairElement:
 
 def pair_inverse(x: PairElement) -> PairElement:
     return PairElement(inverse(x.left), inverse(x.right))
-
-
-def project(x: PairElement, side: int) -> SL2Residue:
-    """Projection to factor 1 or 2."""
-    if side == 1:
-        return x.left
-    if side == 2:
-        return x.right
-    raise ValueError("side must be 1 or 2")
 
 
 def reduce_pair(

@@ -106,13 +106,11 @@ class CayleyOperator:
 
     def neighbor_table(self) -> list[list[int]]:
         """neighbors[i] = indices of s * x_i over the generator multiset."""
-        out = [[] for _ in range(self.n)]
-        x = self.ctx.decode(self.codes)
-        for g in self.gens:
-            moved = index_sorted(_product(self.ctx, g, x), self.codes)
-            for i, j in enumerate(moved):
-                out[i].append(int(j))
-        return out
+        # perms[s] maps i to the index of s^{-1} x_i, so its inverse maps i to s x_i
+        moved = np.empty((self.degree, self.n), dtype=np.int64)
+        for s, perm in enumerate(self.perms):
+            moved[s, perm] = np.arange(self.n)
+        return moved.T.tolist()
 
 
 def cayley_for_sl2_pair(gens: Sequence[IntPair], q1: int, q2: int) -> CayleyOperator:

@@ -17,8 +17,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .factored import FactoredModulus
-from .packed import PairContext, _mat_mul
-from .sl2 import IMAT_ID, IntMat, IntPair, imat_mul, symmetrize
+from .packed import PairContext
+from .sl2 import IMAT_ID, IntPair, imat_mul, symmetrize
 from .spectral import CayleyOperator, intpair_digits
 
 
@@ -47,30 +47,6 @@ class LinearForm8:
         )
 
 
-@dataclass(frozen=True)
-class TraceForm:
-    """Pair of traceless conjugation targets: Tr(g1 xi1 g1^-1 eta1) + Tr(g2 xi2 g2^-1 eta2)."""
-
-    xi1: IntMat
-    xi2: IntMat
-    eta1: IntMat
-    eta2: IntMat
-
-    def __post_init__(self):
-        for name in ("xi1", "xi2", "eta1", "eta2"):
-            m = getattr(self, name)
-            if m[0][0] + m[1][1] != 0:
-                raise ValueError(f"{name} is not traceless")
-
-    def validate_mod(self, Q: FactoredModulus):
-        """Reject degenerate inputs: each matrix must be nonzero mod every p | Q."""
-        for p, _ in Q.factors:
-            for name in ("xi1", "xi2", "eta1", "eta2"):
-                m = getattr(self, name)
-                if all(v % p == 0 for row in m for v in row):
-                    raise ValueError(f"{name} vanishes mod {p}")
-
-
 # --- event specifications ---------------------------------------------------
 
 
@@ -87,31 +63,6 @@ class ModLinearEvent:
         # coefficients reduced first: unreduced ones overflow the int64 digits
         acc = sum(int(ci) % Q * di for ci, di in zip(self.form.coeffs, digits))
         return acc % Q == self.n % Q
-
-
-def _batched_conj_trace(digits4, xi: IntMat, eta: IntMat, Q: int) -> np.ndarray:
-    """Tr(g xi g^{-1} eta) mod Q for g given by four digit arrays (det g = 1)."""
-    a, b, c, d = digits4
-    # entries reduced first: unreduced ones overflow the int64 digit products
-    xi, eta = (tuple(v % Q for row in m for v in row) for m in (xi, eta))
-    g_inv = (d, -b, -c, a)
-    k = _mat_mul(_mat_mul(digits4, xi, Q), g_inv, Q)
-    t = _mat_mul(k, eta, Q)
-    return (t[0] + t[3]) % Q
-
-
-@dataclass(frozen=True)
-class ModTraceEvent:
-    """Tr(g1 xi1 g1^-1 eta1) + Tr(g2 xi2 g2^-1 eta2) = 0 (mod Q)."""
-
-    tf: TraceForm
-
-    needs_pair = True
-
-    def indicator(self, digits, Q: int) -> np.ndarray:
-        t1 = _batched_conj_trace(digits[:4], self.tf.xi1, self.tf.eta1, Q)
-        t2 = _batched_conj_trace(digits[4:], self.tf.xi2, self.tf.eta2, Q)
-        return (t1 + t2) % Q == 0
 
 
 @dataclass(frozen=True)
@@ -204,10 +155,6 @@ def decay_profile(
     Also reports the uniform-measure mass of the event on the generated
     quotient group, the limit of the profile for mixing walks.
     """
-    if isinstance(event, TraceForm):
-        raise TypeError("wrap the TraceForm in ModTraceEvent")
-    if hasattr(event, "tf"):
-        event.tf.validate_mod(Q)
     l_values = sorted(set(int(l) for l in l_values))
     if not l_values or l_values[0] < 1:
         raise ValueError("l values must be positive")
@@ -251,17 +198,6 @@ def _walk_prefixes(
             step = S[int(s)]
             g = (imat_mul(step[0], g[0]), imat_mul(step[1], g[1]))
             yield i, g
-
-
-def sample_walk(
-    S: Sequence[IntPair], l: int, n_samples: int, seed: int = 0
-) -> Iterator[IntPair]:
-    """Samples of the l-step walk s_l ... s_1, exact integer entries."""
-    if l < 1:
-        raise ValueError("walk length must be >= 1")
-    for i, g in _walk_prefixes(list(S), l, n_samples, seed):
-        if i == l:
-            yield g
 
 
 def _wilson_interval(hits: int, n: int, z: float = 1.959964) -> tuple[float, float]:

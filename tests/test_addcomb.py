@@ -1,25 +1,18 @@
 import random
 import warnings
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2lab.addcomb import (
     ResidueSet,
-    ResidueSetPair,
     difference_of_products,
     fold_sum,
-    fold_sum_pair,
     negate,
-    negate_pair,
     productset,
-    productset_pair,
     subgroup_cover_1d,
-    subgroup_cover_2d,
     sumset,
-    sumset_pair,
 )
 
 
@@ -150,62 +143,9 @@ def test_subgroup_cover_1d_independent_rescan():
     assert all((res["q_prime"] * t) % q in brute for t in range(q // res["q_prime"]))
 
 
-def test_pair_sumset_vs_bruteforce():
-    rng = random.Random(5)
-    for _ in range(15):
-        q1, q2 = rng.randrange(2, 10), rng.randrange(2, 10)
-        am = [(rng.randrange(q1), rng.randrange(q2)) for _ in range(rng.randrange(1, 8))]
-        bm = [(rng.randrange(q1), rng.randrange(q2)) for _ in range(rng.randrange(1, 8))]
-        a = ResidueSetPair.of(q1, q2, am)
-        b = ResidueSetPair.of(q1, q2, bm)
-        got = set(sumset_pair(a, b).members())
-        expect = {((x1 + y1) % q1, (x2 + y2) % q2) for x1, x2 in am for y1, y2 in bm}
-        assert got == expect
-
-
-def test_pair_cover_full_sets():
-    a = ResidueSetPair.full(8, 9)
-    res = subgroup_cover_2d(a, a, folds=96, delta=0.1)
-    assert (res["q1_prime"], res["q2_prime"]) == (1, 1)
-    assert res["verified_statement_bound"]
-
-
-def test_pair_cover_box_structure():
-    # product of 1-dim examples reproduces the componentwise result
-    q1, q2 = 9, 8
-    a1 = ResidueSet.of(q1, range(0, q1, 3))
-    a2 = ResidueSet.full(q2)
-    pair = ResidueSetPair.of(q1, q2, [(x, y) for x in a1.members() for y in a2.members()])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res2 = subgroup_cover_2d(pair, pair, folds=96)
-        res1 = subgroup_cover_1d(a1, a1, folds=96)
-    assert res2["q1_prime"] == res1["q_prime"]
-    assert res2["q2_prime"] == 1
-
-
-def test_pair_cover_dense_vs_membership():
-    rng = random.Random(6)
-    q1, q2 = 8, 9
-    n = q1 * q2
-    members = [(rng.randrange(q1), rng.randrange(q2)) for _ in range(int(n * 0.82))]
-    a = ResidueSetPair.of(q1, q2, members)
-    b = ResidueSetPair.of(q1, q2, [(rng.randrange(q1), rng.randrange(q2)) for _ in range(int(n * 0.82))])
-    res = subgroup_cover_2d(a, b, folds=96, delta=0.12)
-    d1, d2 = res["q1_prime"], res["q2_prime"]
-    # independent membership scan of the claimed box
-    d = productset_pair(a, b)
-    s = fold_sum_pair(sumset_pair(d, negate_pair(d)), 96)
-    for x in range(0, q1, d1):
-        for y in range(0, q2, d2):
-            assert (x, y) in s
-
-
 def test_mismatch_errors():
     with pytest.raises(ValueError):
         sumset(ResidueSet.of(5, [1]), ResidueSet.of(7, [1]))
-    with pytest.raises(ValueError):
-        sumset_pair(ResidueSetPair.full(2, 3), ResidueSetPair.full(3, 2))
     with pytest.raises(ValueError):
         fold_sum(ResidueSet.of(5, [1]), 0)
 

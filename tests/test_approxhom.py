@@ -1,6 +1,5 @@
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,17 +10,10 @@ from hypothesis import strategies as st
 from sl2lab import approxhom
 from sl2lab.approxhom import (
     FiniteGroupTable,
-    SmallDoublingResult,
-    StructuredConstructionError,
     _attempt_structured,
-    agreement,
     agreement_table,
-    all_subgroups,
-    closure,
     closure_in_product,
     dichotomy,
-    restricted_product_extract,
-    small_doubling_subgroup,
 )
 from sl2lab.packed import PairContext, generated_subgroup, sl2_codes
 
@@ -40,8 +32,6 @@ def test_group_table_construction():
     assert g.inv[2] == 4
     h = FiniteGroupTable.from_sl2(3)
     assert h.order == 24
-    prod = g.direct_product(FiniteGroupTable.cyclic(5))
-    assert prod.order == 30
 
 
 def test_group_table_rejects_bad():
@@ -54,7 +44,7 @@ def test_agreement_exact_homomorphism():
     g1 = FiniteGroupTable.cyclic(31)
     g2 = FiniteGroupTable.cyclic(5)
     psi = np.zeros(31, dtype=np.int64)  # the trivial homomorphism
-    assert agreement(psi, g1, g2) == 1
+    assert agreement_table(psi, g1, g2).all()
 
 
 def test_agreement_constant_map():
@@ -62,9 +52,9 @@ def test_agreement_constant_map():
     g1 = FiniteGroupTable.cyclic(12)
     g2 = FiniteGroupTable.cyclic(5)
     psi = np.full(12, 2, dtype=np.int64)  # 2 + 2 = 4 != 2 mod 5
-    assert agreement(psi, g1, g2) == 0
+    assert not agreement_table(psi, g1, g2).any()
     psi0 = np.full(12, 0, dtype=np.int64)
-    assert agreement(psi0, g1, g2) == 1
+    assert agreement_table(psi0, g1, g2).all()
 
 
 def test_agreement_random_map_near_reciprocal():
@@ -72,7 +62,7 @@ def test_agreement_random_map_near_reciprocal():
     g1 = FiniteGroupTable.cyclic(60)
     g2 = FiniteGroupTable.cyclic(7)
     psi = np.array([rng.randrange(7) for _ in range(60)], dtype=np.int64)
-    a = agreement(psi, g1, g2)
+    a = Fraction(int(agreement_table(psi, g1, g2).sum()), 60 * 60)
     # Monte-Carlo-free exactness: expected about 1/7, allow a wide band
     assert Fraction(1, 20) < a < Fraction(1, 3)
 
@@ -115,7 +105,6 @@ def test_agreement_table_and_dichotomy_match_double_loop(case, data):
     count, first = python_agreement(psi, g1, g2)
     table = agreement_table(psi, g1, g2)
     assert table.shape == (n, n) and int(table.sum()) == count
-    assert agreement(psi, g1, g2) == Fraction(count, n * n)
     res = dichotomy(psi, g1, g2, EPS)
     assert res.agreement_fraction == Fraction(count, n * n)
     if res.branch == "DEFECT":
@@ -128,11 +117,11 @@ def test_exact_agreement_limit_enforced(monkeypatch):
     g1, g2 = FiniteGroupTable.cyclic(12), FiniteGroupTable.cyclic(3)
     psi = np.zeros(12, dtype=np.int64)
     monkeypatch.setattr(approxhom, "EXACT_AGREEMENT_LIMIT", 12)
-    assert agreement(psi, g1, g2) == 1
+    assert agreement_table(psi, g1, g2).all()
     assert dichotomy(psi, g1, g2, EPS).branch == "STRUCTURED"
     monkeypatch.setattr(approxhom, "EXACT_AGREEMENT_LIMIT", 11)
     with pytest.raises(ValueError, match="exact agreement limit 11"):
-        agreement(psi, g1, g2)
+        agreement_table(psi, g1, g2)
     with pytest.raises(ValueError, match="exact agreement limit 11"):
         dichotomy(psi, g1, g2, EPS)
 
@@ -203,18 +192,25 @@ def test_dichotomy_noncyclic_groups():
     assert res2.branch == "DEFECT"
 
 
+def cyclic_closure(s, n: int, cap: int):
+    """<s> in Z/n as a sorted list, or None above cap: closure_in_product
+    with a trivial second factor, so pair codes are the elements of Z/n."""
+    h = closure_in_product(
+        np.array(s, dtype=np.int64), FiniteGroupTable.cyclic(n), FiniteGroupTable.cyclic(1), cap
+    )
+    return None if h is None else h.tolist()
+
+
 def test_closure_basics():
-    g = FiniteGroupTable.cyclic(12)
-    h = closure([4], g, cap=12)
-    assert h == {0, 4, 8}
-    assert closure([5], g, cap=3) is None  # 5 generates everything, cap hit
-    assert closure([], g, cap=1) == {0}
+    assert cyclic_closure([4], 12, cap=12) == [0, 4, 8]
+    assert cyclic_closure([5], 12, cap=3) is None  # 5 generates everything, cap hit
+    assert cyclic_closure([], 12, cap=1) == [0]
 
 
 def test_closure_cap_counts_the_generators():
     # {1, 2, 3} is closed up to the identity, so no product is new; the
     # closure still has 4 > cap elements and must not be returned
-    assert closure([1, 2, 3], FiniteGroupTable.cyclic(4), cap=3) is None
+    assert cyclic_closure([1, 2, 3], 4, cap=3) is None
 
 
 @settings(max_examples=80, deadline=None)
@@ -222,11 +218,10 @@ def test_closure_cap_counts_the_generators():
 def test_closure_cyclic_closed_form(n, data):
     # <S> in Z/n is the multiples of gcd(S u {n}), of order n / gcd
     s = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
-    g = FiniteGroupTable.cyclic(n)
     d = math.gcd(n, *s)
-    assert closure(s, g, cap=n) == set(range(0, n, d))
-    assert closure(s, g, cap=n // d) == set(range(0, n, d))
-    assert closure(s, g, cap=n // d - 1) is None
+    assert cyclic_closure(s, n, cap=n) == list(range(0, n, d))
+    assert cyclic_closure(s, n, cap=n // d) == list(range(0, n, d))
+    assert cyclic_closure(s, n, cap=n // d - 1) is None
 
 
 SL2_TABLES = {q: FiniteGroupTable.from_sl2(q) for q in (1, 2, 3, 4)}
@@ -275,90 +270,6 @@ def test_attempt_structured_fiber_message():
     res, violated = _attempt_structured(psi, agreement_table(psi, g1, g2), g1, g2, Fraction(1, 5))
     assert res is None
     assert violated == "fiber over element 0 is not unique"
-
-
-def test_all_subgroups_cyclic():
-    g = FiniteGroupTable.cyclic(12)
-    subs = all_subgroups(g)
-    # subgroups of Z/12 correspond to divisors: orders 1,2,3,4,6,12
-    assert sorted(len(h) for h in subs) == [1, 2, 3, 4, 6, 12]
-
-
-def test_small_doubling_subgroup_is_subgroup():
-    g = FiniteGroupTable.cyclic(24)
-    s = [0, 6, 12, 18]  # the subgroup <6>
-    res = small_doubling_subgroup(s, s, g, epsilon=1.0)
-    assert res.found
-    assert res.subgroup == {0, 6, 12, 18}
-    assert len(res.coset_reps) == 1
-
-
-def test_small_doubling_single_coset():
-    g = FiniteGroupTable.cyclic(24)
-    h = [0, 8, 16]
-    s = [(x + 5) % 24 for x in h]  # one coset of <8>
-    res = small_doubling_subgroup(s, s, g, epsilon=0.9)
-    assert res.found
-    assert res.subgroup == {0, 8, 16}
-    assert len(res.coset_reps) == 1
-    covered = {(u + r) % 24 for u in res.subgroup for r in res.coset_reps}
-    assert set(s) <= covered
-
-
-def test_small_doubling_two_cosets():
-    # S = union of two cosets of H, A = H: exhaustive oracle comparison
-    g = FiniteGroupTable.cyclic(32)
-    h = list(range(0, 32, 8))  # <8>, order 4
-    s = h + [(x + 1) % 32 for x in h]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = small_doubling_subgroup(s, h, g, epsilon=0.5)
-    assert res.found
-    assert len(res.subgroup) <= (2 / 0.5 - 1) * len(s)
-    covered = {(u + r) % 32 for u in res.subgroup for r in res.coset_reps}
-    assert set(s) <= covered
-    assert len(res.coset_reps) <= 2 / 0.5 - 1
-
-
-def test_small_doubling_failure_reported():
-    # an arithmetic-progression S with tiny epsilon demands |H| <= (2/e-1)|S|
-    # but the only subgroup containing a progression cover is large
-    g = FiniteGroupTable.cyclic(17)  # prime: only subgroups are {0} and all
-    s = [0, 1, 2, 3]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = small_doubling_subgroup(s, s, g, epsilon=1.0)
-    assert not res.found
-    assert "no qualifying subgroup" in res.reason
-
-
-def test_restricted_extract_full_graph_subgroup():
-    g = FiniteGroupTable.cyclic(20)
-    a = [0, 5, 10, 15]
-    graph = {(x, y) for x in a for y in a}
-    res = restricted_product_extract(a, graph, g, epsilon=0.2)
-    assert sorted(res.a_prime) == sorted(a)
-    assert res.size_ok and res.doubling_ok
-    assert res.doubling == 4  # A'A' = the subgroup itself
-
-
-def test_restricted_extract_random_full_graph():
-    rng = random.Random(2)
-    g = FiniteGroupTable.cyclic(101)
-    a = sorted(rng.sample(range(101), 40))
-    graph = {(x, y) for x in a for y in a}
-    res = restricted_product_extract(a, graph, g, epsilon=0.01)
-    assert res.size_ok
-    assert res.doubling_ok  # bound asserted on the exact computation
-
-
-def test_restricted_extract_preconditions():
-    g = FiniteGroupTable.cyclic(10)
-    a = list(range(10))
-    with pytest.raises(ValueError):
-        restricted_product_extract(a, set(), g, epsilon=0.2)
-    with pytest.raises(ValueError):
-        restricted_product_extract(a, {(0, 0)}, g, epsilon=0.3)  # eps >= 1/4
 
 
 def test_structured_construction_error_is_loud():

@@ -12,12 +12,8 @@ from sl2lab.factored import ONE, FactoredModulus
 from sl2lab.growth import (
     GroupSet,
     bounded_generation_search,
-    congruence_coverage_search,
     covers_congruence,
-    kernel_filter,
-    power_trajectory,
     product_set,
-    triple_product_chain_holds,
     tripling,
 )
 from sl2lab.sl2 import (
@@ -142,15 +138,6 @@ def test_tripling_random_vs_oracle():
     assert rep.grows == (len(aaa) > len(a) ** 1.1)
 
 
-def test_triple_product_chain():
-    rng = random.Random(6)
-    a = random_groupset(rng, Q5, ONE, 12)
-    sizes = power_trajectory(a, 6)
-    assert all(x <= y for x, y in zip(sizes, sizes[1:]))  # nondecreasing
-    assert sizes[-1] <= 120
-    assert triple_product_chain_holds(sizes)
-
-
 def test_covers_congruence_examples():
     g = GroupSet.full_group(Q4, ONE)
     assert covers_congruence(g, ONE, ONE)
@@ -223,78 +210,3 @@ def test_bounded_generation_size_warning():
     a = random_groupset(rng, Q5, ONE, 4)
     with pytest.warns(UserWarning):
         bounded_generation_search(a, k_max=1)
-
-
-def test_kernel_filter_examples():
-    rng = random.Random(10)
-    a = random_groupset(rng, Q4, Q4, 30)
-    e = pair_identity(Q4, Q4)
-    a_with_id = GroupSet.from_elements(Q4, Q4, a.elements() + [e])
-    out = kernel_filter(a_with_id, Q4)
-    assert e in set(out.elements())  # 1 in A implies 1 in the filtered set
-    # q_l = 1: the filter is just A*A
-    out_triv = kernel_filter(a, ONE)
-    assert out_triv.codes.tolist() == product_set(a, a).codes.tolist()
-
-
-def test_kernel_filter_vs_bruteforce():
-    rng = random.Random(11)
-    a = random_groupset(rng, Q4, Q4, 25)
-    got = set(kernel_filter(a, Q4).elements())
-    q2m = FactoredModulus.of(2)
-    expect = {
-        x
-        for x in brute_product(a, a)
-        if reduce_pair(x, q2m, q2m) == pair_identity(q2m, q2m)
-    }
-    assert got == expect
-
-
-def test_congruence_coverage_search_full_subgroup():
-    # A0 already a full congruence subgroup: C = 1 rows
-    q8 = FactoredModulus.of(8)
-    q2m = FactoredModulus.of(2)
-    codes = [
-        x
-        for x in enumerate_group(q8)
-        if x.a % 2 == 1 and x.b % 2 == 0 and x.c % 2 == 0 and x.d % 2 == 1
-    ]
-    a0 = GroupSet.from_elements(
-        q8, ONE, [PairElement(x, SL2Residue(ONE, 0, 0, 0, 0)) for x in codes]
-    )
-    rows = congruence_coverage_search(a0, 1, q8, c_max=3, rho_grid=(0.5,))
-    assert rows and rows[0]["C"] == 1
-
-
-def test_congruence_coverage_search_identity_only():
-    a0 = GroupSet.from_elements(Q4, ONE, [pair_identity(Q4, ONE)])
-    rows = congruence_coverage_search(a0, 1, Q4, c_max=2, rho_grid=(1,))
-    # rho = 1: target subgroup Lambda(q')/Lambda(q') = {1}: covered at C = 1
-    assert rows and rows[0]["C"] == 1
-
-
-def test_congruence_coverage_search_dense_vs_oracle():
-    rng = random.Random(12)
-    q8 = FactoredModulus.of(8)
-    full = GroupSet.full_group(q8, ONE)
-    pick = np.array(sorted(rng.sample(range(len(full)), len(full) * 3 // 4)))
-    a0 = GroupSet(q8, ONE, full.codes[pick])
-    rows = congruence_coverage_search(a0, 1, q8, c_max=4, rho_grid=(0.5,))
-    row = rows[0]
-    assert row["q_prime"] == 8 and row["depth_modulus"] == 2
-    if row["C"] is not None:
-        # oracle replay: brute-force power and exhaustive membership
-        cur = set(a0.elements())
-        base = a0.elements()
-        for _ in range(row["C"] - 1):
-            cur = {pair_mul(x, y) for x in cur for y in base}
-        q2m = FactoredModulus.of(2)
-        sub = {
-            PairElement(x, SL2Residue(ONE, 0, 0, 0, 0))
-            for x in enumerate_group(q8)
-            if reduce_pair(
-                PairElement(x, SL2Residue(ONE, 0, 0, 0, 0)), q2m, ONE
-            )
-            == pair_identity(q2m, ONE)
-        }
-        assert sub <= cur

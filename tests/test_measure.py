@@ -6,25 +6,19 @@ import pytest
 from sl2lab.factored import ONE, FactoredModulus
 from sl2lab.measure import (
     INTEGRAL_PAIR_LAW,
-    SparseMeasure,
     convolve,
     convolve_power,
     delta,
-    l2_distance_to_uniform,
     mass_on,
     pair_law,
-    pair_measure_from_json,
-    pair_measure_to_json,
     pushforward_pair,
-    to_floating,
     uniform_on,
 )
 from sl2lab.sl2 import (
-    IPAIR_ID,
+    IMAT_ID,
     PairElement,
     SL2Residue,
     enumerate_group,
-    ipair_inv,
     pair_identity,
     reduce_pair,
 )
@@ -62,8 +56,8 @@ def test_uniform_on_examples():
 def test_convolution_order_convention():
     # delta_a * delta_b = delta_{ba}
     law = pair_law(Q5, ONE)
-    a = reduce_pair((((1, 1), (0, 1)), IPAIR_ID[1]), Q5, ONE)
-    b = reduce_pair((((1, 0), (1, 1)), IPAIR_ID[1]), Q5, ONE)
+    a = reduce_pair((((1, 1), (0, 1)), IMAT_ID), Q5, ONE)
+    b = reduce_pair((((1, 0), (1, 1)), IMAT_ID), Q5, ONE)
     from sl2lab.sl2 import pair_mul
 
     got = convolve(delta(a, law), delta(b, law))
@@ -130,7 +124,7 @@ def test_mode_and_group_mismatch():
     law = pair_law(Q3, ONE)
     xs = residue_pairs(Q3, ONE, UNIPOTENT_S)
     f = uniform_on(xs, law)
-    g = to_floating(f)
+    g = uniform_on(xs, law, exact=False)
     with pytest.raises(ValueError):
         convolve(f, g)
     other = uniform_on(residue_pairs(Q5, ONE, UNIPOTENT_S), pair_law(Q5, ONE))
@@ -171,26 +165,4 @@ def test_mass_on_examples():
 def test_total_mass_preserved():
     f = uniform_on(UNIPOTENT_S, INTEGRAL_PAIR_LAW)
     for l in range(1, 5):
-        assert convolve_power(f, l).total_mass() == Fraction(1)
-
-
-def test_l2_distance_nonincreasing():
-    law = pair_law(Q3, ONE)
-    xs = residue_pairs(Q3, ONE, UNIPOTENT_S)
-    f = uniform_on(xs, law)
-    n = 24
-    dists = []
-    cur = f
-    for _ in range(8):
-        dists.append(l2_distance_to_uniform(cur, n))
-        cur = convolve(cur, f)
-    assert all(a >= b - 1e-12 for a, b in zip(dists, dists[1:]))
-
-
-def test_json_roundtrip():
-    law = pair_law(Q3, Q5)
-    xs = [reduce_pair(g, Q3, Q5) for g in UNIPOTENT_S]
-    f = convolve_power(uniform_on(xs, law), 3)
-    text = pair_measure_to_json(f)
-    g = pair_measure_from_json(text)
-    assert g.weights == f.weights and g.exact and g.law.tag == f.law.tag
+        assert sum(convolve_power(f, l).weights.values()) == Fraction(1)

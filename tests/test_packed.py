@@ -323,8 +323,7 @@ def test_one_dedupe_kernel_in_src():
 
 
 def test_one_closure_kernel_in_src():
-    # packed.closure is the only subgroup-closure BFS of the library;
-    # all_subgroups enumerates subgroups rather than closing one
+    # packed.closure is the only subgroup-closure BFS of the library
     src = Path(packed.__file__).parent
     offenders = []
     for path in sorted(src.glob("*.py")):
@@ -334,13 +333,75 @@ def test_one_closure_kernel_in_src():
         if "_table_closure" in text:
             offenders.append(f"{path.name}:_table_closure")
         for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.FunctionDef) and node.name != "all_subgroups":
+            if isinstance(node, ast.FunctionDef):
                 offenders += [
                     f"{path.name}:{loop.lineno}"
                     for loop in ast.walk(node)
                     if isinstance(loop, ast.While) and "frontier" in ast.unparse(loop.test)
                 ]
     assert offenders == []
+
+
+# top-level names of src/ that only tests call, each the reference a test
+# checks reached code against
+TEST_REFERENCES = {
+    "exact_divides",  # test_factored::test_divisor_enumeration, for exact_divisors
+    "jacobi_eigenvalues",  # test_spectral::test_blocked_tridiagonalize_matches_jacobi
+    "mass_on",  # test_walks::test_sampled_frequency_matches_exact_convolution
+    "inverse",  # test_sl2::test_mul_examples, for mul
+    "pair_identity",  # test_measure::test_convolution_identity_mass, for convolve
+    "pair_inverse",  # test_measure::test_convolve_power_examples, for convolve_power
+}
+
+
+def _referenced_names(node) -> set[str]:
+    """Identifiers a node refers to: names, attributes, imported names, and
+    the parts of dotted-name strings such as bench/spans.py's span names."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            if re.fullmatch(r"[A-Za-z_][\w.]*", n.value):
+                out.update(n.value.split("."))
+    return out
+
+
+def test_every_src_def_is_reached():
+    # every top-level function, class and constant of src/ is reached from
+    # cli.py, the acceptance criteria, bench/ or module-level code, directly
+    # or through other reached definitions, or is a listed test reference;
+    # names are matched by identifier, so a shared name counts as reached
+    src = Path(packed.__file__).parent
+    tests = Path(__file__).parent
+    roots = [src / "cli.py", tests / "test_acceptance.py", *sorted((tests.parent / "bench").glob("*.py"))]
+    reached = set(TEST_REFERENCES)
+    for path in roots:
+        reached |= _referenced_names(ast.parse(path.read_text()))
+    defs = {}  # "module:name" -> (name, names its definition refers to)
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[f"{path.name}:{node.name}"] = (node.name, _referenced_names(node))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name):
+                        defs[f"{path.name}:{t.id}"] = (t.id, _referenced_names(node.value))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                reached |= _referenced_names(node)
+    grown = True
+    while grown:
+        grown = False
+        for name, refs in defs.values():
+            if name in reached and not refs <= reached:
+                reached |= refs
+                grown = True
+    assert sorted(key for key, (name, _) in defs.items() if name not in reached) == []
 
 
 def test_one_kernel_test_in_src():
