@@ -9,6 +9,7 @@ re-factoring or touching floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator
 
 _FACTOR_CAP = 2**64
@@ -99,6 +100,44 @@ def divides(a: FactoredModulus, b: FactoredModulus) -> bool:
     return all(b.exponent_of(p) >= e for p, e in a.factors)
 
 
+def frac_power(q: FactoredModulus, alpha: Fraction | int) -> FactoredModulus:
+    """q^{alpha} = prod p_i^{floor(n_i * alpha)}, with exact rational floor."""
+    alpha = Fraction(alpha)
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    factors = []
+    value = 1
+    for p, n in q.factors:
+        e = (n * alpha.numerator) // alpha.denominator
+        if e > 0:
+            factors.append((p, e))
+            value *= p**e
+    return FactoredModulus(value, tuple(factors))
+
+
+def split_by_exponent(q: FactoredModulus, level: int) -> tuple[FactoredModulus, FactoredModulus]:
+    """Split q = q_s * q_l: q_s collects prime powers with exponent <= level."""
+    small, large = [], []
+    vs = vl = 1
+    for p, e in q.factors:
+        if e <= level:
+            small.append((p, e))
+            vs *= p**e
+        else:
+            large.append((p, e))
+            vl *= p**e
+    return FactoredModulus(vs, tuple(small)), FactoredModulus(vl, tuple(large))
+
+
+def radical(q: FactoredModulus) -> FactoredModulus:
+    """Product of the distinct primes of q."""
+    factors = tuple((p, 1) for p, _ in q.factors)
+    value = 1
+    for p, _ in factors:
+        value *= p
+    return FactoredModulus(value, factors)
+
+
 def fgcd(a: FactoredModulus, b: FactoredModulus) -> FactoredModulus:
     factors = []
     value = 1
@@ -138,3 +177,14 @@ def exact_divisors(q: FactoredModulus) -> Iterator[FactoredModulus]:
         for p, e in factors:
             value *= p**e
         yield FactoredModulus(value, factors)
+
+
+def quotient_exact(q: FactoredModulus, d: FactoredModulus) -> FactoredModulus:
+    """q / d for an exact divisor d || q."""
+    if not exact_divides(d, q):
+        raise ValueError(f"{d} is not an exact divisor of {q}")
+    factors = tuple((p, e) for p, e in q.factors if d.exponent_of(p) == 0)
+    value = 1
+    for p, e in factors:
+        value *= p**e
+    return FactoredModulus(value, factors)

@@ -13,6 +13,7 @@ from sl2lab.commutator import (
     amplify,
     amplify_exhaustive_check,
     box_lift_codes,
+    commutator_congruence,
     commutator_sweep,
     connecting_map,
     bracket_span_cover,
@@ -29,6 +30,37 @@ from sl2lab.sl2 import (
     identity,
     reduce_residue,
 )
+
+
+def test_commutator_congruence_example():
+    # frozen oracle: both sides equal [[26,0],[0,101]] mod 125
+    q = FactoredModulus.of(125)
+    x = SL2Residue(q, 1, 5, 0, 1)
+    y = SL2Residue(q, 1, 0, 5, 1)
+    lhs, rhs, ok = commutator_congruence(x, y, 5, 1, 1)
+    assert ok
+    assert lhs.entries == (26, 0, 0, 101)
+    assert rhs == (26, 0, 0, 101)
+
+
+def test_commutator_congruence_trivial_cases():
+    q = FactoredModulus.of(27)
+    x = SL2Residue(q, 1, 3, 0, 1)
+    e = identity(q)
+    lhs, rhs, ok = commutator_congruence(x, e, 3, 1, 1)
+    assert ok and lhs == e and rhs == (1, 0, 0, 1)
+    lhs, rhs, ok = commutator_congruence(x, x, 3, 1, 1)
+    assert ok and lhs == e
+
+
+def test_commutator_congruence_preconditions():
+    q = FactoredModulus.of(27)
+    x = SL2Residue(q, 1, 3, 0, 1)
+    y = SL2Residue(q, 1, 1, 0, 1)  # depth 0
+    with pytest.raises(ValueError):
+        commutator_congruence(x, y, 3, 1, 1)
+    with pytest.raises(ValueError):
+        commutator_congruence(x, x, 3, 2, 2)  # needs 3^6 > 27
 
 
 def test_commutator_sweep_small():

@@ -2,17 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2lab.factored import ONE, FactoredModulus
 from sl2lab.sl2 import (
     LieVector,
     SL2Residue,
     bracket,
+    congruence_depth,
+    crt_join,
+    crt_split,
     enumerate_group,
     group_order,
     identity,
     imat_det,
     imat_inv,
+    in_congruence_coset,
     inverse,
     ipair_inv,
     lie_is_primitive,
@@ -134,6 +140,37 @@ def test_enumerate_group_cap():
         list(enumerate_group(FactoredModulus.of(9973), cap=1000))
 
 
+def test_congruence_depth_examples():
+    q32 = FactoredModulus.of(32)
+    assert congruence_depth(identity(q32), 2) == 5
+    x = SL2Residue(Q8, 1, 4, 0, 1)
+    assert congruence_depth(x, 2) == 2
+    y = SL2Residue(Q8, 1, 1, 0, 1)
+    assert congruence_depth(y, 2) == 0
+    with pytest.raises(ValueError):
+        congruence_depth(y, 3)
+
+
+def test_congruence_depth_properties():
+    rng = random.Random(3)
+    q = FactoredModulus.of(16)
+    for _ in range(100):
+        x, y = random_element(rng, q), random_element(rng, q)
+        dx, dy = congruence_depth(x, 2), congruence_depth(y, 2)
+        assert congruence_depth(mul(x, y), 2) >= min(dx, dy)
+        g = random_element(rng, q)
+        assert congruence_depth(mul(mul(g, x), inverse(g)), 2) == dx
+
+
+def test_in_congruence_coset():
+    q4 = FactoredModulus.of(4)
+    q2 = FactoredModulus.of(2)
+    assert in_congruence_coset(identity(q4), q4)
+    x = SL2Residue(q4, 1, 2, 0, 1)
+    assert in_congruence_coset(x, q2)
+    assert not in_congruence_coset(x, q4)
+
+
 def test_bracket_sl2_relations():
     q = FactoredModulus.of(35)
     e = LieVector(q, 0, 1, 0)
@@ -185,6 +222,21 @@ def test_lie_primitive():
     q = FactoredModulus.of(6)
     assert lie_is_primitive(LieVector(q, 1, 2, 3))
     assert not lie_is_primitive(LieVector(q, 2, 4, 0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.sampled_from([6, 12, 30, 36, 100, 210, 360, 1001, 2 * 3**4 * 7]), seed=st.integers(0, 2**32))
+def test_crt_split_join_roundtrip(n, seed):
+    # each part is the entrywise reduction to its prime-power factor, and
+    # the join inverts the split
+    q = FactoredModulus.of(n)
+    x = random_element(random.Random(seed), q)
+    parts = crt_split(x)
+    assert sorted(parts) == [p for p, _ in q.factors]
+    for p, e in q.factors:
+        assert parts[p].q.value == p**e
+        assert parts[p].entries == tuple(v % p**e for v in x.entries)
+    assert crt_join(parts) == x
 
 
 def test_trace_and_conjugation():
