@@ -1,23 +1,28 @@
-"""In-repo symmetric eigensolvers used as the dense spectral oracle.
+"""In-repo symmetric eigensolvers for the spectral routes.
 
-The primary dense path is a blocked Householder tridiagonalization
+The dense oracle is a blocked Householder tridiagonalization
 (``tridiagonalize``, the dsytrd/dlatrd panel scheme, its matrix products
-through numpy ``@`` on BLAS) followed by implicit-shift QL on the
-tridiagonal; a classical cyclic Jacobi sweep is kept as an independent
-cross-check for small matrices.  No LAPACK calls anywhere on the oracle path.
+through numpy ``@`` on BLAS) followed by Sturm multisection on the
+tridiagonal (``sturm_eigenvalue``): ``sturm_count`` counts the eigenvalues
+below given shifts by the inertia of an LDL^T factorization, and the counts
+alone locate the one eigenvalue asked for.  The second route is
+``inverse_iteration``, which gives a vector x for that value on the same
+tridiagonal; a small residual ||Tx - lambda x|| proves an eigenvalue close by.
+A classical cyclic Jacobi sweep is kept as an independent cross-check for
+small matrices.  No LAPACK calls anywhere on the oracle path.
 
-One QL loop (``_ql``) serves every tridiagonal solve: the dense oracle
-(eigenvalues only), the Lanczos convergence check (eigenvalues and the last
-row of the eigenvector matrix, which gives the residual beta_k |s_k|) and
-Ritz vectors (the full eigenvector matrix, built only when asked for).
-
-``sturm_count`` counts the eigenvalues of a tridiagonal below given shifts
-by the inertia of its LDL^T factorization (bisection's test, no iteration),
-so the oracle checks the eigenvalue QL returns against the same tridiagonal
-by a second route.
+One QL loop (``_ql``) serves the Lanczos route: the convergence check
+(eigenvalues and the last row of the eigenvector matrix, which gives the
+residual beta_k |s_k|) and Ritz vectors (the full eigenvector matrix, built
+only when asked for).  A scheduled check first estimates beta_k |s_k| in
+O(k) (``_residual_estimate``) and runs QL only once that estimate is near
+tol, so QL still decides every stop.  ``tridiag_eigvals`` gives QL's
+eigenvalues alone.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,6 +30,9 @@ QL_MAX_ITER = 100  # QL sweeps allowed per eigenvalue
 STORE_BASIS_BUDGET = 30_000_000  # floats of Lanczos basis kept for reorthogonalization
 TRIDIAG_BLOCK = 32  # Householder reflectors per panel of the blocked reduction
 TRIDIAG_SLICE = 32  # trailing-block rows per product of the rank-2b panel update
+NEWTON_MAX_ITER = 200  # Newton steps allowed for the top eigenvalue of a Lanczos tridiagonal
+SCREEN_FACTOR = 10.0  # a scheduled check runs QL once the estimated residual is below this times tol
+STURM_SHIFTS = 127  # shifts counted per multisection pass: the bracket shrinks 128-fold
 
 
 def tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -86,24 +94,125 @@ def tridiagonalize(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
+def _pivmin(e2) -> float:
+    """Smallest pivot magnitude of an LDL^T recurrence with squared off-diagonals
+    e2: scaled with max e^2 so that e^2 / pivmin cannot overflow (LAPACK dlaebz)."""
+    return float(np.finfo(float).tiny * max(1.0, np.max(e2, initial=0.0)))
+
+
+def _gershgorin(d, e) -> tuple[float, float]:
+    """An interval holding every eigenvalue of the symmetric tridiagonal (d, e)."""
+    d = np.asarray(d, dtype=float)
+    e = np.abs(np.asarray(e, dtype=float))
+    radius = np.zeros(d.size)
+    radius[:-1] += e
+    radius[1:] += e
+    return float((d - radius).min()), float((d + radius).max())
+
+
 def sturm_count(d: np.ndarray, e: np.ndarray, shifts) -> np.ndarray:
     """Number of eigenvalues of the symmetric tridiagonal (d, e) below each shift.
 
     Sylvester's inertia of T - s I = L D L^T: the count of negative pivots
     q_i = d_i - s - e_{i-1}^2 / q_{i-1}, run for all shifts at once.  A pivot
     with |q_i| <= pivmin becomes -pivmin (LAPACK dlaebz), which keeps every
-    quotient finite; pivmin scales with max e^2 so e^2 / pivmin cannot overflow.
+    quotient finite.
     """
     d = np.asarray(d, dtype=float)
     e2 = np.square(np.asarray(e, dtype=float))
     shifts = np.asarray(shifts, dtype=float)
-    pivmin = np.finfo(float).tiny * max(1.0, e2.max(initial=0.0))
+    pivmin = _pivmin(e2)
     count = np.zeros(shifts.shape, dtype=np.int64)
     for i in range(d.size):
         q = d[i] - shifts - (e2[i - 1] / q if i else 0.0)
         q = np.where(np.abs(q) <= pivmin, -pivmin, q)
         count += q < 0
     return count
+
+
+def sturm_eigenvalue(d: np.ndarray, e: np.ndarray, k: int) -> float:
+    """The k-th smallest eigenvalue (k = 0, 1, ...) of the symmetric tridiagonal (d, e).
+
+    Multisection on ``sturm_count`` (LAPACK dstebz): the bracket [lo, hi)
+    starts as the widened Gershgorin interval and always has at most k
+    eigenvalues below lo and more than k below hi.  Each pass counts at
+    ``STURM_SHIFTS`` evenly spaced shifts inside it and keeps the gap between
+    the last shift with at most k below and the first with more, until the
+    bracket is no wider than eps ||T|| + 2 pivmin.  That width is absolute,
+    so the bracket of a zero eigenvalue stops within eps ||T|| of 0 and does
+    not close in on a pivmin-sized endpoint.  Returns the bracket's midpoint.
+    """
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    n = d.size
+    if not 0 <= k < n:
+        raise ValueError(f"eigenvalue index {k} outside 0..{n - 1}")
+    lo, hi = _gershgorin(d, e)
+    eps = float(np.finfo(float).eps)
+    tnorm = max(abs(lo), abs(hi))
+    pivmin = _pivmin(np.square(e))
+    pad = 2.0 * n * eps * tnorm + 4.0 * pivmin  # the counts' own error, as dstebz widens
+    lo, hi = lo - pad, hi + pad
+    width = eps * tnorm + 2.0 * pivmin
+    fractions = np.arange(1, STURM_SHIFTS + 1) / (STURM_SHIFTS + 1)
+    while hi - lo > width:
+        shifts = lo + (hi - lo) * fractions
+        i = int(np.argmax(np.append(sturm_count(d, e, shifts) > k, True)))
+        bracket = (float(shifts[i - 1]) if i else lo, float(shifts[i]) if i < shifts.size else hi)
+        if bracket == (lo, hi):  # no float strictly inside: as narrow as it gets
+            break
+        lo, hi = bracket
+    return 0.5 * (lo + hi)
+
+
+def inverse_iteration(d, e, lam: float) -> np.ndarray:
+    """Unit eigenvector estimate of the symmetric tridiagonal (d, e) for lam.
+
+    Two solves of (T - lam I) x' = x from a fixed pseudo-random start, by
+    Gaussian elimination with partial pivoting (LAPACK dgttrf/dgttrs) over
+    Python floats, O(n) each.  A pivot below eps ||T|| is raised to that
+    floor, so lam may be an eigenvalue to working precision.  By Weyl's
+    bound, ||T x - lam x|| <= delta proves an eigenvalue within delta of lam.
+    """
+    d = np.asarray(d, dtype=float)
+    e = np.asarray(e, dtype=float)
+    a = (d - lam).tolist()
+    c = e.tolist()  # subdiagonal, then the multipliers
+    b = list(c)  # superdiagonal of U
+    n = len(a)
+    f = [0.0] * n  # second superdiagonal of U, filled by interchanges
+    swap = [False] * n
+    for i in range(n - 1):
+        if abs(a[i]) >= abs(c[i]):
+            c[i] = c[i] / a[i] if a[i] else 0.0
+            a[i + 1] -= c[i] * b[i]
+        else:
+            m = a[i] / c[i]
+            a[i], c[i] = c[i], m
+            b[i], a[i + 1] = a[i + 1], b[i] - m * a[i + 1]
+            if i < n - 2:
+                f[i] = b[i + 1]
+                b[i + 1] = -m * f[i]
+            swap[i] = True
+    tnorm = float(np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0))  # >= ||T||
+    floor = max(float(np.finfo(float).eps) * tnorm, float(np.finfo(float).tiny))
+    a = [v if abs(v) >= floor else math.copysign(floor, v) for v in a]
+    x = np.random.Generator(np.random.Philox(key=0)).uniform(-1.0, 1.0, n).tolist()
+    for _ in range(2):
+        for i in range(n - 1):
+            if swap[i]:
+                x[i], x[i + 1] = x[i + 1], x[i] - c[i] * x[i + 1]
+            else:
+                x[i + 1] -= c[i] * x[i]
+        x[n - 1] /= a[n - 1]
+        if n > 1:
+            x[n - 2] = (x[n - 2] - b[n - 2] * x[n - 1]) / a[n - 2]
+        for i in range(n - 3, -1, -1):
+            x[i] = (x[i] - b[i] * x[i + 1] - f[i] * x[i + 2]) / a[i]
+        top = max(map(abs, x))
+        x = [v / top for v in x]
+    x = np.array(x)
+    return x / np.sqrt(x @ x)
 
 
 def _ql(d, e, z: np.ndarray | None = None):
@@ -227,6 +336,41 @@ def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) 
     return np.sort(np.diag(A))
 
 
+def _residual_estimate(alphas, betas, beta: float) -> float:
+    """beta |s_k| for the largest eigenvalue theta of T_k = tridiag(alphas, betas), in O(k).
+
+    theta comes from Newton's method from above on det(T_k - theta I) =
+    prod q_i, the pivots of T_k - theta I = L D L^T: from a Gershgorin bound,
+    each step theta -= 1 / sum(q_i' / q_i) = 1 / sum_j 1 / (theta - theta_j)
+    stays at or above the largest root and approaches it monotonically.
+    s_k is the last entry of ``inverse_iteration`` at theta; the closed form
+    s_k^2 = 1 / |q_k'(theta)| loses every digit near convergence.
+    """
+    a = [float(v) for v in alphas]
+    b2 = [float(v) * float(v) for v in betas]
+    k = len(a)
+    theta = _gershgorin(alphas, betas)[1]
+    eps = float(np.finfo(float).eps)
+    pivmin = _pivmin(b2)
+    for _ in range(NEWTON_MAX_ITER):
+        q = a[0] - theta
+        dq = -1.0
+        total = 0.0
+        for i in range(k):
+            if i:
+                t = b2[i - 1] / q
+                dq = -1.0 + t * dq / q
+                q = a[i] - theta - t
+            if abs(q) <= pivmin:
+                q = -pivmin
+            total += dq / q
+        step = 1.0 / total if total > 0.0 else 0.0  # total <= 0: rounding stepped below the root
+        if not step > 2.0 * eps * abs(theta):
+            break
+        theta -= step
+    return abs(beta * float(inverse_iteration(a, betas, theta)[-1]))
+
+
 def lanczos_extreme(
     matvec,
     n: int,
@@ -256,7 +400,10 @@ def lanczos_extreme(
     if max_basis < 1:
         raise ValueError("Lanczos needs at least one iteration")
     keep_basis = n * max_basis <= STORE_BASIS_BUDGET
-    basis = [v.copy()] if keep_basis else None
+    if keep_basis:
+        # rows are written as the basis grows; the pages of unwritten rows are never touched
+        basis = np.empty((max_basis, n))
+        basis[0] = v
     v_prev = np.zeros(n)
     # the three-term step runs through this buffer and spends v_prev, so an
     # iteration allocates no vector beyond the one matvec returns
@@ -277,12 +424,15 @@ def lanczos_extreme(
         np.add(step, v_prev, out=step)
         w -= step  # w -= alpha * v + beta * v_prev
         if keep_basis:
-            B = np.asarray(basis).T
+            B = basis[:k].T
             w -= B @ (B.T @ w)
             w -= B @ (B.T @ w)
         beta = float(np.sqrt(w @ w))
         invariant = beta <= 1e-14
-        if k % check_every == 0 or beta <= tol * 1e-3 or invariant or k == max_basis:
+        forced = beta <= tol * 1e-3 or invariant or k == max_basis
+        if forced or (
+            k % check_every == 0 and _residual_estimate(alphas, betas, beta) <= SCREEN_FACTOR * tol
+        ):
             # ||T y - theta y|| = beta_k |s_k|: the last row is all the check needs
             vals, last, _ = _ql(alphas, betas)
             top = int(np.argmax(vals))
@@ -294,11 +444,11 @@ def lanczos_extreme(
         w /= beta
         v_prev, v = v, w
         if keep_basis:
-            basis.append(v.copy())
+            basis[k] = v
 
     ritz = None
     if keep_basis:
-        ritz = np.asarray(basis).T @ tridiag_eigh(alphas, betas)[1][:, top]
+        ritz = basis[:k].T @ tridiag_eigh(alphas, betas)[1][:, top]
         rn = float(np.sqrt(ritz @ ritz))
         if rn > 0:
             ritz /= rn

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .eigen import lanczos_extreme, sturm_count, tridiag_eigvals, tridiagonalize
+from .eigen import inverse_iteration, lanczos_extreme, sturm_eigenvalue, tridiagonalize
 from .factored import FactoredModulus
 from .packed import PairContext, _product, index_sorted, pair_subgroup
 from .sl2 import IntPair, symmetrize
@@ -22,9 +22,9 @@ from .sl2 import IntPair, symmetrize
 DENSE_THRESHOLD = 2048
 GROUP_CAP = 10_000_000
 EXACT_CHEEGER_MAX = 22  # largest N for the exhaustive Cheeger sweep (2^(N-1) subsets)
-# half-width of the Sturm-count window around a dense lambda2; QL and the
-# counts each err by about N ulps of ||T|| = 1, far inside it
-STURM_DELTA = 1e-9
+# largest ||Tx - lambda2 x|| accepted for a dense lambda2 and its inverse-iteration
+# vector x; the value and x each err by about N ulps of ||T|| = 1, far inside it
+RESIDUAL_DELTA = 1e-9
 
 
 def intpair_digits(g: IntPair, q1: int, q2: int) -> tuple[int, ...]:
@@ -150,21 +150,23 @@ def cheeger_bounds(lambda2: float, degree: int) -> tuple[float, float]:
 def dense_lambda2(op: CayleyOperator) -> float:
     """Second eigenvalue via the in-repo dense eigensolver (oracle route).
 
-    QL gives the value; a Sturm count on the same tridiagonal must then find
-    at most one eigenvalue above lambda2 + STURM_DELTA (the trivial 1) and at
-    least two at or above lambda2 - STURM_DELTA, else ValueError."""
+    Sturm multisection on the tridiagonal gives the value: the second largest
+    eigenvalue, since the trivial 1 is the largest (a disconnected graph has 1
+    twice, so lambda2 = 1).  Inverse iteration on the same tridiagonal then
+    gives a vector x, and ||Tx - lambda2 x|| <= RESIDUAL_DELTA proves an
+    eigenvalue within RESIDUAL_DELTA of lambda2, else ValueError."""
     d, e = tridiagonalize(op.dense_matrix())
-    vals = tridiag_eigvals(d, e)
-    # remove one copy of the trivial eigenvalue (the constant eigenvector)
-    drop = int(np.argmin(np.abs(vals - 1.0)))
-    lam = float(np.delete(vals, drop).max())
-    below = sturm_count(d, e, [lam - STURM_DELTA, lam + STURM_DELTA])
-    above, at_least = d.size - int(below[1]), d.size - int(below[0])
-    if above > 1 or at_least < 2:
+    lam = sturm_eigenvalue(d, e, d.size - 2)
+    x = inverse_iteration(d, e, lam)
+    r = (d - lam) * x
+    r[:-1] += e * x[1:]
+    r[1:] += e * x[:-1]
+    resid = float(np.sqrt(r @ r))
+    if not resid <= RESIDUAL_DELTA:
         raise ValueError(
-            f"dense lambda2={lam!r} at N={d.size} fails its Sturm count: {above} eigenvalues "
-            f"above lambda2+{STURM_DELTA:g} (at most 1) and {at_least} at or above "
-            f"lambda2-{STURM_DELTA:g} (at least 2)"
+            f"dense lambda2={lam!r} at N={d.size} fails its eigenvector check: "
+            f"||Tx - lambda2 x|| = {resid:.3g} for the inverse-iteration vector x "
+            f"exceeds {RESIDUAL_DELTA:g}"
         )
     return lam
 

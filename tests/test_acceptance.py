@@ -12,7 +12,6 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from sl2lab.factored import ONE, FactoredModulus
 from sl2lab.sl2 import enumerate_group, group_order
@@ -311,8 +310,6 @@ def run_criterion_09():
     from sl2lab.addcomb import (
         ResidueSet,
         difference_of_products,
-        negate,
-        productset,
         subgroup_cover_1d,
         sumset,
     )

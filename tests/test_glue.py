@@ -185,7 +185,7 @@ def test_certificates_carry_replayed_claims():
     cov = [c for c in rep.certificates if c.kind.endswith("kernel-coverage")]
     assert cov and all(c.verified for c in cov)
     # independent replay: re-derive the claimed subgroup and rescan membership
-    from sl2lab.packed import congruence_subgroup_codes, isin_sorted
+    from sl2lab.packed import congruence_subgroup_codes
 
     claim = cov[0].params
     sub = congruence_subgroup_codes(rep.q3_star, 1, claim["depth_modulus"], 1)

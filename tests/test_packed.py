@@ -31,7 +31,6 @@ from sl2lab.sl2 import (
     enumerate_group,
     group_order,
     identity,
-    mul,
     pair_mul,
     reduce_pair,
     reduce_residue,

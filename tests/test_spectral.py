@@ -13,16 +13,18 @@ from sl2lab.eigen import (
     TRIDIAG_BLOCK,
     TRIDIAG_SLICE,
     _ql,
+    inverse_iteration,
     jacobi_eigenvalues,
     lanczos_extreme,
     sturm_count,
+    sturm_eigenvalue,
     tridiag_eigh,
     tridiag_eigvals,
     tridiagonalize,
 )
 from sl2lab import eigen, spectral
 from sl2lab.cli import main
-from sl2lab.packed import PairContext, full_pair_codes, generated_subgroup, sl2_codes
+from sl2lab.packed import PairContext, generated_subgroup, sl2_codes
 from sl2lab.sl2 import symmetrize
 from sl2lab.spectral import (
     CayleyOperator,
@@ -191,6 +193,43 @@ def test_sturm_count_matches_eigvalsh(data, n):
     assert sturm_count(d, e, shifts).tolist() == expect
 
 
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_sturm_eigenvalue_matches_eigvalsh(data, n):
+    d = np.array(data.draw(st.lists(DIAG, min_size=n, max_size=n)))
+    e = np.array(data.draw(st.lists(OFFDIAG, min_size=n - 1, max_size=n - 1)))
+    vals = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+    scale = max(np.abs(d).max(), np.abs(e).max(initial=0.0), 1.0)
+    j = data.draw(st.integers(1, n))  # the j-th largest
+    assert abs(sturm_eigenvalue(d, e, n - j) - vals[n - j]) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_inverse_iteration_residual(data, n):
+    d = np.array(data.draw(st.lists(DIAG, min_size=n, max_size=n)))
+    e = np.array(data.draw(st.lists(OFFDIAG, min_size=n - 1, max_size=n - 1)))
+    m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    scale = max(np.abs(d).max(), np.abs(e).max(initial=0.0), 1.0)
+    j = data.draw(st.integers(1, n))
+    for lam in [*np.linalg.eigvalsh(m), sturm_eigenvalue(d, e, n - j)]:
+        x = inverse_iteration(d, e, lam)
+        assert abs(x @ x - 1.0) <= 1e-14
+        r = m @ x - lam * x
+        assert np.sqrt(r @ r) <= 1e-12 * scale
+
+
+def test_sturm_eigenvalue_of_zero_is_clean():
+    # the bracket of a zero eigenvalue stops at an absolute width, not at pivmin
+    for d, e in [([0.0, 0.0], [1.0]), ([0.0], []), ([1.0, 0.0, -1.0], [0.0, 0.0])]:
+        vals = [sturm_eigenvalue(d, e, k) for k in range(len(d))]
+        assert np.abs(vals - np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))).max() <= 1e-15
+    lam = dense_lambda2(cycle_operator(4))
+    assert abs(lam) <= 1e-15 and (lam == 0.0 or abs(lam) > 1e-300)
+    with pytest.raises(ValueError):
+        sturm_eigenvalue([0.0, 1.0], [0.5], 2)
+
+
 def test_lanczos_on_explicit_matrix():
     rng = np.random.default_rng(3)
     n = 80
@@ -203,6 +242,46 @@ def test_lanczos_on_explicit_matrix():
     assert abs(lam - np.linalg.eigvalsh(m)[-1]) < 1e-9
     with pytest.raises(ValueError):
         lanczos_extreme(lambda v: m @ v, n, max_iter=0, deflate_constants=False)
+
+
+@pytest.mark.parametrize("budget", [eigen.STORE_BASIS_BUDGET, 0])
+def test_screened_checks_change_no_lanczos_result(monkeypatch, budget):
+    # the O(k) estimate only skips checks that QL would not pass: with it
+    # patched to 0, QL runs at every scheduled check, and every result of the
+    # stored-basis and (budget 0) three-term runs stays byte-identical
+    monkeypatch.setattr(eigen, "STORE_BASIS_BUDGET", budget)
+    m = np.random.default_rng(4).standard_normal((60, 60))
+    m = (m + m.T) / 2
+    cases = [
+        (lambda v: m @ v, 60, False),
+        (cycle_operator(33).apply, 33, True),
+        (cayley_for_sl2_pair(standard_dense_pair_generators(), 5, 1).apply, 120, True),
+    ]
+
+    def runs():
+        out = []
+        for matvec, n, deflate in cases:
+            for seed in (0, 1):
+                for tol in (1e-6, 1e-13):
+                    lam, k, resid, conv, ritz = lanczos_extreme(
+                        matvec, n, seed=seed, tol=tol, deflate_constants=deflate
+                    )
+                    out.append((repr(lam), k, repr(resid), conv, None if ritz is None else ritz.tobytes()))
+        return out
+
+    estimates = []
+    estimate = eigen._residual_estimate
+
+    def recorded(*args):
+        estimates.append(estimate(*args))
+        return estimates[-1]
+
+    monkeypatch.setattr(eigen, "_residual_estimate", recorded)
+    screened = runs()
+    # checks were skipped at either tolerance
+    assert sum(r > eigen.SCREEN_FACTOR * 1e-6 for r in estimates) >= 10
+    monkeypatch.setattr(eigen, "_residual_estimate", lambda *a: 0.0)
+    assert screened == runs()
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +418,15 @@ def test_lambda2_sl2_f5_sanov_like():
 
 
 @pytest.mark.parametrize("shift", [1e-6, -1e-6])
-def test_dense_lambda2_off_its_sturm_count_is_an_error(monkeypatch, tmp_path, capsys, shift):
+def test_dense_lambda2_off_its_eigenvector_check_is_an_error(monkeypatch, tmp_path, capsys, shift):
     op = cayley_for_sl2_pair(standard_dense_pair_generators(), 5, 1)
     assert abs(dense_lambda2(op) - (1 + math.sqrt(5)) / 4) < 1e-14
 
-    def shifted(d, e):
-        # every eigenvalue but the trivial largest one moves by shift
-        vals = eigen.tridiag_eigvals(d, e)
-        vals[:-1] += shift
-        return vals
+    def shifted(d, e, k):
+        return eigen.sturm_eigenvalue(d, e, k) + shift
 
-    monkeypatch.setattr(spectral, "tridiag_eigvals", shifted)
-    with pytest.raises(ValueError, match="fails its Sturm count"):
+    monkeypatch.setattr(spectral, "sturm_eigenvalue", shifted)
+    with pytest.raises(ValueError, match="fails its eigenvector check"):
         dense_lambda2(op)
     # the CLI reports it as an error and writes no run directory
     assert main(["--out", str(tmp_path), "spectral", "--moduli", "5", "--no-pair"]) == 1
