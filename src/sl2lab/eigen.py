@@ -157,8 +157,10 @@ def sturm_eigenvalue(d: np.ndarray, e: np.ndarray, k: int) -> float:
     fractions = np.arange(1, STURM_SHIFTS + 1) / (STURM_SHIFTS + 1)
     while hi - lo > width:
         shifts = lo + (hi - lo) * fractions
-        i = int(np.argmax(np.append(sturm_count(d, e, shifts) > k, True)))
-        bracket = (float(shifts[i - 1]) if i else lo, float(shifts[i]) if i < shifts.size else hi)
+        above = sturm_count(d, e, shifts) > k
+        i = int(np.argmax(above)) if above.any() else shifts.size  # first shift past it
+        edges = (lo, *shifts.tolist(), hi)
+        bracket = (edges[i], edges[i + 1])
         if bracket == (lo, hi):  # no float strictly inside: as narrow as it gets
             break
         lo, hi = bracket
@@ -346,21 +348,19 @@ def _residual_estimate(alphas, betas, beta: float) -> float:
     s_k is the last entry of ``inverse_iteration`` at theta; the closed form
     s_k^2 = 1 / |q_k'(theta)| loses every digit near convergence.
     """
-    a = [float(v) for v in alphas]
-    b2 = [float(v) * float(v) for v in betas]
-    k = len(a)
+    b2 = [b * b for b in betas]
     theta = _gershgorin(alphas, betas)[1]
     eps = float(np.finfo(float).eps)
     pivmin = _pivmin(b2)
     for _ in range(NEWTON_MAX_ITER):
-        q = a[0] - theta
+        q = alphas[0] - theta
         dq = -1.0
         total = 0.0
-        for i in range(k):
+        for i in range(len(alphas)):
             if i:
                 t = b2[i - 1] / q
                 dq = -1.0 + t * dq / q
-                q = a[i] - theta - t
+                q = alphas[i] - theta - t
             if abs(q) <= pivmin:
                 q = -pivmin
             total += dq / q
@@ -368,7 +368,7 @@ def _residual_estimate(alphas, betas, beta: float) -> float:
         if not step > 2.0 * eps * abs(theta):
             break
         theta -= step
-    return abs(beta * float(inverse_iteration(a, betas, theta)[-1]))
+    return abs(beta * float(inverse_iteration(alphas, betas, theta)[-1]))
 
 
 def lanczos_extreme(
