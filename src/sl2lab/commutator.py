@@ -29,52 +29,10 @@ from .packed import (
     one_mod,
     unique_codes,
 )
-from .sl2 import (
-    LieVector,
-    SL2Residue,
-    congruence_depth,
-    inverse,
-    lie_is_primitive,
-    mul,
-)
+from .sl2 import LieVector, lie_is_primitive
 
 # ---------------------------------------------------------------------------
 # the commutator congruence identity
-
-
-def commutator_congruence(
-    x: SL2Residue, y: SL2Residue, p: int, m: int, m_prime: int
-) -> tuple[SL2Residue, tuple[int, int, int, int], bool]:
-    """Both sides of [x, y] = 1 + xy - yx at depth m + m' + min(m, m').
-
-    Returns (lhs, rhs entries, verified); preconditions on the congruence
-    depths of x and y and on the ambient modulus are enforced.
-    """
-    if x.q != y.q:
-        raise ValueError("x and y must share a modulus")
-    if m < 1 or m_prime < 1:
-        raise ValueError("depths must be >= 1")
-    t = m + m_prime + min(m, m_prime)
-    n = x.q.exponent_of(p)
-    if n < t:
-        raise ValueError(f"modulus carries p^{n} < p^{t} needed for the congruence")
-    if congruence_depth(x, p) < m:
-        raise ValueError(f"x is not congruent to 1 mod {p}^{m}")
-    if congruence_depth(y, p) < m_prime:
-        raise ValueError(f"y is not congruent to 1 mod {p}^{m_prime}")
-    lhs = mul(mul(x, y), mul(inverse(x), inverse(y)))
-    q = x.q.value
-    xy = mul(x, y)
-    yx = mul(y, x)
-    rhs = (
-        (1 + xy.a - yx.a) % q,
-        (xy.b - yx.b) % q,
-        (xy.c - yx.c) % q,
-        (1 + xy.d - yx.d) % q,
-    )
-    pt = p**t
-    verified = all((l - r) % pt == 0 for l, r in zip(lhs.entries, rhs))
-    return lhs, rhs, verified
 
 
 def commutator_sweep(p: int, depth: int = 4) -> dict:

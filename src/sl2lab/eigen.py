@@ -1,23 +1,24 @@
 """In-repo symmetric eigensolvers for the spectral routes.
 
-The dense oracle is a blocked Householder tridiagonalization
-(``tridiagonalize``, the dsytrd/dlatrd panel scheme, its matrix products
-through numpy ``@`` on BLAS) followed by Sturm multisection on the
-tridiagonal (``sturm_eigenvalue``): ``sturm_count`` counts the eigenvalues
-below given shifts by the inertia of an LDL^T factorization, and the counts
-alone locate the one eigenvalue asked for.  The second route is
-``inverse_iteration``, which gives a vector x for that value on the same
-tridiagonal; a small residual ||Tx - lambda x|| proves an eigenvalue close by.
-A classical cyclic Jacobi sweep is kept as an independent cross-check for
-small matrices.  No LAPACK calls anywhere on the oracle path.
+Each question has one route, and no run path calls LAPACK:
 
-One QL loop (``_ql``) serves the Lanczos route: the convergence check
-(eigenvalues and the last row of the eigenvector matrix, which gives the
-residual beta_k |s_k|) and Ritz vectors (the full eigenvector matrix, built
-only when asked for).  A scheduled check first estimates beta_k |s_k| in
-O(k) (``_residual_estimate``) and runs QL only once that estimate is near
-tol, so QL still decides every stop.  ``tridiag_eigvals`` gives QL's
-eigenvalues alone.
+- The dense lambda2.  A blocked Householder tridiagonalization
+  (``tridiagonalize``, the dsytrd/dlatrd panel scheme, its matrix products
+  through numpy ``@`` on BLAS), then Sturm multisection on the tridiagonal
+  (``sturm_eigenvalue``): ``sturm_count`` counts the eigenvalues below given
+  shifts by the inertia of an LDL^T factorization, and the counts alone
+  locate the one eigenvalue asked for.  ``inverse_iteration`` gives a vector
+  x for that value on the same tridiagonal, and a small residual
+  ||Tx - lambda x|| proves an eigenvalue close by.
+- Lanczos (``lanczos_extreme``).  The top eigenvalue theta of T_k by
+  Newton's method from above and its vector y by ``inverse_iteration``
+  (``_top_ritz_pair``), both in O(k).  theta is the value, beta_k |y_k| is
+  the residual that decides every stop, and the Ritz vector is the basis
+  times y.
+
+Implicit-shift QL (``_ql``, with ``tridiag_eigvals`` and ``tridiag_eigh``)
+and a classical cyclic Jacobi sweep (``jacobi_eigenvalues``) are kept as
+independent references for the tests; no run path calls them.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ STORE_BASIS_BUDGET = 30_000_000  # floats of Lanczos basis kept for reorthogonal
 TRIDIAG_BLOCK = 32  # Householder reflectors per panel of the blocked reduction
 TRIDIAG_SLICE = 32  # trailing-block rows per product of the rank-2b panel update
 NEWTON_MAX_ITER = 200  # Newton steps allowed for the top eigenvalue of a Lanczos tridiagonal
-SCREEN_FACTOR = 10.0  # a scheduled check runs QL once the estimated residual is below this times tol
 STURM_SHIFTS = 127  # shifts counted per multisection pass: the bracket shrinks 128-fold
 
 
@@ -220,10 +220,9 @@ def inverse_iteration(d, e, lam: float) -> np.ndarray:
 def _ql(d, e, z: np.ndarray | None = None):
     """Implicit-shift QL on the symmetric tridiagonal (d, e), over Python floats.
 
-    Returns the eigenvalues in ascending order, the last row of the
-    eigenvector matrix in the same order (carried through every rotation as
-    two floats), and ``z`` with every rotation applied to its columns, or
-    None when no ``z`` is passed (pass the identity for the eigenvectors).
+    Returns the eigenvalues in ascending order and ``z`` with every rotation
+    applied to its columns, in the same order, or None when no ``z`` is
+    passed (pass the identity for the eigenvectors).
     """
     d = np.array(d, dtype=float)
     n = d.size
@@ -235,9 +234,6 @@ def _ql(d, e, z: np.ndarray | None = None):
     floor = eps * max(np.abs(d).max(initial=0.0), np.abs(ee).max(initial=0.0), 1e-300)
     d = d.tolist()
     ee = ee.tolist()
-    last = [0.0] * n
-    if n:
-        last[-1] = 1.0
     for l in range(n):
         for _ in range(QL_MAX_ITER):
             m = l
@@ -271,11 +267,7 @@ def _ql(d, e, z: np.ndarray | None = None):
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                # accumulate the rotation into the eigenvector matrix
-                zi, zi1 = last[i], last[i + 1]
-                last[i + 1] = s * zi + c * zi1
-                last[i] = c * zi - s * zi1
-                if z is not None:
+                if z is not None:  # accumulate the rotation into the eigenvector matrix
                     col_i = z[:, i].copy()
                     col_i1 = z[:, i + 1].copy()
                     z[:, i + 1] = s * col_i + c * col_i1
@@ -288,7 +280,7 @@ def _ql(d, e, z: np.ndarray | None = None):
             raise RuntimeError("QL iteration failed to converge")
     d = np.array(d)
     order = np.argsort(d)
-    return d[order], np.array(last)[order], None if z is None else z[:, order]
+    return d[order], None if z is None else z[:, order]
 
 
 def tridiag_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -298,8 +290,7 @@ def tridiag_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def tridiag_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of a symmetric tridiagonal."""
-    vals, _, vecs = _ql(d, e, np.eye(np.size(d)))
-    return vals, vecs
+    return _ql(d, e, np.eye(np.size(d)))
 
 
 def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) -> np.ndarray:
@@ -338,15 +329,17 @@ def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60) 
     return np.sort(np.diag(A))
 
 
-def _residual_estimate(alphas, betas, beta: float) -> float:
-    """beta |s_k| for the largest eigenvalue theta of T_k = tridiag(alphas, betas), in O(k).
+def _top_ritz_pair(alphas, betas) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue theta of T_k = tridiag(alphas, betas) and a unit
+    eigenvector y for it, in O(k).
 
     theta comes from Newton's method from above on det(T_k - theta I) =
     prod q_i, the pivots of T_k - theta I = L D L^T: from a Gershgorin bound,
     each step theta -= 1 / sum(q_i' / q_i) = 1 / sum_j 1 / (theta - theta_j)
     stays at or above the largest root and approaches it monotonically.
-    s_k is the last entry of ``inverse_iteration`` at theta; the closed form
-    s_k^2 = 1 / |q_k'(theta)| loses every digit near convergence.
+    ValueError if it takes more than ``NEWTON_MAX_ITER`` steps.  y is
+    ``inverse_iteration`` at theta; the closed form y_k^2 = 1 / |q_k'(theta)|
+    of its last entry loses every digit near convergence.
     """
     b2 = [b * b for b in betas]
     theta = _gershgorin(alphas, betas)[1]
@@ -368,17 +361,15 @@ def _residual_estimate(alphas, betas, beta: float) -> float:
         if not step > 2.0 * eps * abs(theta):
             break
         theta -= step
-    return abs(beta * float(inverse_iteration(alphas, betas, theta)[-1]))
+    else:
+        raise ValueError(
+            f"Newton's method did not reach the top eigenvalue of T_k at k={len(alphas)} "
+            f"in {NEWTON_MAX_ITER} steps"
+        )
+    return theta, inverse_iteration(alphas, betas, theta)
 
 
-def lanczos_extreme(
-    matvec,
-    n: int,
-    seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 2000,
-    deflate_constants: bool = True,
-):
+def lanczos_extreme(matvec, n: int, seed: int = 0, tol: float = 1e-10, max_iter: int = 2000):
     """Largest (signed) eigenvalue of a symmetric operator on mean-zero vectors.
 
     Full reorthogonalization whenever the basis fits in ``STORE_BASIS_BUDGET``
@@ -389,14 +380,13 @@ def lanczos_extreme(
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     v = rng.standard_normal(n)
-    if deflate_constants:
-        v -= v.mean()
+    v -= v.mean()
     nv = float(np.sqrt(v @ v))
     if nv == 0.0:
         raise ValueError("degenerate start vector")
     v /= nv
 
-    max_basis = min(max_iter, n - 1 if deflate_constants else n)
+    max_basis = min(max_iter, n - 1)
     if max_basis < 1:
         raise ValueError("Lanczos needs at least one iteration")
     keep_basis = n * max_basis <= STORE_BASIS_BUDGET
@@ -415,8 +405,7 @@ def lanczos_extreme(
 
     for k in range(1, max_basis + 1):
         w = matvec(v)
-        if deflate_constants:
-            w -= w.mean()
+        w -= w.mean()
         alpha = float(v @ w)
         alphas.append(alpha)
         np.multiply(alpha, v, out=step)
@@ -429,14 +418,13 @@ def lanczos_extreme(
             w -= B @ (B.T @ w)
         beta = float(np.sqrt(w @ w))
         invariant = beta <= 1e-14
-        forced = beta <= tol * 1e-3 or invariant or k == max_basis
-        if forced or (
-            k % check_every == 0 and _residual_estimate(alphas, betas, beta) <= SCREEN_FACTOR * tol
-        ):
-            # ||T y - theta y|| = beta_k |s_k|: the last row is all the check needs
-            vals, last, _ = _ql(alphas, betas)
-            top = int(np.argmax(vals))
-            resid = abs(beta * float(last[top]))
+        if k % check_every == 0 or beta <= tol * 1e-3 or invariant or k == max_basis:
+            try:
+                theta, y = _top_ritz_pair(alphas, betas)
+            except ValueError as exc:
+                raise ValueError(f"Lanczos at N={n}: {exc}") from None
+            # the Ritz vector x = V_k y has ||A x - theta x|| = beta_k |y_k|
+            resid = abs(beta * float(y[-1]))
             converged = resid <= tol or invariant
             if converged or k == max_basis:
                 break
@@ -448,8 +436,8 @@ def lanczos_extreme(
 
     ritz = None
     if keep_basis:
-        ritz = basis[:k].T @ tridiag_eigh(alphas, betas)[1][:, top]
+        ritz = basis[:k].T @ y
         rn = float(np.sqrt(ritz @ ritz))
         if rn > 0:
             ritz /= rn
-    return float(vals[top]), k, resid, converged, ritz
+    return theta, k, resid, converged, ritz

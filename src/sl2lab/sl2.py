@@ -133,32 +133,6 @@ def reduce_intmat(m: IntMat, q: FactoredModulus) -> SL2Residue:
     )
 
 
-def congruence_depth(x: SL2Residue, p: int) -> int:
-    """Largest t <= n (p^n || q) with x = 1 mod p^t, measured entrywise on x - 1."""
-    n = x.q.exponent_of(p)
-    if n == 0:
-        raise ValueError(f"{p} does not divide the modulus {x.q.value}")
-    pn = p**n
-    depth = n
-    for v in (x.a - 1, x.b, x.c, x.d - 1):
-        v %= pn
-        if v == 0:
-            continue  # valuation >= n at this entry
-        t = 0
-        while v % p == 0:
-            v //= p
-            t += 1
-        depth = min(depth, t)
-    return depth
-
-
-def in_congruence_coset(x: SL2Residue, q_sub: FactoredModulus) -> bool:
-    """True iff x lies in Lambda(q_sub)/Lambda(q), i.e. reduces to 1 mod q_sub."""
-    if not divides(q_sub, x.q):
-        raise ValueError(f"{q_sub.value} does not divide the modulus {x.q.value}")
-    return reduce_residue(x, q_sub) == identity(q_sub)
-
-
 def group_order(q: FactoredModulus) -> int:
     """|SL2(Z/qZ)| = q^3 prod_{p | q} (1 - p^{-2})."""
     order = q.value**3
@@ -204,41 +178,6 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_u, u = u, old_u - qt * u
         old_v, v = v, old_v - qt * v
     return old_r, old_u, old_v
-
-
-# ---------------------------------------------------------------------------
-# CRT across coprime factor moduli
-
-
-def crt_split(x: SL2Residue) -> dict[int, SL2Residue]:
-    """Componentwise reduction to each prime-power factor of the modulus."""
-    out = {}
-    for p, e in x.q.factors:
-        qp = FactoredModulus(p**e, ((p, e),))
-        out[p] = reduce_residue(x, qp)
-    return out
-
-
-def crt_join(parts: dict[int, SL2Residue]) -> SL2Residue:
-    """Inverse of crt_split: glue residues over pairwise coprime prime powers."""
-    q_val = 1
-    factors = []
-    for p in sorted(parts):
-        part = parts[p]
-        if part.q.factors and (len(part.q.factors) != 1 or part.q.factors[0][0] != p):
-            raise ValueError(f"part at {p} has modulus {part.q.value}")
-        q_val *= part.q.value
-        factors.extend(part.q.factors)
-    q = FactoredModulus(q_val, tuple(sorted(factors)))
-    entries = []
-    for idx in range(4):
-        r = 0
-        for p in sorted(parts):
-            m = parts[p].q.value
-            rest = q_val // m
-            r = (r + parts[p].entries[idx] * rest * pow(rest, -1, m)) % q_val
-        entries.append(r)
-    return SL2Residue(q, *entries)
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,12 @@ def cheeger_bounds(lambda2: float, degree: int) -> tuple[float, float]:
 
 
 def dense_lambda2(op: CayleyOperator) -> float:
-    """Second eigenvalue via the in-repo dense eigensolver (oracle route).
+    """Second eigenvalue via the in-repo dense eigensolver (oracle route)."""
+    return _checked_dense_lambda2(op)[0]
+
+
+def _checked_dense_lambda2(op: CayleyOperator) -> tuple[float, float]:
+    """(lambda2, ||Tx - lambda2 x||) on the dense route.
 
     Sturm multisection on the tridiagonal gives the value: the second largest
     eigenvalue, since the trivial 1 is the largest (a disconnected graph has 1
@@ -168,7 +173,7 @@ def dense_lambda2(op: CayleyOperator) -> float:
             f"||Tx - lambda2 x|| = {resid:.3g} for the inverse-iteration vector x "
             f"exceeds {RESIDUAL_DELTA:g}"
         )
-    return lam
+    return lam, resid
 
 
 def lambda2(
@@ -189,8 +194,8 @@ def lambda2(
     if method == "auto":
         method = "dense" if op.n <= DENSE_THRESHOLD else "iterative"
     if method == "dense":
-        lam = dense_lambda2(op)
-        iters, resid, conv = 0, 0.0, True
+        lam, resid = _checked_dense_lambda2(op)
+        iters, conv = 0, True
     elif method == "iterative":
         lam, iters, resid, conv, ritz = lanczos_extreme(
             op.apply, op.n, seed=seed, tol=tol, max_iter=max_iter

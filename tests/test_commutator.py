@@ -13,8 +13,8 @@ from sl2lab.commutator import (
     amplify,
     amplify_exhaustive_check,
     box_lift_codes,
-    commutator_congruence,
     commutator_sweep,
+    congruence_depths,
     connecting_map,
     bracket_span_cover,
     solve_mod_prime_power,
@@ -28,39 +28,32 @@ from sl2lab.sl2 import (
     SL2Residue,
     enumerate_group,
     identity,
+    inverse,
+    mul,
     reduce_residue,
 )
 
 
-def test_commutator_congruence_example():
-    # frozen oracle: both sides equal [[26,0],[0,101]] mod 125
-    q = FactoredModulus.of(125)
-    x = SL2Residue(q, 1, 5, 0, 1)
-    y = SL2Residue(q, 1, 0, 5, 1)
-    lhs, rhs, ok = commutator_congruence(x, y, 5, 1, 1)
-    assert ok
-    assert lhs.entries == (26, 0, 0, 101)
-    assert rhs == (26, 0, 0, 101)
+def depths(xs, p: int, n: int) -> list[int]:
+    return congruence_depths(tuple(np.array([x.entries[i] for x in xs]) for i in range(4)), p, n).tolist()
 
 
-def test_commutator_congruence_trivial_cases():
-    q = FactoredModulus.of(27)
-    x = SL2Residue(q, 1, 3, 0, 1)
-    e = identity(q)
-    lhs, rhs, ok = commutator_congruence(x, e, 3, 1, 1)
-    assert ok and lhs == e and rhs == (1, 0, 0, 1)
-    lhs, rhs, ok = commutator_congruence(x, x, 3, 1, 1)
-    assert ok and lhs == e
+def test_congruence_depths_examples():
+    q8 = FactoredModulus.of(8)
+    xs = [identity(q8), SL2Residue(q8, 1, 4, 0, 1), SL2Residue(q8, 1, 1, 0, 1)]
+    assert depths(xs, 2, 3) == [3, 2, 0]
+    assert depths([identity(FactoredModulus.of(32))], 2, 5) == [5]
 
 
-def test_commutator_congruence_preconditions():
-    q = FactoredModulus.of(27)
-    x = SL2Residue(q, 1, 3, 0, 1)
-    y = SL2Residue(q, 1, 1, 0, 1)  # depth 0
-    with pytest.raises(ValueError):
-        commutator_congruence(x, y, 3, 1, 1)
-    with pytest.raises(ValueError):
-        commutator_congruence(x, x, 3, 2, 2)  # needs 3^6 > 27
+def test_congruence_depths_properties():
+    # depth is at least the smaller depth on products and kept by conjugation
+    rng = random.Random(3)
+    group = list(enumerate_group(FactoredModulus.of(16)))
+    for _ in range(100):
+        x, y, g = rng.choice(group), rng.choice(group), rng.choice(group)
+        dx, dy, dxy, dgx = depths([x, y, mul(x, y), mul(mul(g, x), inverse(g))], 2, 4)
+        assert dxy >= min(dx, dy)
+        assert dgx == dx
 
 
 def test_commutator_sweep_small():

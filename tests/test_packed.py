@@ -342,17 +342,8 @@ def test_one_closure_kernel_in_src():
 
 
 # top-level names of src/ that only tests call: the reference a test checks
-# reached code against, or a kept helper that its own unit tests cover
+# reached code against
 TEST_REFERENCES = {
-    "commutator_congruence",  # test_commutator::test_commutator_congruence_example
-    "congruence_depth",  # test_sl2::test_congruence_depth_examples
-    "crt_join",  # test_sl2::test_crt_split_join_roundtrip
-    "crt_split",  # test_sl2::test_crt_split_join_roundtrip
-    "frac_power",  # test_factored::test_frac_power_examples
-    "in_congruence_coset",  # test_sl2::test_in_congruence_coset
-    "quotient_exact",  # test_factored::test_quotient_exact
-    "radical",  # test_factored::test_radical
-    "split_by_exponent",  # test_factored::test_split_by_exponent_examples
     "exact_divides",  # test_factored::test_divisor_enumeration, for exact_divisors
     "jacobi_eigenvalues",  # test_spectral::test_blocked_tridiagonalize_matches_jacobi
     "mass_on",  # test_walks::test_sampled_frequency_matches_exact_convolution

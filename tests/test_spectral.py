@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from sl2lab.eigen import (
     TRIDIAG_BLOCK,
     TRIDIAG_SLICE,
-    _ql,
     inverse_iteration,
     jacobi_eigenvalues,
     lanczos_extreme,
@@ -106,6 +105,8 @@ def test_tridiag_eigh_vectors():
 # diagonals drawn partly from a few values so they repeat; off-diagonals partly zero
 DIAG = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), st.floats(-4, 4))
 OFFDIAG = st.one_of(st.just(0.0), st.floats(-3, 3))
+# mostly the top value 2, so the largest eigenvalues cluster
+TOP_DIAG = st.one_of(st.just(2.0), st.sampled_from([-1.0, 0.0, 0.5]), st.floats(-4, 4))
 
 
 def lapack_eigenvalues(d, e):
@@ -124,7 +125,6 @@ def test_single_ql_loop_paths_agree(data, n):
     e = np.array(data.draw(st.lists(OFFDIAG, min_size=n - 1, max_size=n - 1)))
     vals, vecs = tridiag_eigh(d, e)
     assert tridiag_eigvals(d, e).tobytes() == vals.tobytes()
-    assert _ql(d, e)[1].tobytes() == vecs[-1].tobytes()
     m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     scale = max(np.abs(d).max(), np.abs(e).max(initial=0.0), 1.0)
     assert np.abs(jacobi_eigenvalues(m) - vals).max() <= 1e-10 * scale
@@ -239,58 +239,94 @@ def test_sturm_eigenvalue_of_zero_is_clean():
         sturm_eigenvalue([0.0, 1.0], [0.5], 2)
 
 
+def longdouble_top_eigenvalue(d, e) -> np.longdouble:
+    """Largest eigenvalue of the tridiagonal (d, e) by Sturm bisection in
+    np.longdouble, tests only.  It is finer than the double-precision QL and
+    LAPACK results: over 4,000 draws like those of the test below, QL was up
+    to 10 eps ||T|| from it, LAPACK up to 8 and ``_top_ritz_pair`` up to 2.1."""
+    ld = np.longdouble
+    d = np.asarray(d, dtype=ld)
+    e2 = np.asarray(e, dtype=ld) ** 2
+    pivmin = np.finfo(ld).tiny * max(ld(1), e2.max(initial=ld(0)))
+    reach = 2 * np.sqrt(e2.max(initial=ld(0))) + 1
+    lo, hi = d.min() - reach, d.max() + reach
+    while lo < (lo + hi) / 2 < hi:
+        mid = (lo + hi) / 2
+        below = 0
+        q = ld(1)
+        for i in range(d.size):
+            q = d[i] - mid - (e2[i - 1] / q if i else 0)
+            q = -pivmin if abs(q) <= pivmin else q
+            below += q < 0
+        lo, hi = (lo, mid) if below == d.size else (mid, hi)
+    return (lo + hi) / 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60))
+def test_top_ritz_pair_matches_ql_and_lapack(data, n):
+    # unreduced, as a Lanczos T_k is; diagonals drawn from a few values repeat,
+    # so that with small off-diagonals the top eigenvalues cluster
+    d = np.array(data.draw(st.lists(TOP_DIAG, min_size=n, max_size=n)))
+    e = np.array(data.draw(st.lists(st.floats(1e-3, 3), min_size=n - 1, max_size=n - 1)))
+    theta, y = eigen._top_ritz_pair(d.tolist(), e.tolist())
+    m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    lapack = lapack_eigenvalues(d, e)
+    norm = np.abs(lapack).max()
+    eps = np.finfo(float).eps
+    floor = 2 * eigen._pivmin(e**2)  # the pivot floor moves theta off an exact 0
+    if np.finfo(np.longdouble).nmant >= 63:  # long double finer than double
+        assert abs(theta - longdouble_top_eigenvalue(d, e)) <= 4 * eps * norm + floor
+    # the references' own error grows with n: up to 20 eps ||T|| from theta
+    # at n <= 60 over 20,000 such draws, and at most 0.55 (4 + n) eps ||T||
+    assert abs(theta - tridiag_eigvals(d, e)[-1]) <= (4 + n) * eps * norm + floor
+    assert abs(theta - lapack[-1]) <= (4 + n) * eps * norm + floor
+    r = m @ y - theta * y
+    assert abs(y @ y - 1.0) <= 1e-14
+    assert np.sqrt(r @ r) <= 1e-12 * norm + floor
+
+
 def test_lanczos_on_explicit_matrix():
     rng = np.random.default_rng(3)
     n = 80
     m = rng.standard_normal((n, n))
     m = (m + m.T) / 2
-    lam, iters, resid, conv, ritz = lanczos_extreme(
-        lambda v: m @ v, n, seed=0, tol=1e-11, deflate_constants=False
-    )
+    p = np.eye(n) - np.full((n, n), 1.0 / n)
+    pmp = p @ m @ p  # the mean-zero operator P m P
+    lam, iters, resid, conv, ritz = lanczos_extreme(lambda v: pmp @ v, n, seed=0, tol=1e-11)
     assert conv
-    assert abs(lam - np.linalg.eigvalsh(m)[-1]) < 1e-9
+    # reference: eigvalsh on the mean-zero subspace, through an orthonormal basis of it
+    q = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))[0][:, 1:]
+    assert abs(lam - np.linalg.eigvalsh(q.T @ m @ q)[-1]) < 1e-9
+    r = pmp @ ritz - lam * ritz
+    assert abs(ritz.sum()) < 1e-12 and np.sqrt(r @ r) < 1e-9
     with pytest.raises(ValueError):
-        lanczos_extreme(lambda v: m @ v, n, max_iter=0, deflate_constants=False)
+        lanczos_extreme(lambda v: pmp @ v, n, max_iter=0)
 
 
-@pytest.mark.parametrize("budget", [eigen.STORE_BASIS_BUDGET, 0])
-def test_screened_checks_change_no_lanczos_result(monkeypatch, budget):
-    # the O(k) estimate only skips checks that QL would not pass: with it
-    # patched to 0, QL runs at every scheduled check, and every result of the
-    # stored-basis and (budget 0) three-term runs stays byte-identical
-    monkeypatch.setattr(eigen, "STORE_BASIS_BUDGET", budget)
-    m = np.random.default_rng(4).standard_normal((60, 60))
-    m = (m + m.T) / 2
-    cases = [
-        (lambda v: m @ v, 60, False),
-        (cycle_operator(33).apply, 33, True),
-        (cayley_for_sl2_pair(standard_dense_pair_generators(), 5, 1).apply, 120, True),
-    ]
+def test_no_ql_on_the_lanczos_route(monkeypatch):
+    # QL is a test reference only: stored-basis and three-term runs never call it
+    def no_ql(*args, **kwargs):
+        raise AssertionError("QL ran on the Lanczos route")
 
-    def runs():
-        out = []
-        for matvec, n, deflate in cases:
-            for seed in (0, 1):
-                for tol in (1e-6, 1e-13):
-                    lam, k, resid, conv, ritz = lanczos_extreme(
-                        matvec, n, seed=seed, tol=tol, deflate_constants=deflate
-                    )
-                    out.append((repr(lam), k, repr(resid), conv, None if ritz is None else ritz.tobytes()))
-        return out
+    monkeypatch.setattr(eigen, "_ql", no_ql)
+    gens = standard_dense_pair_generators()
+    rows = gap_sweep(gens, [13, 15], pair=False)
+    assert [r["N"] for r in rows] == [2184, 2880]  # above DENSE_THRESHOLD: Lanczos
+    monkeypatch.setattr(eigen, "STORE_BASIS_BUDGET", 0)
+    (row,) = gap_sweep(gens, [13], pair=False)
+    assert row["lambda2"] == pytest.approx(rows[0]["lambda2"], abs=1e-8)
 
-    estimates = []
-    estimate = eigen._residual_estimate
 
-    def recorded(*args):
-        estimates.append(estimate(*args))
-        return estimates[-1]
-
-    monkeypatch.setattr(eigen, "_residual_estimate", recorded)
-    screened = runs()
-    # checks were skipped at either tolerance
-    assert sum(r > eigen.SCREEN_FACTOR * 1e-6 for r in estimates) >= 10
-    monkeypatch.setattr(eigen, "_residual_estimate", lambda *a: 0.0)
-    assert screened == runs()
+def test_newton_cap_is_an_error(monkeypatch, tmp_path, capsys):
+    # a top eigenvalue of T_k that Newton's method has not reached is never reported
+    monkeypatch.setattr(eigen, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(ValueError, match=r"N=2184: Newton's method .* at k=5 "):
+        gap_sweep(standard_dense_pair_generators(), [13], pair=False)
+    assert main(["--out", str(tmp_path), "spectral", "--moduli", "13", "--no-pair"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Lanczos at N=2184: Newton's method") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run-*"))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +478,22 @@ def test_dense_lambda2_off_its_eigenvector_check_is_an_error(monkeypatch, tmp_pa
     err = capsys.readouterr().err
     assert err.startswith("error: dense lambda2=") and err.count("\n") == 1
     assert not list(tmp_path.glob("run-*"))
+
+
+def test_dense_row_reports_its_checked_residual():
+    # the residual of a dense row is the ||Tx - lambda2 x|| its eigenvector check accepted
+    op = cayley_for_sl2_pair(standard_dense_pair_generators(), 5, 1)
+    rep = lambda2(op, method="dense")
+    lam, checked = spectral._checked_dense_lambda2(op)
+    assert rep.lambda2 == lam and rep.residual == checked
+    assert 0.0 < checked <= spectral.RESIDUAL_DELTA
+    # the same norm, formed through the dense tridiagonal
+    d, e = tridiagonalize(op.dense_matrix())
+    x = inverse_iteration(d, e, lam)
+    r = (np.diag(d) + np.diag(e, 1) + np.diag(e, -1)) @ x - lam * x
+    assert abs(checked - np.sqrt(r @ r)) <= 1e-15
+    (row,) = gap_sweep(standard_dense_pair_generators(), [5], pair=False)
+    assert row["residual"] == checked
 
 
 def test_lambda2_disconnected_is_one():
