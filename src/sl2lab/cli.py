@@ -107,14 +107,14 @@ def _emit(args, t0: float, files: dict[str, str]) -> Path:
 
 
 def _load_generators(spec: str):
-    from .sl2 import load_generator_file, symmetrize
+    from .sl2 import load_generator_file
     from .spectral import standard_dense_pair_generators, unit_dense_pair_generators
 
     if spec == "builtin:dense":
         return standard_dense_pair_generators()
     if spec == "builtin:unit":
         return unit_dense_pair_generators()
-    return symmetrize(load_generator_file(spec))
+    return load_generator_file(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +324,7 @@ def cmd_glue(args) -> int:
     from .factored import FactoredModulus
     from .glue import GluingConfig, glue_pipeline, replay_certificates
     from .growth import GroupSet
-    from .packed import PairContext, generated_subgroup
-    from .sl2 import PairElement, enumerate_group
-    from .spectral import intpair_digits
+    from .packed import PairContext, generated_subgroup, sl2_codes
 
     q1 = FactoredModulus.of(args.q1)
     q2 = FactoredModulus.of(args.q2)
@@ -335,9 +333,9 @@ def cmd_glue(args) -> int:
     if args.b == "diagonal":
         if args.q1 != 1 or args.q2 != args.q3:
             raise UsageError("the diagonal example needs q1 = 1 and q2 = q3")
-        b = GroupSet.from_elements(
-            left, q2, [PairElement(x, x) for x in enumerate_group(q3)]
-        )
+        # the pairs (x, x), x in SL2(Z/q3): code x q3^4 + x, sorted as x is
+        x = sl2_codes(args.q3)
+        b = GroupSet(left, q2, x * np.int64(args.q3**4) + x)
     elif args.b == "full":
         b = GroupSet.full_group(left, q2)
     else:
@@ -345,8 +343,7 @@ def cmd_glue(args) -> int:
     a = None
     if args.a == "dense":
         ctx = PairContext(left.value, q2.value)
-        gens = [intpair_digits(g, left.value, q2.value) for g in _load_generators("builtin:unit")]
-        ball = generated_subgroup(ctx, gens)
+        ball = generated_subgroup(ctx, ctx.encode_intpairs(_load_generators("builtin:unit")))
         rng = np.random.Generator(np.random.Philox(key=args.seed))
         if ball.size > args.a_size:
             pick = np.sort(rng.choice(ball.size, size=args.a_size, replace=False))

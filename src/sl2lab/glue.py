@@ -398,7 +398,7 @@ def _run_defect_case(
     pool = _pool_codes(b, a, cfg)
     gens = np.append(gamma_code, full.mul(full.mul(pool, gamma_code), full.inv(pool)))
     try:
-        k = generated_subgroup(full, np.stack(full.decode(gens), axis=1), cfg.cap)
+        k = generated_subgroup(full, gens, cfg.cap)
     except ValueError:
         report.incomplete.append({"stage": "defect-case", "reason": "closure exceeded cap"})
         return None
@@ -469,7 +469,7 @@ def _run_commutator_case(
         if final_depth < nn:
             return None
     try:
-        k = generated_subgroup(full, np.stack(full.decode(cur[:64]), axis=1), cfg.cap)
+        k = generated_subgroup(full, cur[:64], cfg.cap)
     except ValueError:
         report.incomplete.append({"stage": "commutator-case", "reason": "closure cap"})
         return None
@@ -532,7 +532,7 @@ def _run_one_parameter_case(
     # generator suffices and keeps the generating set small
     gens = np.append(best, full.mul(full.mul(pool, best), full.inv(pool)))
     try:
-        k = generated_subgroup(full, np.stack(full.decode(gens), axis=1), cfg.cap)
+        k = generated_subgroup(full, gens, cfg.cap)
     except ValueError:
         report.incomplete.append({"stage": "one-parameter-case", "reason": "closure cap"})
         return None

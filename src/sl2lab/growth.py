@@ -24,7 +24,7 @@ from .packed import (
     mul_codes,
     unique_codes,
 )
-from .sl2 import IntPair, PairElement, reduce_pair
+from .sl2 import IntPair, PairElement
 
 SET_CAP = 10_000_000
 PRODUCT_WORK_CAP = 200_000_000  # multiplications one product_set may spend
@@ -69,7 +69,8 @@ class GroupSet:
     def from_intpairs(
         q1: FactoredModulus, q2: FactoredModulus, gens: Sequence[IntPair]
     ) -> "GroupSet":
-        return GroupSet.from_elements(q1, q2, [reduce_pair(g, q1, q2) for g in gens])
+        codes = PairContext(q1.value, q2.value).encode_intpairs(gens)
+        return GroupSet(q1, q2, unique_codes(codes))
 
     @staticmethod
     def full_group(q1: FactoredModulus, q2: FactoredModulus) -> "GroupSet":

@@ -27,6 +27,10 @@ sorted int64 codes, with the product of a layer passed in.  It closes factor
 groups through ``mul_codes``, and the table groups of ``approxhom`` close
 table indices and pair codes with it.
 
+A generating set passes between modules as an int64 array of codes of its
+``PairContext``, in the caller's order and with the caller's multiplicity;
+``PairContext.encode_intpairs`` is the one converter from integral pairs.
+
 ``pair_subgroup`` is the one pair-group enumerator, and ``generated_subgroup``
 returns its codes.  It never searches the N = |H| pair codes.  Following
 Schreier's lemma (Holt, Eick and O'Brien, *Handbook of Computational Group
@@ -60,7 +64,7 @@ from math import gcd
 import numpy as np
 
 from .factored import FactoredModulus
-from .sl2 import PairElement, SL2Residue, _ext_gcd, group_order
+from .sl2 import PairElement, SL2Residue, _ext_gcd, group_order, reduce_pair
 
 BLOCK = 1 << 18  # products per broadcast block in mul_codes
 FLUSH = 8_000_000  # buffered products before mul_codes merges them with unique_codes
@@ -112,6 +116,16 @@ class PairContext:
         e = x.left.entries + x.right.entries
         return int(self.encode([np.int64(v) for v in e])[()])
 
+    def encode_intpairs(self, gens) -> np.ndarray:
+        """Codes of integral pairs (int or Fraction entries, det 1) reduced
+        mod (q1, q2), in the given order; ValueError where ``reduce_pair``
+        raises.  Reduction in Python integers keeps unreduced entries,
+        however large, from meeting int64 digit arrays."""
+        q1, q2 = FactoredModulus.of(self.q1), FactoredModulus.of(self.q2)
+        return np.array(
+            [self.encode_element(reduce_pair(g, q1, q2)) for g in gens], dtype=np.int64
+        )
+
     def decode_element(
         self, code: int, q1: FactoredModulus, q2: FactoredModulus
     ) -> PairElement:
@@ -155,9 +169,6 @@ class PairContext:
                 a2,
             ]
         )
-
-    def element_tuple(self, code: int) -> tuple[int, ...]:
-        return tuple(int(v[0]) for v in self.decode(np.array([code], dtype=np.int64)))
 
     def reduce_codes(self, codes: np.ndarray, target: "PairContext") -> np.ndarray:
         """Reduce packed elements to divisor moduli (t.q1 | q1, t.q2 | q2)."""
@@ -315,12 +326,11 @@ def _edge_products(ctx: PairContext, x: np.ndarray, s: np.ndarray) -> np.ndarray
     return np.concatenate(blocks)
 
 
-def pair_subgroup(ctx: PairContext, gens, cap: int) -> PairSubgroup:
-    """The subgroup generated by ``gens`` (8-digit tuples) from factor-sized
-    work; raises ValueError when it has more than ``cap`` elements."""
-    digits = np.array([ctx.reduce_digits(g) for g in gens], dtype=np.int64).reshape(-1, 8)
+def pair_subgroup(ctx: PairContext, gens: np.ndarray, cap: int) -> PairSubgroup:
+    """The subgroup generated by the codes ``gens`` from factor-sized work;
+    raises ValueError when it has more than ``cap`` elements."""
     m = np.int64(ctx.q2**4)
-    gen_codes = unique_codes(ctx.encode(digits.T))
+    gen_codes = unique_codes(np.asarray(gens, dtype=np.int64))
     s1, s2 = gen_codes // m, gen_codes % m
     c1, c2 = PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)
     one2 = c2.identity_code()
@@ -371,11 +381,9 @@ def pair_subgroup(ctx: PairContext, gens, cap: int) -> PairSubgroup:
     return PairSubgroup(left, kernel, codes, direct)
 
 
-def generated_subgroup(
-    ctx: PairContext, gens: list[tuple[int, ...]], cap: int = 10_000_000
-) -> np.ndarray:
-    """Sorted codes of the subgroup generated by ``gens`` (8-digit tuples);
-    raises ValueError when the subgroup exceeds ``cap``."""
+def generated_subgroup(ctx: PairContext, gens: np.ndarray, cap: int = 10_000_000) -> np.ndarray:
+    """Sorted codes of the subgroup generated by the codes ``gens``; raises
+    ValueError when the subgroup exceeds ``cap``."""
     return pair_subgroup(ctx, gens, cap).codes
 
 

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .eigen import inverse_iteration, lanczos_extreme, sturm_eigenvalue, tridiagonalize
-from .factored import FactoredModulus
 from .packed import PairContext, _product, index_sorted, pair_subgroup
 from .sl2 import IntPair, symmetrize
 
@@ -27,21 +26,13 @@ EXACT_CHEEGER_MAX = 22  # largest N for the exhaustive Cheeger sweep (2^(N-1) su
 RESIDUAL_DELTA = 1e-9
 
 
-def intpair_digits(g: IntPair, q1: int, q2: int) -> tuple[int, ...]:
-    """Reduce an integral pair to the 8-digit tuple of a PairContext."""
-    from .sl2 import reduce_pair
-
-    p = reduce_pair(g, FactoredModulus.of(q1), FactoredModulus.of(q2))
-    return p.left.entries + p.right.entries
-
-
 @dataclass
 class CayleyOperator:
     """Normalized adjacency operator of Cay(G, S): (Tv)(x) = mean_s v(s^{-1} x)."""
 
     ctx: PairContext
     codes: np.ndarray  # sorted element codes; index space of the operator
-    gens: list[tuple[int, ...]]  # symmetric generator multiset, 8-digit tuples
+    gens: np.ndarray  # generator codes in the caller's order and multiplicity
     perms: list[np.ndarray]  # perms[s][i] = index of gens[s]^{-1} * x_i
 
     @property
@@ -50,39 +41,38 @@ class CayleyOperator:
 
     @property
     def degree(self) -> int:
-        return len(self.gens)
+        return int(self.gens.size)
 
     @staticmethod
     def build(
-        ctx: PairContext,
-        gens: Sequence[tuple[int, ...]],
-        codes: Optional[np.ndarray] = None,
+        ctx: PairContext, gens: np.ndarray, codes: Optional[np.ndarray] = None
     ) -> "CayleyOperator":
         """Construct over the given vertex codes, or over <gens> if codes is None.
 
-        The generator multiset is used as given (duplicates kept, entries
-        reduced mod the moduli); it must be closed under inverse for the
-        operator to be self-adjoint.  Over <gens> = A x N2 (see
-        ``packed.pair_subgroup``) vertex i is (A[i // |N2|], N2[i % |N2|]),
-        so each permutation is the Kronecker sum of two factor permutations.
+        ``gens`` is an array of codes of ``ctx``, used as given: order and
+        duplicates are kept, and the operator is self-adjoint exactly when
+        the multiset is closed under inverse (``lambda2`` checks it).  Over
+        <gens> = A x N2 (see ``packed.pair_subgroup``) vertex i is
+        (A[i // |N2|], N2[i % |N2|]), so each permutation is the Kronecker
+        sum of two factor permutations.
         """
-        gens = [ctx.reduce_digits(g) for g in gens]
-        g_invs = [ctx.element_tuple(int(ctx.inv(ctx.encode(g)))) for g in gens]
+        gens = np.asarray(gens, dtype=np.int64)
+        g_invs = ctx.inv(gens)
         if codes is None:
             sub = pair_subgroup(ctx, gens, GROUP_CAP)
             codes = sub.codes
             if sub.direct:
                 c1, c2 = PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)
                 x1, x2 = c1.decode(sub.left), c2.decode(sub.kernel)
-                zero = (0, 0, 0, 0)
+                m = ctx.q2**4
                 perms = []
-                for g in g_invs:
-                    p1 = index_sorted(_product(c1, g[:4] + zero, x1), sub.left)
-                    p2 = index_sorted(_product(c2, g[4:] + zero, x2), sub.kernel)
+                for g1, g2 in zip(g_invs // m, g_invs % m):
+                    p1 = index_sorted(_product(c1, c1.decode(g1), x1), sub.left)
+                    p2 = index_sorted(_product(c2, c2.decode(g2), x2), sub.kernel)
                     perms.append((p1[:, None] * sub.kernel.size + p2).ravel())
                 return CayleyOperator(ctx, codes, gens, perms)
         x = ctx.decode(codes)
-        perms = [index_sorted(_product(ctx, g, x), codes) for g in g_invs]
+        perms = [index_sorted(_product(ctx, ctx.decode(g), x), codes) for g in g_invs]
         return CayleyOperator(ctx, codes, gens, perms)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -116,10 +106,8 @@ class CayleyOperator:
 def cayley_for_sl2_pair(gens: Sequence[IntPair], q1: int, q2: int) -> CayleyOperator:
     """Cayley operator for integral pair generators reduced mod (q1, q2), on
     the subgroup the reduced generators generate (connected by construction)."""
-    gens = symmetrize(list(gens))
     ctx = PairContext(q1, q2)
-    digit_gens = [intpair_digits(g, q1, q2) for g in gens]
-    return CayleyOperator.build(ctx, digit_gens)
+    return CayleyOperator.build(ctx, ctx.encode_intpairs(symmetrize(list(gens))))
 
 
 @dataclass
@@ -130,9 +118,6 @@ class SpectralReport:
     cheeger_lower: float
     cheeger_upper: float
     converged: bool = True
-    method: str = "iterative"
-    n: int = 0
-    degree: int = 0
 
     def __post_init__(self):
         if self.cheeger_lower > self.cheeger_upper + 1e-12:
@@ -187,10 +172,17 @@ def lambda2(
 
     method='auto' uses the dense solver for N <= DENSE_THRESHOLD and Lanczos
     above; 'iterative' forces the matrix-free route (the path the dense
-    oracle certifies), 'dense' forces the oracle route.
+    oracle certifies), 'dense' forces the oracle route.  T is self-adjoint,
+    and lambda2 defined, only when the generator multiset is closed under
+    inverse; otherwise ValueError.
     """
     if op.n < 2:
         raise ValueError("lambda2 needs N >= 2")
+    if not np.array_equal(np.sort(op.gens), np.sort(op.ctx.inv(op.gens))):
+        raise ValueError(
+            "lambda2 needs a generator multiset closed under inverse: "
+            "each generator must occur as often as its inverse"
+        )
     if method == "auto":
         method = "dense" if op.n <= DENSE_THRESHOLD else "iterative"
     if method == "dense":
@@ -214,9 +206,6 @@ def lambda2(
         cheeger_lower=lo,
         cheeger_upper=hi,
         converged=conv,
-        method=method,
-        n=op.n,
-        degree=op.degree,
     )
 
 
@@ -238,31 +227,15 @@ def cheeger_exact(op: CayleyOperator) -> Fraction:
     boundary = sum(1 for u in nb[0] if u != 0)
     best = Fraction(boundary, 1)
 
-    def toggle(v: int):
-        nonlocal size, boundary
-        if not in_a[v]:
-            delta = 0
-            for u in nb[v]:
-                if u == v:
-                    continue
-                delta += -1 if in_a[u] else 1
-            boundary += delta
-            in_a[v] = True
-            size += 1
-        else:
-            in_a[v] = False
-            size -= 1
-            delta = 0
-            for u in nb[v]:
-                if u == v:
-                    continue
-                delta += -1 if in_a[u] else 1
-            boundary -= delta
-
-    total = 1 << (n - 1)
-    for g in range(1, total):
-        v = 1 + (g & -g).bit_length() - 1
-        toggle(v)
+    for g in range(1, 1 << (n - 1)):
+        # Gray code: toggle vertex v; v's edges into A leave the boundary as
+        # v joins A and the rest join it, and removing v reverses both
+        v = (g & -g).bit_length()
+        delta = sum(-1 if in_a[u] else 1 for u in nb[v] if u != v)
+        sign = -1 if in_a[v] else 1
+        boundary += sign * delta
+        size += sign
+        in_a[v] = not in_a[v]
         if 0 < size * 2 <= n:
             ratio = Fraction(boundary, size)
             if ratio < best:

@@ -17,9 +17,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .factored import FactoredModulus
-from .packed import PairContext
 from .sl2 import IMAT_ID, IntPair, imat_mul, symmetrize
-from .spectral import CayleyOperator, intpair_digits
+from .spectral import CayleyOperator, cayley_for_sl2_pair
 
 
 @dataclass(frozen=True)
@@ -130,14 +129,10 @@ def walk_operator(
     S = symmetrize(list(S))
     q = Q.value
     if getattr(event, "needs_pair", False):
-        ctx = PairContext(q, q)
-        gens = [intpair_digits(g, q, q) for g in S]
+        op = cayley_for_sl2_pair(S, q, q)
     else:
         side = getattr(event, "side", 1)
-        ctx = PairContext(q, 1)
-        comp = [g[side - 1] for g in S]
-        gens = [intpair_digits((m, IMAT_ID), q, 1) for m in comp]
-    op = CayleyOperator.build(ctx, gens)
+        op = cayley_for_sl2_pair([(g[side - 1], IMAT_ID) for g in S], q, 1)
     digits = op.ctx.decode(op.codes)
     picked = digits if getattr(event, "needs_pair", False) else digits[:4]
     ind = event.indicator(picked, q).astype(float)

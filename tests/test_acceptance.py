@@ -52,13 +52,9 @@ def run_criterion_01():
 def _random_symmetric_genset(codes, ctx, rng, k=2):
     from sl2lab.packed import PairContext
 
-    idx = rng.choice(codes.size, size=k, replace=False)
-    gens = []
-    for i in sorted(int(v) for v in idx):
-        c = np.array([codes[i]], dtype=np.int64)
-        gens.append(ctx.element_tuple(int(c[0])))
-        gens.append(ctx.element_tuple(int(ctx.inv(c)[0])))
-    return gens
+    idx = np.sort(rng.choice(codes.size, size=k, replace=False))
+    # each element followed by its inverse
+    return np.stack([codes[idx], ctx.inv(codes[idx])], axis=1).ravel()
 
 
 def run_criterion_02():
@@ -82,9 +78,9 @@ def run_criterion_02():
     # circulant closed form on the unipotent cycles
     for n in range(4, 65):
         ctx = PairContext(n, 1)
-        u = (1, 1 % n, 0, 1, 0, 0, 0, 0)
-        ui = (1, (-1) % n, 0, 1, 0, 0, 0, 0)
-        op = CayleyOperator.build(ctx, [u, ui])
+        u = ctx.encode([1, 1 % n, 0, 1, 0, 0, 0, 0])
+        ui = ctx.encode([1, (-1) % n, 0, 1, 0, 0, 0, 0])
+        op = CayleyOperator.build(ctx, np.array([u, ui]))
         rep = lambda2(op, tol=1e-13, max_iter=30000, seed=0, method="iterative")
         target = math.cos(2 * math.pi / n)
         ok &= abs(rep.lambda2 - target) < 1e-10
@@ -127,16 +123,14 @@ def run_criterion_04():
     ops = []
     for n in (4, 5, 8, 11, 16, 22):
         ctx = PairContext(n, 1)
-        ops.append(
-            CayleyOperator.build(
-                ctx,
-                [(1, 1 % n, 0, 1, 0, 0, 0, 0), (1, (-1) % n, 0, 1, 0, 0, 0, 0)],
-            )
-        )
+        u = ctx.encode([1, 1 % n, 0, 1, 0, 0, 0, 0])
+        ui = ctx.encode([1, (-1) % n, 0, 1, 0, 0, 0, 0])
+        ops.append(CayleyOperator.build(ctx, np.array([u, ui])))
     ctx6 = PairContext(6, 1)
-    ops.append(CayleyOperator.build(ctx6, [(1, t, 0, 1, 0, 0, 0, 0) for t in range(1, 6)]))
+    ts = np.arange(1, 6)
+    ops.append(CayleyOperator.build(ctx6, ctx6.encode([1, ts, 0, 1, 0, 0, 0, 0])))
     ctx2 = PairContext(6, 1)
-    ops.append(CayleyOperator.build(ctx2, [(1, 3, 0, 1, 0, 0, 0, 0)]))
+    ops.append(CayleyOperator.build(ctx2, np.array([ctx2.encode([1, 3, 0, 1, 0, 0, 0, 0])])))
     rng = np.random.Generator(np.random.Philox(key=404))
     from sl2lab.packed import sl2_codes
 
@@ -434,13 +428,12 @@ def run_criterion_11():
                 if uncovered.size == 0:
                     break
                 probe = np.array([a.codes[(37 * j) % a.codes.size]], dtype=np.int64)
-                pinv = ctx.element_tuple(int(ctx.inv(probe)[0]))
-                b_part = ctx.mul_const(uncovered, pinv, "left")
+                b_part = ctx.mul_const(uncovered, ctx.decode(ctx.inv(probe)[0]), "left")
                 uncovered = uncovered[~isin_sorted(b_part, a.codes)]
             leftovers_ok = True
             ainv = np.sort(ctx.inv(a.codes))
             for g in uncovered:
-                row = ctx.mul_const(ainv, ctx.element_tuple(int(g)), "right")
+                row = ctx.mul_const(ainv, ctx.decode(g), "right")
                 if not bool(np.any(isin_sorted(row, a.codes))):
                     leftovers_ok = False
                     break
@@ -459,7 +452,7 @@ def run_criterion_12():
     from sl2lab.growth import GroupSet
     from sl2lab.packed import PairContext, generated_subgroup
     from sl2lab.sl2 import PairElement
-    from sl2lab.spectral import intpair_digits, unit_dense_pair_generators
+    from sl2lab.spectral import unit_dense_pair_generators
 
     ok = True
     canon = []
@@ -474,8 +467,7 @@ def run_criterion_12():
             bare = glue_pipeline(diag, cfg, a=None)
             ok &= bare.no_expansion and replay_certificates(bare)
             ctx = PairContext(q3v, q3v)
-            gens = [intpair_digits(g, q3v, q3v) for g in unit_dense_pair_generators()]
-            ball = generated_subgroup(ctx, gens)
+            ball = generated_subgroup(ctx, ctx.encode_intpairs(unit_dense_pair_generators()))
             rng = np.random.Generator(np.random.Philox(key=[1212, q3v]))
             if ball.size > 4000:
                 ball = ball[np.sort(rng.choice(ball.size, size=4000, replace=False))]

@@ -249,7 +249,7 @@ def test_closure_in_product_matches_generated_subgroup(moduli, data):
     labels1, labels2 = sl2_codes(q1), sl2_codes(q2)
     assert labels1.tolist() == g1.labels and labels2.tolist() == g2.labels
     as_pair = labels1[h // m2] * q2**4 + labels2[h % m2]
-    gens = [ctx.element_tuple(int(labels1[i] * q2**4 + labels2[j])) for i, j in pairs]
+    gens = np.array([labels1[i] * q2**4 + labels2[j] for i, j in pairs], dtype=np.int64)
     assert np.sort(as_pair).tolist() == generated_subgroup(ctx, gens).tolist()
     # cap boundary: None exactly when |H| > cap, on both routes
     assert np.array_equal(closure_in_product(gen_codes, g1, g2, cap=h.size), h)

@@ -303,3 +303,30 @@ def test_out_root_from_env(tmp_path, monkeypatch):
     code = main(["spectral", "--moduli", "3", "--no-pair"])
     assert code == 0
     assert (tmp_path / "envroot").exists()
+
+
+# (u, l) twice, its inverse once: closed under inverse as a set, not as a multiset
+UNBALANCED_GENS = """
+[
+  [[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]],
+  [[["1", "1"], ["0", "1"]], [["1", "0"], ["1", "1"]]],
+  [[["1", "-1"], ["0", "1"]], [["1", "0"], ["-1", "1"]]],
+  [[["1", "0"], ["1", "1"]], [["1", "1"], ["0", "1"]]],
+  [[["1", "0"], ["-1", "1"]], [["1", "-1"], ["0", "1"]]]
+]
+"""
+
+
+def test_spectral_unbalanced_generators_exit_1_without_run_dir(tmp_path, capsys):
+    path = tmp_path / "gens.json"
+    path.write_text(UNBALANCED_GENS)
+    out = tmp_path / "out"
+    argv = ["spectral", "--gens", str(path), "--moduli", "5,7", "--no-pair"]
+    assert main(["--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: lambda2 needs a generator multiset closed under inverse")
+    assert err.count("\n") == 1
+    assert not list(out.glob("run-*"))
+    # a walk on an unbalanced multiset is well defined: nonconc accepts it
+    argv = ["nonconc", "--gens", str(path), "--event", "lower-left", "--Q", "5", "--lmax", "4"]
+    assert main(["--out", str(out), *argv]) == 0

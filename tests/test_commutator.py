@@ -326,7 +326,7 @@ def plain_section(b: GroupSet, q1: FactoredModulus, q2: FactoredModulus, k_max: 
         for k, power in enumerate(powers, 1):
             preimage = {}
             for code in power:  # ascending, so the first preimage is the smallest
-                t = full.element_tuple(code)
+                t = [int(v) for v in full.decode(code)]
                 x = red_ctx.encode([v % q1.value for v in t[:4]] + [v % q2.value for v in t[4:]])
                 preimage.setdefault(x.item(), code)
             if all(x in preimage for x in domain):

@@ -7,9 +7,9 @@ import pytest
 from sl2lab.factored import ONE, FactoredModulus
 from sl2lab.glue import GluingConfig, glue_pipeline, replay_certificates
 from sl2lab.growth import GroupSet
-from sl2lab.packed import PairContext, generated_subgroup
+from sl2lab.packed import PairContext, generated_subgroup, sl2_codes
 from sl2lab.sl2 import PairElement, enumerate_group
-from sl2lab.spectral import intpair_digits, unit_dense_pair_generators
+from sl2lab.spectral import unit_dense_pair_generators
 
 Q5 = FactoredModulus.of(5)
 
@@ -18,10 +18,16 @@ def diagonal_set(q: FactoredModulus) -> GroupSet:
     return GroupSet.from_elements(q, q, [PairElement(x, x) for x in enumerate_group(q)])
 
 
+def test_diagonal_codes_from_sl2_codes():
+    # glue --b diagonal builds B as x q^4 + x over the sorted codes x of SL2(Z/q)
+    for qv in (1, 2, 3, 4, 5, 8, 9, 12):
+        x = sl2_codes(qv)
+        assert np.array_equal(x * np.int64(qv**4) + x, diagonal_set(FactoredModulus.of(qv)).codes)
+
+
 def dense_ball(qv: int, size: int, seed: int = 0) -> GroupSet:
     ctx = PairContext(qv, qv)
-    gens = [intpair_digits(g, qv, qv) for g in unit_dense_pair_generators()]
-    ball = generated_subgroup(ctx, gens)
+    ball = generated_subgroup(ctx, ctx.encode_intpairs(unit_dense_pair_generators()))
     rng = np.random.default_rng(seed)
     q = FactoredModulus.of(qv)
     if ball.size <= size:

@@ -26,6 +26,7 @@ from sl2lab.packed import (
     unique_codes,
 )
 from sl2lab.sl2 import (
+    IMAT_ID,
     PairElement,
     SL2Residue,
     enumerate_group,
@@ -36,11 +37,7 @@ from sl2lab.sl2 import (
     reduce_residue,
     symmetrize,
 )
-from sl2lab.spectral import (
-    intpair_digits,
-    standard_dense_pair_generators,
-    unit_dense_pair_generators,
-)
+from sl2lab.spectral import standard_dense_pair_generators, unit_dense_pair_generators
 
 Q3 = FactoredModulus.of(3)
 
@@ -74,7 +71,13 @@ def test_encode_decode_roundtrip(moduli, seed):
     code = ctx.encode_element(x)
     assert 0 <= code < (ctx.q1 * ctx.q2) ** 4
     assert ctx.decode_element(code, q1, q2) == x
-    assert ctx.element_tuple(code) == x.left.entries + x.right.entries
+    assert [int(v) for v in ctx.decode(code)] == list(x.left.entries + x.right.entries)
+
+
+def codes_of(ctx: PairContext, digits) -> np.ndarray:
+    """Codes of 8-digit tuples (a1, b1, c1, d1, a2, b2, c2, d2), reduced first."""
+    d = np.array(digits, dtype=np.int64).reshape(-1, 8) % ([ctx.q1] * 4 + [ctx.q2] * 4)
+    return ctx.encode(d.T)
 
 
 def random_set(rng, ctx: PairContext, size: int) -> tuple[list[PairElement], np.ndarray]:
@@ -168,10 +171,55 @@ def test_inv_matches_object_layer():
     inv_codes = ctx.inv(codes)
     ident = ctx.identity_code()
     prods = [
-        ctx.mul_const(np.array([c], dtype=np.int64), ctx.element_tuple(int(ic)), "right")[0]
+        ctx.mul_const(np.array([c], dtype=np.int64), ctx.decode(ic), "right")[0]
         for c, ic in zip(codes, inv_codes)
     ]
     assert all(int(p) == ident for p in prods)
+    assert ctx.mul(codes, inv_codes).tolist() == [ident] * len(xs)
+
+
+def as_intpair(x: PairElement):
+    a1, b1, c1, d1 = x.left.entries
+    a2, b2, c2, d2 = x.right.entries
+    return (((a1, b1), (c1, d1)), ((a2, b2), (c2, d2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moduli=MODULI,
+    size=st.integers(0, 6),
+    seed=st.integers(0, 2**32),
+    ks=st.lists(st.integers(-(2**70), 2**70), min_size=8, max_size=8),
+)
+def test_encode_intpairs_matches_object_layer(moduli, size, seed, ks):
+    # integral pairs, shifted by multiples of the moduli from small to far
+    # past int64, encode in order to the codes of their reductions
+    rng = random.Random(seed)
+    ctx = PairContext(*moduli)
+    q1, q2 = FactoredModulus.of(ctx.q1), FactoredModulus.of(ctx.q2)
+    xs = [random_pair(rng, q1, q2) for _ in range(size)]
+    ms = (ctx.q1,) * 4 + (ctx.q2,) * 4
+
+    def shifted(x):
+        e = [v + k * m for v, k, m in zip(x.left.entries + x.right.entries, ks, ms)]
+        return (((e[0], e[1]), (e[2], e[3])), ((e[4], e[5]), (e[6], e[7])))
+
+    got = ctx.encode_intpairs([shifted(x) for x in xs] + [as_intpair(x) for x in xs])
+    want = [ctx.encode_element(x) for x in xs] * 2
+    assert got.dtype == np.int64 and got.shape == (2 * size,) and got.tolist() == want
+
+
+def test_encode_intpairs_fractions_and_errors():
+    # a Fraction entry reduces through the inverse of its denominator
+    from fractions import Fraction
+
+    ctx = PairContext(7, 1)
+    half = ((1, Fraction(1, 2)), (0, 1))
+    assert ctx.encode_intpairs([(half, IMAT_ID)]).tolist() == [ctx.encode([1, 4, 0, 1, 0, 0, 0, 0])]
+    with pytest.raises(ValueError, match="not invertible"):
+        PairContext(4, 1).encode_intpairs([(half, IMAT_ID)])
+    with pytest.raises(ValueError, match="determinant"):
+        ctx.encode_intpairs([(((1, 1), (1, 1)), IMAT_ID)])
 
 
 def test_sl2_codes_counts():
@@ -200,8 +248,8 @@ def test_full_pair_codes():
 def test_generated_subgroup_full_group():
     # the two standard unipotents generate all of SL2(Z/5)
     ctx = PairContext(5, 1)
-    gens = [(1, 1, 0, 1, 0, 0, 0, 0), (1, -1 % 5, 0, 1, 0, 0, 0, 0),
-            (1, 0, 1, 1, 0, 0, 0, 0), (1, 0, -1 % 5, 1, 0, 0, 0, 0)]
+    gens = codes_of(ctx, [(1, 1, 0, 1, 0, 0, 0, 0), (1, -1, 0, 1, 0, 0, 0, 0),
+                          (1, 0, 1, 1, 0, 0, 0, 0), (1, 0, -1, 1, 0, 0, 0, 0)])
     sub = generated_subgroup(ctx, gens)
     assert sub.size == 120
     assert np.array_equal(sub, sl2_codes(5))
@@ -210,19 +258,22 @@ def test_generated_subgroup_full_group():
 def test_generated_subgroup_proper():
     # a single diagonalizable element generates a small cyclic subgroup
     ctx = PairContext(5, 1)
-    gens = [(2, 0, 0, 3, 0, 0, 0, 0), (3, 0, 0, 2, 0, 0, 0, 0)]
+    gens = codes_of(ctx, [(2, 0, 0, 3, 0, 0, 0, 0), (3, 0, 0, 2, 0, 0, 0, 0)])
     sub = generated_subgroup(ctx, gens)
     assert sub.size == 4  # <diag(2,3)> has order 4 mod 5
 
 
 def test_generated_subgroup_cap():
     ctx = PairContext(5, 5)
-    gens = [
-        (1, 1, 0, 1, 1, 0, 1, 1),
-        (1, -1 % 5, 0, 1, 1, 0, -1 % 5, 1),
-        (1, 0, 1, 1, 1, 1, 0, 1),
-        (1, 0, -1 % 5, 1, 1, -1 % 5, 0, 1),
-    ]
+    gens = codes_of(
+        ctx,
+        [
+            (1, 1, 0, 1, 1, 0, 1, 1),
+            (1, -1, 0, 1, 1, 0, -1, 1),
+            (1, 0, 1, 1, 1, 1, 0, 1),
+            (1, 0, -1, 1, 1, -1, 0, 1),
+        ],
+    )
     with pytest.raises(ValueError):
         generated_subgroup(ctx, gens, cap=100)
 
@@ -474,7 +525,7 @@ def test_generated_subgroup_matches_enumerate_group(moduli, block):
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packed, "BLOCK", block)
-        sub = generated_subgroup(ctx, elementary_generators(q1, q2))
+        sub = generated_subgroup(ctx, codes_of(ctx, elementary_generators(q1, q2)))
     assert sub.tolist() == expected
 
 
@@ -482,14 +533,13 @@ def pair_bfs(ctx: PairContext, gens, cap: int):
     """Sorted codes of <gens> by breadth-first search over all pair codes
     (``closure`` over ``mul_codes``), or None above ``cap``: the reference
     for the Schreier route of ``pair_subgroup``."""
-    digits = np.array([ctx.reduce_digits(g) for g in gens], dtype=np.int64).reshape(-1, 8)
-    gen_codes = unique_codes(ctx.encode(digits.T))
+    gen_codes = unique_codes(gens)
     return packed.closure(gen_codes, ctx.identity_code(), lambda x, g: mul_codes(ctx, x, g), cap)
 
 
-def stock_digits(name: str, q1: int, q2: int) -> list[tuple[int, ...]]:
+def stock_codes(name: str, q1: int, q2: int) -> np.ndarray:
     base = (standard_dense_pair_generators if name == "stock" else unit_dense_pair_generators)()
-    return [intpair_digits(g, q1, q2) for g in symmetrize(base)]
+    return PairContext(q1, q2).encode_intpairs(symmetrize(base))
 
 
 # the stock set at 9 and 16, the unit set at 8, and every diagonal set
@@ -521,7 +571,7 @@ def test_generated_subgroup_matches_pair_bfs(case, k, seed, cap_offset, cap_scal
     ctx = PairContext(q1, q2)
     rng = random.Random(seed)
     if family in ("stock", "unit"):
-        gens = stock_digits(family, q1, q2)
+        gens = stock_codes(family, q1, q2)
     else:
         # k random elements and their inverses; a diagonal set pairs each
         # x in SL2(Z/q1) with its reduction mod q2
@@ -530,7 +580,7 @@ def test_generated_subgroup_matches_pair_bfs(case, k, seed, cap_offset, cap_scal
         if family == "diagonal":
             xs = [PairElement(x.left, reduce_residue(x.left, qq2)) for x in xs]
         codes = np.array([ctx.encode_element(x) for x in xs], dtype=np.int64)
-        gens = [ctx.element_tuple(int(c)) for c in np.append(codes, ctx.inv(codes))]
+        gens = np.append(codes, ctx.inv(codes)).astype(np.int64)
     ref = pair_bfs(ctx, gens, 10**6)
     order = ref.size
     cap = max(0, order + cap_offset) if cap_scale is None else int(cap_scale * order)
@@ -558,10 +608,10 @@ def test_generated_subgroup_matches_pair_bfs(case, k, seed, cap_offset, cap_scal
 
 def test_pair_subgroup_direct_and_not():
     # the stock set generates all of SL2(Z/5)^2; mod 9 it does not split
-    full = pair_subgroup(PairContext(5, 5), stock_digits("stock", 5, 5), 10**6)
+    full = pair_subgroup(PairContext(5, 5), stock_codes("stock", 5, 5), 10**6)
     assert full.direct and full.codes.size == 120**2
     assert np.array_equal(full.codes, full_pair_codes(5, 5))
-    split = pair_subgroup(PairContext(9, 9), stock_digits("stock", 9, 9), 10**6)
+    split = pair_subgroup(PairContext(9, 9), stock_codes("stock", 9, 9), 10**6)
     assert not split.direct
     assert split.codes.size == split.left.size * split.kernel.size == 5832
 
@@ -577,7 +627,7 @@ def test_generated_subgroup_searches_factors_only(monkeypatch):
         return orig(ctx, a, b)
 
     monkeypatch.setattr(packed, "mul_codes", spy)
-    sub = generated_subgroup(PairContext(9, 9), stock_digits("stock", 9, 9))
+    sub = generated_subgroup(PairContext(9, 9), stock_codes("stock", 9, 9))
     assert sub.size == 5832
     assert contexts and all(ctx == PairContext(9, 1) for ctx in contexts)
 

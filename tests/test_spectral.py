@@ -24,7 +24,7 @@ from sl2lab.eigen import (
 from sl2lab import eigen, spectral
 from sl2lab.cli import main
 from sl2lab.packed import PairContext, generated_subgroup, sl2_codes
-from sl2lab.sl2 import symmetrize
+from sl2lab.sl2 import IMAT_ID, symmetrize
 from sl2lab.spectral import (
     CayleyOperator,
     cayley_for_sl2_pair,
@@ -32,25 +32,29 @@ from sl2lab.spectral import (
     cheeger_exact,
     dense_lambda2,
     gap_sweep,
-    intpair_digits,
     lambda2,
     standard_dense_pair_generators,
     unit_dense_pair_generators,
 )
 
 
+def codes_of(ctx: PairContext, digits) -> np.ndarray:
+    """Codes of 8-digit tuples (a1, b1, c1, d1, a2, b2, c2, d2), reduced first."""
+    d = np.array(digits, dtype=np.int64).reshape(-1, 8) % ([ctx.q1] * 4 + [ctx.q2] * 4)
+    return ctx.encode(d.T)
+
+
 def cycle_operator(n: int) -> CayleyOperator:
     """C_n as the Cayley graph of the unipotent subgroup of SL2(Z/n)."""
     ctx = PairContext(n, 1)
-    u = (1, 1 % n, 0, 1, 0, 0, 0, 0)
-    ui = (1, (-1) % n, 0, 1, 0, 0, 0, 0)
-    return CayleyOperator.build(ctx, [u, ui])
+    u, ui = (1, 1, 0, 1, 0, 0, 0, 0), (1, -1, 0, 1, 0, 0, 0, 0)
+    return CayleyOperator.build(ctx, codes_of(ctx, [u, ui]))
 
 
 def unipotent_k6() -> CayleyOperator:
     # complete graph on the 6-element unipotent subgroup mod 6: S = G \ {1}
     ctx = PairContext(6, 1)
-    gens = [(1, t, 0, 1, 0, 0, 0, 0) for t in range(1, 6)]
+    gens = codes_of(ctx, [(1, t, 0, 1, 0, 0, 0, 0) for t in range(1, 6)])
     return CayleyOperator.build(ctx, gens)
 
 
@@ -368,7 +372,7 @@ def test_self_adjointness():
 def test_coset_constant_functions_stay_coset_constant():
     # S-invariant subgroup: the cycle C_8 with S = {+-2} fixes the even/odd cosets
     ctx = PairContext(8, 1)
-    gens = [(1, 2, 0, 1, 0, 0, 0, 0), (1, 6, 0, 1, 0, 0, 0, 0)]
+    gens = codes_of(ctx, [(1, 2, 0, 1, 0, 0, 0, 0), (1, 6, 0, 1, 0, 0, 0, 0)])
     full_cycle = CayleyOperator.build(
         ctx, gens, codes=cycle_operator(8).codes
     )
@@ -388,14 +392,17 @@ def test_coset_constant_functions_stay_coset_constant():
     ks=st.lists(st.integers(-(2**70), 2**70), min_size=8, max_size=8),
 )
 def test_build_reduces_generator_entries(q, ks):
-    # generators shifted by multiples of q build the same permutations
+    # integral generators shifted by multiples of q, from small to far past
+    # int64, encode to the same codes and build the same permutations
     ctx = PairContext(q, 1)
-    gens = [(1, 1, 0, 1, 0, 0, 0, 0), (1, q - 1, 0, 1, 0, 0, 0, 0), (1, 0, 1, 1, 0, 0, 0, 0)]
-    shifted = [tuple(v + k * q for v, k in zip(gens[0], ks))] + gens[1:]
+    gens = [(((1, 1), (0, 1)), IMAT_ID), (((1, -1), (0, 1)), IMAT_ID), (((1, 0), (1, 1)), IMAT_ID)]
+    (a, b), (c, d) = gens[0][0]
+    shift = [v + k * q for v, k in zip((a, b, c, d), ks)]
+    shifted = [((tuple(shift[:2]), tuple(shift[2:])), IMAT_ID)] + gens[1:]
     codes = sl2_codes(q)
-    ref = CayleyOperator.build(ctx, gens, codes=codes)
-    op = CayleyOperator.build(ctx, shifted, codes=codes)
-    assert op.gens == ref.gens
+    ref = CayleyOperator.build(ctx, ctx.encode_intpairs(gens), codes=codes)
+    op = CayleyOperator.build(ctx, ctx.encode_intpairs(shifted), codes=codes)
+    assert op.gens.dtype == np.int64 and np.array_equal(op.gens, ref.gens)
     for p, r in zip(op.perms, ref.perms):
         assert p.dtype == r.dtype and np.array_equal(p, r)
     assert op.neighbor_table() == ref.neighbor_table()
@@ -404,9 +411,10 @@ def test_build_reduces_generator_entries(q, ks):
 def test_build_unreduced_overflow_regression():
     # congruent to (1,1,0,1) mod 7; unreduced it overflowed and raised KeyError
     ctx = PairContext(7, 1)
-    g = (1 + 7 * 2**60, 1 + 7 * 2**59, 7 * 2**60, 1 + 7 * 2**58, 0, 0, 0, 0)
-    op = CayleyOperator.build(ctx, [g], codes=sl2_codes(7))
-    ref = CayleyOperator.build(ctx, [(1, 1, 0, 1, 0, 0, 0, 0)], codes=sl2_codes(7))
+    g = ((1 + 7 * 2**60, 1 + 7 * 2**59), (7 * 2**60, 1 + 7 * 2**58))
+    op = CayleyOperator.build(ctx, ctx.encode_intpairs([(g, IMAT_ID)]), codes=sl2_codes(7))
+    ref = CayleyOperator.build(ctx, codes_of(ctx, [(1, 1, 0, 1, 0, 0, 0, 0)]), codes=sl2_codes(7))
+    assert np.array_equal(op.gens, ref.gens)
     assert np.array_equal(op.perms[0], ref.perms[0])
 
 
@@ -420,7 +428,7 @@ def test_kronecker_build_matches_index_sorted_build(name, q1, q2):
     # when <gens> = A x N2; given codes, they are index lookups in the codes
     base = standard_dense_pair_generators() if name == "stock" else unit_dense_pair_generators()
     ctx = PairContext(q1, q2)
-    gens = [intpair_digits(g, q1, q2) for g in symmetrize(base)]
+    gens = ctx.encode_intpairs(symmetrize(base))
     op = CayleyOperator.build(ctx, gens)
     ref = CayleyOperator.build(ctx, gens, codes=generated_subgroup(ctx, gens))
     assert np.array_equal(op.codes, ref.codes)
@@ -449,12 +457,15 @@ def test_lambda2_iterative_matches_dense():
 def test_lambda2_sl2_f5_sanov_like():
     # S = {[[1,+-2],[0,1]], [[1,0],[+-2,1]]} on SL2(F5): matrix-free vs dense
     ctx = PairContext(5, 1)
-    gens = [
-        (1, 2, 0, 1, 0, 0, 0, 0),
-        (1, 3, 0, 1, 0, 0, 0, 0),
-        (1, 0, 2, 1, 0, 0, 0, 0),
-        (1, 0, 3, 1, 0, 0, 0, 0),
-    ]
+    gens = codes_of(
+        ctx,
+        [
+            (1, 2, 0, 1, 0, 0, 0, 0),
+            (1, 3, 0, 1, 0, 0, 0, 0),
+            (1, 0, 2, 1, 0, 0, 0, 0),
+            (1, 0, 3, 1, 0, 0, 0, 0),
+        ],
+    )
     op = CayleyOperator.build(ctx, gens)
     assert op.n == 120
     dense = dense_lambda2(op)
@@ -499,9 +510,7 @@ def test_dense_row_reports_its_checked_residual():
 def test_lambda2_disconnected_is_one():
     # proper subgroup generators on the full group: eigenvalue 1 multiplies
     ctx = PairContext(5, 1)
-    gens = [(2, 0, 0, 3, 0, 0, 0, 0), (3, 0, 0, 2, 0, 0, 0, 0)]
-    from sl2lab.packed import sl2_codes
-
+    gens = codes_of(ctx, [(2, 0, 0, 3, 0, 0, 0, 0), (3, 0, 0, 2, 0, 0, 0, 0)])
     op = CayleyOperator.build(ctx, gens, codes=sl2_codes(5))
     rep = lambda2(op, method="dense")
     assert abs(rep.lambda2 - 1.0) < 1e-10
@@ -528,6 +537,24 @@ def test_lambda2_quotient_monotonicity():
     assert lam[3] <= lam[12] + 1e-9
 
 
+U, L = ((1, 1), (0, 1)), ((1, 0), (1, 1))
+UI, LI = ((1, -1), (0, 1)), ((1, 0), (-1, 1))
+# closed under inverse as a set, not as a multiset: (U, L) occurs twice, its inverse once
+UNBALANCED = [(U, L), (U, L), (UI, LI), (L, U), (LI, UI)]
+
+
+def test_lambda2_rejects_generators_not_closed_under_inverse():
+    for q in (5, 7):
+        op = cayley_for_sl2_pair(UNBALANCED, q, 1)
+        assert op.degree == 5 and not np.array_equal(np.sort(op.gens), np.sort(op.ctx.inv(op.gens)))
+        for method in ("dense", "iterative"):
+            with pytest.raises(ValueError, match="closed under inverse"):
+                lambda2(op, method=method)
+    # the same set with the multiplicities balanced is accepted
+    op = cayley_for_sl2_pair(UNBALANCED + [(UI, LI)], 5, 1)
+    assert lambda2(op, method="dense").lambda2 < 1.0
+
+
 def test_lambda2_rejects_trivial_group():
     op = cycle_operator(1)
     with pytest.raises(ValueError):
@@ -549,7 +576,7 @@ def test_cheeger_exact_complete6():
 
 def test_cheeger_exact_two_vertices():
     ctx = PairContext(6, 1)
-    op = CayleyOperator.build(ctx, [(1, 3, 0, 1, 0, 0, 0, 0)])
+    op = CayleyOperator.build(ctx, codes_of(ctx, [(1, 3, 0, 1, 0, 0, 0, 0)]))
     assert op.n == 2
     assert cheeger_exact(op) == Fraction(1, 1)
 
