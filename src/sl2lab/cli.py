@@ -192,11 +192,11 @@ def _parse_event(text: str):
 
     kind, _, rest = text.partition(":")
     if kind == "lower-left":
-        return LowerLeftEvent(side=1)
+        return LowerLeftEvent()
     if kind == "singular-trace":
-        return SingularTraceEvent(side=1)
+        return SingularTraceEvent()
     if kind == "trace-value":
-        return TraceValueEvent(n=int(rest), side=1)
+        return TraceValueEvent(n=int(rest))
     if kind == "linear":
         from .walks import ModLinearEvent
 

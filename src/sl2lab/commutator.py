@@ -41,6 +41,14 @@ def commutator_sweep(p: int, depth: int = 4) -> dict:
 
     Checks at t = min(m + m' + min(m, m'), depth) where m, m' are the actual
     congruence depths of each element.  Returns counts and violations.
+
+    [x, y] is formed as xy (yx)^-1 with (yx)^-1 = adj(yx), since det(yx) = 1:
+    two ``_mat_mul`` calls per x, then the product xy adj(yx) written out
+    inline and left unreduced inside the ``% p^t`` test.  Its entries stay
+    below P^2 in size, inside the 2 P^2 of ``_mat_mul``'s own products.  It
+    is the one 2x2 product outside ``_mat_mul``: reducing it mod P first, as
+    ``_mat_mul`` does, costs the whole gain over the four products of
+    x y x^-1 y^-1.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
@@ -54,18 +62,17 @@ def commutator_sweep(p: int, depth: int = 4) -> dict:
     depths = congruence_depths((a, b, c, d), p, depth)
     pt_table = np.array([p**min(t, depth) for t in range(4 * depth)], dtype=np.int64)
 
-    # every y at once; x^{-1} = [[d, -b], [-c, a]]
+    # every y at once
     y = (a, b, c, d)
-    y_inv = (d, (-b) % P, (-c) % P, a)
     violations = []
     pairs_checked = 0
     for i in range(count):
         x = tuple(int(v[i]) for v in y)
         m1 = int(depths[i])
-        x_inv = (x[3], -x[1] % P, -x[2] % P, x[0])
-        xy, yx = _mat_mul(x, y, P), _mat_mul(y, x, P)
-        lhs = _mat_mul(xy, _mat_mul(x_inv, y_inv, P), P)
-        rhs = (1 + xy[0] - yx[0], xy[1] - yx[1], xy[2] - yx[2], 1 + xy[3] - yx[3])
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = _mat_mul(x, y, P), _mat_mul(y, x, P)
+        # xy adj(yx), adj(yx) = [[d2, -b2], [-c2, a2]]
+        lhs = (a1 * d2 - b1 * c2, b1 * a2 - a1 * b2, c1 * d2 - d1 * c2, d1 * a2 - c1 * b2)
+        rhs = (1 + a1 - a2, b1 - b2, c1 - c2, 1 + d1 - d2)
         t = np.minimum(m1 + depths + np.minimum(m1, depths), depth)
         pt = pt_table[t]
         ok = np.logical_and.reduce([(l - r) % pt == 0 for l, r in zip(lhs, rhs)])

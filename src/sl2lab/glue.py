@@ -133,6 +133,23 @@ class GluingReport:
 # helpers on packed kernels
 
 
+class _Incomplete(Exception):
+    """A scenario that cannot complete.  ``row`` holds its ``report.incomplete``
+    fields; the scenario loop adds the stage name."""
+
+    def __init__(self, **row):
+        super().__init__(row["reason"])
+        self.row = row
+
+
+def _closure(full: PairContext, gens: np.ndarray, cfg: GluingConfig, reason: str) -> np.ndarray:
+    """Sorted codes of <gens>; a closure past ``cfg.cap`` is incomplete for ``reason``."""
+    try:
+        return generated_subgroup(full, gens, cfg.cap)
+    except ValueError:
+        raise _Incomplete(reason=reason) from None
+
+
 def _achieved_congruence(
     full: PairContext,
     cfg: GluingConfig,
@@ -228,7 +245,13 @@ def glue_pipeline(
 
     # --- stage: per-prime classification -----------------------------------
     theta_q = cfg.theta ** 0.25
-    buckets = {"defect": [], "structured_trivial": [], "structured_deep": [], "failed": []}
+    # each scenario with the primes it runs on, in the order the scenarios run
+    runners = {
+        "defect-case": _run_defect_case,
+        "commutator-case": _run_commutator_case,
+        "one-parameter-case": _run_one_parameter_case,
+    }
+    buckets = {stage: [] for stage in runners}
     psi_tables = {}
     s_common: Optional[set] = None
     for p, n in cfg.q3.factors:
@@ -242,13 +265,12 @@ def glue_pipeline(
         try:
             res = dichotomy(psi_j, g_table, g2, DEFECT_THRESHOLD)
         except StructuredConstructionError as exc:
-            buckets["failed"].append((p, n))
             report.prime_table.append(
                 {"p": p, "n": n, "scenario": "FAILED", "detail": str(exc)}
             )
             continue
         if res.branch == "DEFECT":
-            buckets["defect"].append((p, n))
+            buckets["defect-case"].append((p, n))
             report.prime_table.append(
                 {
                     "p": p,
@@ -261,8 +283,9 @@ def glue_pipeline(
         else:
             # half-depth triviality of the recovered homomorphism h_j
             trivial = bool(np.all(small.kernel_mask(g2_codes[res.f], p**d_half, 1)))
-            key = "structured_trivial" if trivial else "structured_deep"
-            buckets[key].append((p, n))
+            # h trivial at half depth: iterated commutators; deep h: a
+            # one-parameter set spread by conjugation
+            buckets["commutator-case" if trivial else "one-parameter-case"].append((p, n))
             s_set = set(int(v) for v in res.s_indices)
             s_common = s_set if s_common is None else (s_common & s_set)
             density_ok = Fraction(len(s_set), g_table.order) >= STRUCTURED_DENSITY
@@ -280,33 +303,16 @@ def glue_pipeline(
                 }
             )
 
-    achieved_parts: list[tuple[int, int]] = []
-
-    # --- scenario 1: common defect pair, conjugated commutator --------------
-    if buckets["defect"]:
-        part = _run_defect_case(b, a, cfg, psi, g_table, psi_tables, buckets["defect"], report)
-        if part:
-            achieved_parts.append(part)
-
-    # --- scenario 2: structured with h trivial at half depth ----------------
-    if buckets["structured_trivial"]:
-        part = _run_commutator_case(
-            b, cfg, psi, psi_tables, buckets["structured_trivial"], s_common, report
-        )
-        if part:
-            achieved_parts.append(part)
-
-    # --- scenario 3: structured with deep h, one-parameter + conjugation ----
-    if buckets["structured_deep"]:
-        part = _run_one_parameter_case(
-            b, a, cfg, psi, psi_tables, buckets["structured_deep"], s_common, report
-        )
-        if part:
-            achieved_parts.append(part)
-
+    # --- scenarios: each returns the (d, m) of the congruence kernel it
+    # covers, (1, 1) for none, or raises _Incomplete with its row
     q3_star = 1
-    for d, _ in achieved_parts:
-        q3_star *= d
+    for stage, primes in buckets.items():
+        if primes:
+            run = runners[stage]
+            try:
+                q3_star *= run(b, a, cfg, psi, g_table, psi_tables, primes, s_common, report)[0]
+            except _Incomplete as exc:
+                report.incomplete.append({"stage": stage, **exc.row})
     report.q3_star = q3_star
     report.no_expansion = q3_star == 1
 
@@ -350,14 +356,14 @@ def _pool_codes(b: GroupSet, a: Optional[GroupSet], cfg: GluingConfig) -> np.nda
 
 
 def _run_defect_case(
-    b, a, cfg, psi: ConnectingMap, g_table, psi_tables, primes, report
-) -> Optional[tuple[int, int]]:
+    b, a, cfg, psi: ConnectingMap, g_table, psi_tables, primes, s_common, report
+) -> tuple[int, int]:
     """Find a common defect pair, form the associated kernel element, and
     close its conjugates; measure the congruence coverage achieved."""
     full = b.ctx
+    target = [p**nn for p, nn in primes]
     rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 1]))
     n = g_table.order
-    found = None
     for _ in range(PAIR_ATTEMPTS):
         x, y = int(rng.integers(0, n)), int(rng.integers(0, n))
         ok = True
@@ -367,18 +373,9 @@ def _run_defect_case(
                 ok = False
                 break
         if ok:
-            found = (x, y)
             break
-    if found is None:
-        report.incomplete.append(
-            {
-                "stage": "defect-case",
-                "reason": "no common defect pair located",
-                "target": [p**nn for p, nn in primes],
-            }
-        )
-        return None
-    x, y = found
+    else:
+        raise _Incomplete(reason="no common defect pair located", target=target)
     cx, cy, cxy = psi.lifts[[x, y, g_table.mul[x, y]]]
     gamma_code = int(full.mul(full.mul(cx, cy), full.inv(cxy)))
     # certificates: gamma is trivial at (q1, q2) and deep-nontrivial at the primes
@@ -397,38 +394,24 @@ def _run_defect_case(
         )
     pool = _pool_codes(b, a, cfg)
     gens = np.append(gamma_code, full.mul(full.mul(pool, gamma_code), full.inv(pool)))
-    try:
-        k = generated_subgroup(full, gens, cfg.cap)
-    except ValueError:
-        report.incomplete.append({"stage": "defect-case", "reason": "closure exceeded cap"})
-        return None
+    k = _closure(full, gens, cfg, "closure exceeded cap")
     achieved = _achieved_congruence(full, cfg, k, report, "defect")
     report.stages.append(
         {"stage": "defect-case", "closure_size": int(k.size), "achieved": achieved}
     )
     if achieved == (1, 1):
-        report.incomplete.append(
-            {
-                "stage": "defect-case",
-                "reason": "closure covers no congruence kernel",
-                "target": [p**nn for p, nn in primes],
-            }
-        )
-        return None
+        raise _Incomplete(reason="closure covers no congruence kernel", target=target)
     return achieved
 
 
 def _run_commutator_case(
-    b, cfg, psi: ConnectingMap, psi_tables, primes, s_common, report
-) -> Optional[tuple[int, int]]:
+    b, a, cfg, psi: ConnectingMap, g_table, psi_tables, primes, s_common, report
+) -> tuple[int, int]:
     """Iterated commutators of structured lifts: the q3-side deepens by the
     commutator congruence while the (q1, q2) side stays rich."""
     full = b.ctx
     if not s_common:
-        report.incomplete.append(
-            {"stage": "commutator-case", "reason": "common structured set is empty"}
-        )
-        return None
+        raise _Incomplete(reason="common structured set is empty")
     rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 2]))
     target = {(p, nn): nn for p, nn in primes}
     cur = psi.lifts[sorted(s_common)]
@@ -449,15 +432,11 @@ def _run_commutator_case(
         if all(depths[p] >= target[(p, nn)] for (p, nn) in primes):
             break
         if len(depth_hist) >= 3 and depth_hist[-1] == depth_hist[-2] == depth_hist[-3]:
-            report.incomplete.append(
-                {
-                    "stage": "commutator-case",
-                    "reason": "q3-side depth stagnated",
-                    "depths": depths,
-                    "target": {p: nn for (p, nn) in primes},
-                }
+            raise _Incomplete(
+                reason="q3-side depth stagnated",
+                depths=depths,
+                target={p: nn for (p, nn) in primes},
             )
-            return None
     # certificates: final layer is congruent to 1 at the full prime powers
     for p, nn in primes:
         final_depth = int(congruence_depths(full.decode(cur)[:4], p, nn).min())
@@ -467,12 +446,8 @@ def _run_commutator_case(
             final_depth >= nn,
         )
         if final_depth < nn:
-            return None
-    try:
-        k = generated_subgroup(full, cur[:64], cfg.cap)
-    except ValueError:
-        report.incomplete.append({"stage": "commutator-case", "reason": "closure cap"})
-        return None
+            return 1, 1
+    k = _closure(full, cur[:64], cfg, "closure cap")
     achieved = _achieved_congruence(full, cfg, k, report, "commutator")
     report.stages.append(
         {
@@ -482,39 +457,28 @@ def _run_commutator_case(
             "achieved": achieved,
         }
     )
-    return achieved if achieved != (1, 1) else None
+    return achieved
 
 
 def _run_one_parameter_case(
-    b, a, cfg, psi: ConnectingMap, psi_tables, primes, s_common, report
-) -> Optional[tuple[int, int]]:
+    b, a, cfg, psi: ConnectingMap, g_table, psi_tables, primes, s_common, report
+) -> tuple[int, int]:
     """Powers of one structured lift conjugated around by the pool; the
     closure's kernel part measures the congruence coverage.  Without a
     Zariski-dense A the conjugates stay inside B's own structure and the
     construction honestly fails (the diagonal counterexample)."""
     full = b.ctx
+    target = [p**nn for p, nn in primes]
     if not s_common:
-        report.incomplete.append(
-            {"stage": "one-parameter-case", "reason": "common structured set is empty"}
-        )
-        return None
+        raise _Incomplete(reason="common structured set is empty")
     # pick g with a nontrivial q3-part of maximal order (deterministic)
-    best = None
     for i in sorted(s_common):
-        code = int(psi.lifts[i])
-        digits = full.decode(code)[:4]
-        ok = all(int(congruence_depths(digits, p, nn)) < nn for (p, nn) in primes)
-        if ok:
-            best = code
+        best = int(psi.lifts[i])
+        digits = full.decode(best)[:4]
+        if all(int(congruence_depths(digits, p, nn)) < nn for (p, nn) in primes):
             break
-    if best is None:
-        report.incomplete.append(
-            {
-                "stage": "one-parameter-case",
-                "reason": "no structured lift with nontrivial q3-part",
-            }
-        )
-        return None
+    else:
+        raise _Incomplete(reason="no structured lift with nontrivial q3-part")
     # the cyclic one-parameter set {psi(g)^m}
     powers = [full.identity_code()]
     cur = best
@@ -531,11 +495,7 @@ def _run_one_parameter_case(
     # <g> lies in the closure of the conjugates, so conjugating the single
     # generator suffices and keeps the generating set small
     gens = np.append(best, full.mul(full.mul(pool, best), full.inv(pool)))
-    try:
-        k = generated_subgroup(full, gens, cfg.cap)
-    except ValueError:
-        report.incomplete.append({"stage": "one-parameter-case", "reason": "closure cap"})
-        return None
+    k = _closure(full, gens, cfg, "closure cap")
     # the kernel part of the closure is what covers new congruence classes
     k_kernel = k[full.kernel_mask(k, cfg.q1.value, cfg.q2.value)]
     report.stages.append(
@@ -548,25 +508,14 @@ def _run_one_parameter_case(
         }
     )
     if k_kernel.size <= 1:
-        report.incomplete.append(
-            {
-                "stage": "one-parameter-case",
-                "reason": "conjugated one-parameter closure meets the kernel trivially"
-                + ("" if a is not None else " (no A supplied)"),
-                "target": [p**nn for p, nn in primes],
-            }
+        raise _Incomplete(
+            reason="conjugated one-parameter closure meets the kernel trivially"
+            + ("" if a is not None else " (no A supplied)"),
+            target=target,
         )
-        return None
     achieved = _achieved_congruence(full, cfg, k_kernel, report, "one-parameter")
     if achieved == (1, 1):
-        report.incomplete.append(
-            {
-                "stage": "one-parameter-case",
-                "reason": "kernel part covers no congruence subgroup",
-                "target": [p**nn for p, nn in primes],
-            }
-        )
-        return None
+        raise _Incomplete(reason="kernel part covers no congruence subgroup", target=target)
     return achieved
 
 

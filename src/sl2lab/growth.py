@@ -82,24 +82,6 @@ class GroupSet:
         tgt = PairContext(q1.value, q2.value)
         return GroupSet(q1, q2, unique_codes(self.ctx.reduce_codes(self.codes, tgt)))
 
-    def project(self, side: int) -> "GroupSet":
-        """P_1 or P_2 as a single-factor set (modulus pair (q_side, 1))."""
-        from .factored import ONE
-
-        digits = self.ctx.decode(self.codes)
-        if side == 1:
-            q = self.q1
-            part = digits[:4]
-        elif side == 2:
-            q = self.q2
-            part = digits[4:]
-        else:
-            raise ValueError("side must be 1 or 2")
-        tgt = PairContext(q.value, 1)
-        z = np.zeros_like(part[0])
-        codes = unique_codes(tgt.encode(list(part) + [z, z, z, z]))
-        return GroupSet(q, ONE, codes)
-
 
 def product_set(a: GroupSet, b: GroupSet, cap: int = SET_CAP) -> GroupSet:
     """{x*y : x in a, y in b}, deduplicated."""

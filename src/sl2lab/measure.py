@@ -1,7 +1,6 @@
 """Finitely supported probability measures on group elements.
 
-Weights are exact ``Fraction`` values or doubles; the mode is part of the
-measure and operations never mix modes.  The convolution convention is
+Weights are exact ``Fraction`` values.  The convolution convention is
 (f*g)(x) = sum_y f(y) g(x y^{-1}), so delta_a * delta_b = delta_{ba}.
 """
 
@@ -35,7 +34,6 @@ def pair_law(q1: FactoredModulus, q2: FactoredModulus) -> GroupLaw:
 class SparseMeasure:
     law: GroupLaw
     weights: dict
-    exact: bool = True
 
     def __post_init__(self):
         self.weights = {k: w for k, w in self.weights.items() if w != 0}
@@ -44,61 +42,51 @@ class SparseMeasure:
     def support_size(self) -> int:
         return len(self.weights)
 
-    def __call__(self, x) -> Fraction | float:
-        return self.weights.get(x, Fraction(0) if self.exact else 0.0)
+    def __call__(self, x) -> Fraction:
+        return self.weights.get(x, Fraction(0))
 
 
-def uniform_on(elements: Iterable, law: GroupLaw, exact: bool = True) -> SparseMeasure:
+def uniform_on(elements: Iterable, law: GroupLaw) -> SparseMeasure:
     """Normalized counting measure; duplicate elements merge with summed weight."""
     elements = list(elements)
     if not elements:
         raise ValueError("cannot build a uniform measure on the empty set")
-    w = Fraction(1, len(elements)) if exact else 1.0 / len(elements)
+    w = Fraction(1, len(elements))
     weights: dict = {}
     for x in elements:
-        weights[x] = weights.get(x, Fraction(0) if exact else 0.0) + w
-    return SparseMeasure(law, weights, exact)
+        weights[x] = weights.get(x, Fraction(0)) + w
+    return SparseMeasure(law, weights)
 
 
-def delta(x, law: GroupLaw, exact: bool = True) -> SparseMeasure:
-    return SparseMeasure(law, {x: Fraction(1) if exact else 1.0}, exact)
+def delta(x, law: GroupLaw) -> SparseMeasure:
+    return SparseMeasure(law, {x: Fraction(1)})
 
 
-def _check_compatible(f: SparseMeasure, g: SparseMeasure):
+def convolve(f: SparseMeasure, g: SparseMeasure) -> SparseMeasure:
+    """(f*g)(x) = sum_y f(y) g(x y^{-1}); computed as sum f(y) g(z) delta_{zy}."""
     if f.law.tag != g.law.tag:
         raise ValueError(f"group mismatch: {f.law.tag} vs {g.law.tag}")
-    if f.exact != g.exact:
-        raise ValueError("cannot mix exact and floating measures")
-
-
-def convolve(f: SparseMeasure, g: SparseMeasure, support_cap: int | None = None) -> SparseMeasure:
-    """(f*g)(x) = sum_y f(y) g(x y^{-1}); computed as sum f(y) g(z) delta_{zy}."""
-    _check_compatible(f, g)
     mul = f.law.mul
-    zero = Fraction(0) if f.exact else 0.0
     out: dict = {}
     for y, wy in f.weights.items():
         for z, wz in g.weights.items():
             key = mul(z, y)
-            out[key] = out.get(key, zero) + wy * wz
-    if support_cap is not None and len(out) > support_cap:
-        raise ValueError(f"convolution support {len(out)} exceeds cap {support_cap}")
-    return SparseMeasure(f.law, out, f.exact)
+            out[key] = out.get(key, Fraction(0)) + wy * wz
+    return SparseMeasure(f.law, out)
 
 
-def convolve_power(f: SparseMeasure, l: int, support_cap: int | None = None) -> SparseMeasure:
+def convolve_power(f: SparseMeasure, l: int) -> SparseMeasure:
     """The l-fold self-convolution f^(l), by repeated squaring."""
-    return power_by_doubling(f, l, lambda a, b: convolve(a, b, support_cap))
+    return power_by_doubling(f, l, convolve)
 
 
 def pushforward(f: SparseMeasure, mapper: Callable, law: GroupLaw) -> SparseMeasure:
     """Weights summed over the fibers of ``mapper``."""
-    zero = Fraction(0) if f.exact else 0.0
     out: dict = {}
     for x, w in f.weights.items():
         key = mapper(x)
-        out[key] = out.get(key, zero) + w
-    return SparseMeasure(law, out, f.exact)
+        out[key] = out.get(key, Fraction(0)) + w
+    return SparseMeasure(law, out)
 
 
 def pushforward_pair(
@@ -108,6 +96,5 @@ def pushforward_pair(
     return pushforward(f, lambda x: reduce_pair(x, q1, q2), pair_law(q1, q2))
 
 
-def mass_on(f: SparseMeasure, predicate: Callable[[Hashable], bool]):
-    zero = Fraction(0) if f.exact else 0.0
-    return sum((w for x, w in f.weights.items() if predicate(x)), zero)
+def mass_on(f: SparseMeasure, predicate: Callable[[Hashable], bool]) -> Fraction:
+    return sum((w for x, w in f.weights.items() if predicate(x)), Fraction(0))

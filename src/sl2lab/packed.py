@@ -6,11 +6,14 @@ are sorted code arrays; multiplication, inversion and membership are all
 numpy-vectorized.  Single-factor groups are the q2 = 1 special case.  Safe
 for (q1*q2)**4 < 2**63, far beyond desk scale.
 
-Every 2x2 product of digit arrays goes through ``_mat_mul``, and every
-product of packed elements through ``_product``: one ``_mat_mul`` per
-factor, skipping the trivial factor when q2 = 1.  ``PairContext.mul`` is
-the elementwise product of two broadcastable code arrays (or single codes),
-the one to use for group words such as conjugates and commutators;
+Every 2x2 product of digit arrays goes through ``_mat_mul`` but one: the
+innermost product of ``commutator.commutator_sweep``, which is left
+unreduced inside its congruence test because reducing it first costs the
+time the sweep saves.  Every product of packed elements goes through
+``_product``: one ``_mat_mul`` per factor, skipping the trivial factor when
+q2 = 1.  ``PairContext.mul`` is the elementwise product of two
+broadcastable code arrays (or single codes), the one to use for group words
+such as conjugates and commutators;
 ``mul_const`` feeds ``_product`` one fixed element on either side;
 ``mul_codes`` decodes each set once and feeds it broadcast blocks of
 ``BLOCK`` products.  The block size is a constant, not a share of the merge
@@ -30,6 +33,9 @@ table indices and pair codes with it.
 A generating set passes between modules as an int64 array of codes of its
 ``PairContext``, in the caller's order and with the caller's multiplicity;
 ``PairContext.encode_intpairs`` is the one converter from integral pairs.
+The codes are checked where they enter, at the top of ``pair_subgroup`` and
+of ``spectral.CayleyOperator.build``: ``PairContext.check_codes`` rejects a
+code out of range or of a pair that is not in SL2 x SL2.
 
 ``pair_subgroup`` is the one pair-group enumerator, and ``generated_subgroup``
 returns its codes.  It never searches the N = |H| pair codes.  Following
@@ -125,6 +131,20 @@ class PairContext:
         return np.array(
             [self.encode_element(reduce_pair(g, q1, q2)) for g in gens], dtype=np.int64
         )
+
+    def check_codes(self, codes) -> np.ndarray:
+        """``codes`` as an int64 array, once each lies in [0, (q1 q2)^4) and
+        decodes to a determinant-1 matrix on both factors; ValueError otherwise."""
+        codes = np.asarray(codes, dtype=np.int64)
+        a1, b1, c1, d1, a2, b2, c2, d2 = self.decode(codes)
+        bad = (codes < 0) | (codes >= (self.q1 * self.q2) ** 4)
+        bad |= (a1 * d1 - b1 * c1) % self.q1 != 1 % self.q1
+        bad |= (a2 * d2 - b2 * c2) % self.q2 != 1 % self.q2
+        if bad.any():
+            raise ValueError(
+                f"not codes of SL2 pairs mod ({self.q1}, {self.q2}): {codes[bad][:5].tolist()}"
+            )
+        return codes
 
     def decode_element(
         self, code: int, q1: FactoredModulus, q2: FactoredModulus
@@ -328,9 +348,10 @@ def _edge_products(ctx: PairContext, x: np.ndarray, s: np.ndarray) -> np.ndarray
 
 def pair_subgroup(ctx: PairContext, gens: np.ndarray, cap: int) -> PairSubgroup:
     """The subgroup generated by the codes ``gens`` from factor-sized work;
-    raises ValueError when it has more than ``cap`` elements."""
+    raises ValueError when it has more than ``cap`` elements, or when
+    ``gens`` are not codes of SL2 pairs (``PairContext.check_codes``)."""
     m = np.int64(ctx.q2**4)
-    gen_codes = unique_codes(np.asarray(gens, dtype=np.int64))
+    gen_codes = unique_codes(ctx.check_codes(gens))
     s1, s2 = gen_codes // m, gen_codes % m
     c1, c2 = PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)
     one2 = c2.identity_code()

@@ -54,9 +54,10 @@ class CayleyOperator:
         the multiset is closed under inverse (``lambda2`` checks it).  Over
         <gens> = A x N2 (see ``packed.pair_subgroup``) vertex i is
         (A[i // |N2|], N2[i % |N2|]), so each permutation is the Kronecker
-        sum of two factor permutations.
+        sum of two factor permutations.  ValueError if ``gens`` are not
+        codes of SL2 pairs (``PairContext.check_codes``).
         """
-        gens = np.asarray(gens, dtype=np.int64)
+        gens = ctx.check_codes(gens)
         g_invs = ctx.inv(gens)
         if codes is None:
             sub = pair_subgroup(ctx, gens, GROUP_CAP)

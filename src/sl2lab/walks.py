@@ -4,7 +4,7 @@ Two measurement routes: exact decay of the l-step walk distribution on
 algebraic events inside a finite quotient (the walk distribution is the
 Cayley operator iterated on the point mass at the identity), and
 Monte-Carlo sampling of the integral walk with arbitrary-precision entries
-for exact-equality events.
+for exact-equality events.  Single-factor events read the left factor.
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ class ModLinearEvent:
 
 @dataclass(frozen=True)
 class SingularTraceEvent:
-    """tr(g)^2 - 4 = 0 (mod Q) on one factor."""
-
-    side: int = 1
+    """tr(g)^2 - 4 = 0 (mod Q) on the left factor."""
 
     needs_pair = False
 
@@ -80,9 +78,7 @@ class SingularTraceEvent:
 
 @dataclass(frozen=True)
 class LowerLeftEvent:
-    """Lower-left entry divisible by Q on one factor."""
-
-    side: int = 1
+    """Lower-left entry divisible by Q on the left factor."""
 
     needs_pair = False
 
@@ -92,10 +88,9 @@ class LowerLeftEvent:
 
 @dataclass(frozen=True)
 class TraceValueEvent:
-    """tr(g) = n (mod Q) on one factor."""
+    """tr(g) = n (mod Q) on the left factor."""
 
     n: int
-    side: int = 1
 
     needs_pair = False
 
@@ -122,17 +117,16 @@ def walk_operator(
 ) -> tuple[CayleyOperator, np.ndarray]:
     """Cayley operator of the quotient walk plus the event indicator vector.
 
-    Single-factor events use the projected generators on the stated side
-    (the projection of the walk distribution is the walk of the projected
-    generators); pair events use the full pair mod (Q, Q).
+    Single-factor events read the left factor and use the projected left
+    generators (the projection of the walk distribution is the walk of the
+    projected generators); pair events use the full pair mod (Q, Q).
     """
     S = symmetrize(list(S))
     q = Q.value
     if getattr(event, "needs_pair", False):
         op = cayley_for_sl2_pair(S, q, q)
     else:
-        side = getattr(event, "side", 1)
-        op = cayley_for_sl2_pair([(g[side - 1], IMAT_ID) for g in S], q, 1)
+        op = cayley_for_sl2_pair([(g[0], IMAT_ID) for g in S], q, 1)
     digits = op.ctx.decode(op.codes)
     picked = digits if getattr(event, "needs_pair", False) else digits[:4]
     ind = event.indicator(picked, q).astype(float)

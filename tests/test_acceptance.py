@@ -204,7 +204,7 @@ def run_criterion_06():
     for p in (5, 7, 11, 13):
         g_order = group_order(FactoredModulus.of(p))
         l = int(10 * math.log2(g_order))
-        prof = decay_profile(gens, LowerLeftEvent(side=1), FactoredModulus.of(p), [l])
+        prof = decay_profile(gens, LowerLeftEvent(), FactoredModulus.of(p), [l])
         mass = prof["rows"][-1]["mass"]
         uniform = 1.0 / (p + 1)
         ok &= uniform / 2 <= mass <= uniform * 2

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sl2lab import glue
 from sl2lab.factored import ONE, FactoredModulus
 from sl2lab.glue import GluingConfig, glue_pipeline, replay_certificates
 from sl2lab.growth import GroupSet
@@ -96,7 +97,7 @@ def test_full_group_trivial_success():
     assert out["incomplete"] == []
 
 
-def test_commutator_case_on_congruence_kernel():
+def congruence_kernel_case() -> tuple[GroupSet, GluingConfig]:
     # B: the elements of SL2(Z/12) x SL2(Z/2) whose left factor is 1 mod 4.
     # The q3 = 4 side is trivial, so the dichotomy finds a structured
     # homomorphism trivial at half depth and the iterated-commutator case runs.
@@ -105,7 +106,11 @@ def test_commutator_case_on_congruence_kernel():
     a1, b1, c1, d1 = full.ctx.decode(full.codes)[:4]
     keep = (a1 % 4 == 1) & (b1 % 4 == 0) & (c1 % 4 == 0) & (d1 % 4 == 1)
     b = GroupSet(full.q1, full.q2, full.codes[keep])
-    cfg = quiet_config(q1=q1, q2=q2, q3=q3, theta=0.3, cap=500_000)
+    return b, quiet_config(q1=q1, q2=q2, q3=q3, theta=0.3, cap=500_000)
+
+
+def test_commutator_case_on_congruence_kernel():
+    b, cfg = congruence_kernel_case()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # |B| is below the growth size hypothesis
         rep = glue_pipeline(b, cfg)
@@ -137,6 +142,49 @@ def test_commutator_case_on_congruence_kernel():
     ]
     assert out["incomplete"] == [] and rep.q3_star == 1 and rep.no_expansion
     assert replay_certificates(rep)
+
+
+def test_refused_closure_is_one_incomplete_row(monkeypatch):
+    # each scenario whose closure fails records one incomplete row with its
+    # own reason, after the stages and certificates it reached
+    section = {"stage": "section", "power": 1, "d1": 1, "d2": 1}
+    cfg5 = quiet_config(q1=ONE, q2=Q5, q3=Q5, theta=0.3, cap=300_000)
+    cases = [
+        (
+            GroupSet.full_group(Q5, Q5), cfg5, None,
+            [{**section, "domain_size": 120}],
+            ["section-valid", "defect-element-kernel", "defect-element-depth"],
+            {"stage": "defect-case", "reason": "closure exceeded cap"},
+        ),
+        (
+            *congruence_kernel_case(), None,
+            [{**section, "domain_size": 144}],
+            ["section-valid", "commutator-depth"],
+            {"stage": "commutator-case", "reason": "closure cap"},
+        ),
+        (
+            diagonal_set(Q5), cfg5, dense_ball(5, 4000),
+            [
+                {**section, "domain_size": 120},
+                {"stage": "one-parameter-set", "generator": 28170, "orbit_size": 4},
+            ],
+            ["section-valid"],
+            {"stage": "one-parameter-case", "reason": "closure cap"},
+        ),
+    ]
+
+    def refuse(ctx, gens, cap):
+        raise ValueError(f"generated subgroup exceeds cap {cap}")
+
+    monkeypatch.setattr(glue, "generated_subgroup", refuse)
+    for b, cfg, a, stages, kinds, row in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # |B| is below the growth size hypothesis
+            rep = glue_pipeline(b, cfg, a=a)
+        assert rep.stages == stages
+        assert [c.kind for c in rep.certificates] == kinds
+        assert rep.incomplete == [row]
+        assert rep.q3_star == 1 and rep.no_expansion
 
 
 def test_diagonal_without_a_reports_no_expansion():

@@ -103,16 +103,6 @@ def test_product_set_associativity():
     assert left.codes.tolist() == right.codes.tolist()
 
 
-def test_projection_multiplicativity():
-    rng = random.Random(4)
-    q3 = FactoredModulus.of(3)
-    a = random_groupset(rng, Q5, q3, 12)
-    b = random_groupset(rng, Q5, q3, 12)
-    lhs = product_set(a, b).project(1)
-    rhs = product_set(a.project(1), b.project(1))
-    assert lhs.codes.tolist() == rhs.codes.tolist()
-
-
 def test_tripling_whole_group():
     g = GroupSet.full_group(Q5, ONE)
     rep = tripling(g)

@@ -113,20 +113,8 @@ def test_convolve_power_binary_vs_linear():
     assert convolve_power(f, 6).weights == linear.weights
 
 
-def test_convolve_power_support_cap():
-    law = INTEGRAL_PAIR_LAW
-    f = uniform_on(UNIPOTENT_S, law)
-    with pytest.raises(ValueError):
-        convolve_power(f, 8, support_cap=10)
-
-
 def test_mode_and_group_mismatch():
-    law = pair_law(Q3, ONE)
-    xs = residue_pairs(Q3, ONE, UNIPOTENT_S)
-    f = uniform_on(xs, law)
-    g = uniform_on(xs, law, exact=False)
-    with pytest.raises(ValueError):
-        convolve(f, g)
+    f = uniform_on(residue_pairs(Q3, ONE, UNIPOTENT_S), pair_law(Q3, ONE))
     other = uniform_on(residue_pairs(Q5, ONE, UNIPOTENT_S), pair_law(Q5, ONE))
     with pytest.raises(ValueError):
         convolve(f, other)

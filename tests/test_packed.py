@@ -278,6 +278,19 @@ def test_generated_subgroup_cap():
         generated_subgroup(ctx, gens, cap=100)
 
 
+def test_generator_codes_are_checked():
+    # 2 is the singular [[0, 0], [0, 2]] mod 5; -1 and 625 lie outside [0, 5^4)
+    ctx = PairContext(5, 1)
+    for bad in (2, -1, 625):
+        with pytest.raises(ValueError, match="not codes of SL2 pairs"):
+            generated_subgroup(ctx, np.array([ctx.identity_code(), bad]))
+    # in a pair context each factor is checked: here the right one is singular
+    pair = PairContext(3, 5)
+    assert generated_subgroup(pair, codes_of(pair, [(1, 1, 0, 1, 1, 1, 0, 1)])).size == 15
+    with pytest.raises(ValueError, match="not codes of SL2 pairs"):
+        pair_subgroup(pair, codes_of(pair, [(1, 1, 0, 1, 1, 1, 1, 1)]), 100)
+
+
 def test_congruence_kernel_codes():
     # |Lambda(2)/Lambda(8)| = 8^3 * (3/4) / 6 = 64
     codes = congruence_kernel_codes(8, 2)
@@ -392,11 +405,10 @@ def test_one_closure_kernel_in_src():
     assert offenders == []
 
 
-# top-level names of src/ that only tests call: the reference a test checks
-# reached code against
+# names of src/ that only tests call: the reference a test checks reached
+# code against, or the bridge a property test reaches it through
 TEST_REFERENCES = {
     "exact_divides",  # test_factored::test_divisor_enumeration, for exact_divisors
-    "jacobi_eigenvalues",  # test_spectral::test_blocked_tridiagonalize_matches_jacobi
     "mass_on",  # test_walks::test_sampled_frequency_matches_exact_convolution
     "inverse",  # test_sl2::test_mul_examples, for mul
     "pair_identity",  # test_measure::test_convolution_identity_mass, for convolve
@@ -421,11 +433,17 @@ def _referenced_names(node) -> set[str]:
     return out
 
 
+def _names_in(nodes) -> set[str]:
+    return set().union(*(_referenced_names(n) for n in nodes))
+
+
 def test_every_src_def_is_reached():
-    # every top-level function, class and constant of src/ is reached from
-    # cli.py, the acceptance criteria, bench/ or module-level code, directly
-    # or through other reached definitions, or is a listed test reference;
-    # names are matched by identifier, so a shared name counts as reached
+    # every top-level function, class and constant of src/, and every method,
+    # is reached from cli.py, the acceptance criteria, bench/ or module-level
+    # code, directly or through other reached definitions, or is a listed test
+    # reference; names are matched by identifier, so a shared name counts as
+    # reached.  Dunders, and the methods of a subclass (hooks its base class
+    # calls, such as argparse's error), count as code of their class
     src = Path(packed.__file__).parent
     tests = Path(__file__).parent
     roots = [src / "cli.py", tests / "test_acceptance.py", *sorted((tests.parent / "bench").glob("*.py"))]
@@ -435,7 +453,19 @@ def test_every_src_def_is_reached():
     defs = {}  # "module:name" -> (name, names its definition refers to)
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, ast.ClassDef):
+                methods = [
+                    m for m in node.body
+                    if isinstance(m, ast.FunctionDef)
+                    and not m.name.startswith("__")
+                    and not node.bases
+                ]
+                for m in methods:
+                    defs[f"{path.name}:{node.name}.{m.name}"] = (m.name, _referenced_names(m))
+                rest = [n for n in node.body if n not in methods]
+                own = node.bases + node.keywords + node.decorator_list + rest
+                defs[f"{path.name}:{node.name}"] = (node.name, _names_in(own))
+            elif isinstance(node, ast.FunctionDef):
                 defs[f"{path.name}:{node.name}"] = (node.name, _referenced_names(node))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]

@@ -1,7 +1,6 @@
 import math
 import random
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +12,6 @@ from sl2lab.eigen import (
     TRIDIAG_BLOCK,
     TRIDIAG_SLICE,
     inverse_iteration,
-    jacobi_eigenvalues,
     lanczos_extreme,
     sturm_count,
     sturm_eigenvalue,
@@ -73,24 +71,12 @@ def test_symmetric_eigenvalues_vs_lapack():
 
 
 def test_jacobi_cross_checks_primary_solver():
+    # the reference is LAPACK's eigh (see lapack_eigenvalues for why not eigvalsh)
     rng = np.random.default_rng(1)
     for n in (5, 20, 60):
         m = rng.standard_normal((n, n))
         m = (m + m.T) / 2
-        assert np.abs(jacobi_eigenvalues(m) - tridiag_eigvals(*tridiagonalize(m))).max() < 1e-10
-
-
-def test_jacobi_subnormal_off_diagonal():
-    # a 2x2 block with a subnormal off-diagonal beside a dense block: the
-    # dense block keeps the sweeps going until the threshold drops to 0, so
-    # the subnormal entry is rotated, and h / apq must not overflow
-    m = np.zeros((5, 5))
-    m[:2, :2] = [[1.0, 1e-310], [1e-310, 2.0]]
-    m[2:, 2:] = [[3.0, 1.0, 0.5], [1.0, -1.0, 2.0], [0.5, 2.0, 0.0]]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = jacobi_eigenvalues(m)
-    assert np.abs(got - np.linalg.eigvalsh(m)).max() < 1e-12
+        assert np.abs(np.linalg.eigh(m)[0] - tridiag_eigvals(*tridiagonalize(m))).max() < 1e-10
 
 
 def test_tridiag_eigh_vectors():
@@ -131,7 +117,7 @@ def test_single_ql_loop_paths_agree(data, n):
     assert tridiag_eigvals(d, e).tobytes() == vals.tobytes()
     m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     scale = max(np.abs(d).max(), np.abs(e).max(initial=0.0), 1.0)
-    assert np.abs(jacobi_eigenvalues(m) - vals).max() <= 1e-10 * scale
+    assert np.abs(lapack_eigenvalues(d, e) - vals).max() <= 1e-10 * scale
 
 
 def symmetric_case(kind: str, n: int, seed: int) -> np.ndarray:
@@ -163,13 +149,13 @@ def symmetric_case(kind: str, n: int, seed: int) -> np.ndarray:
     kind=st.sampled_from(["dense", "blocks", "diagonal", "tridiagonal", "repeated"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_blocked_tridiagonalize_matches_jacobi(n, kind, seed):
+def test_blocked_tridiagonalize_matches_lapack(n, kind, seed):
     # n runs past two panels, so first, middle and last panels of every width occur
     m = symmetric_case(kind, n, seed)
     d, e = tridiagonalize(m)
     assert d.shape == (n,) and e.shape == (n - 1,)
     scale = max(np.abs(m).max(), 1.0)
-    assert np.abs(tridiag_eigvals(d, e) - jacobi_eigenvalues(m)).max() <= 1e-10 * scale
+    assert np.abs(tridiag_eigvals(d, e) - np.linalg.eigh(m)[0]).max() <= 1e-10 * scale
     # orthogonal similarity keeps the trace and the Frobenius norm
     assert abs(d.sum() - np.trace(m)) <= 1e-13 * n * scale
     fro2 = float((m * m).sum())
@@ -553,6 +539,17 @@ def test_lambda2_rejects_generators_not_closed_under_inverse():
     # the same set with the multiplicities balanced is accepted
     op = cayley_for_sl2_pair(UNBALANCED + [(UI, LI)], 5, 1)
     assert lambda2(op, method="dense").lambda2 < 1.0
+
+
+def test_build_rejects_codes_not_sl2_pairs():
+    # 2 is the singular [[0, 0], [0, 2]] mod 5; -1 and 625 lie outside [0, 5^4)
+    ctx = PairContext(5, 1)
+    for bad in (2, -1, 625):
+        gens = np.array([ctx.identity_code(), bad])
+        with pytest.raises(ValueError, match="not codes of SL2 pairs"):
+            CayleyOperator.build(ctx, gens)
+        with pytest.raises(ValueError, match="not codes of SL2 pairs"):
+            CayleyOperator.build(ctx, gens, codes=sl2_codes(5))
 
 
 def test_lambda2_rejects_trivial_group():

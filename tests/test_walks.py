@@ -39,7 +39,7 @@ def test_decay_profile_lower_left_limit():
     # E2(5) mass tends to the uniform count 1/(p+1) = 1/6 on SL2(F5)
     prof = decay_profile(
         standard_dense_pair_generators(),
-        LowerLeftEvent(side=1),
+        LowerLeftEvent(),
         FactoredModulus.of(5),
         l_values=[1, 5, 20, 60],
     )
@@ -61,7 +61,7 @@ def test_decay_profile_unreachable_event():
 def test_decay_profile_avoiding_at_l1():
     lowers = symmetrize([(((1, 0), (2, 1)), IMAT_ID)])
     prof = decay_profile(
-        lowers, LowerLeftEvent(side=1), FactoredModulus.of(5), l_values=[1, 2]
+        lowers, LowerLeftEvent(), FactoredModulus.of(5), l_values=[1, 2]
     )
     assert prof["rows"][0]["mass"] == 0.0
     assert prof["rows"][1]["mass"] > 0.0  # s * s^{-1} hits the identity
@@ -70,7 +70,7 @@ def test_decay_profile_avoiding_at_l1():
 def test_decay_profile_trace_events_run():
     q = FactoredModulus.of(5)
     prof = decay_profile(
-        standard_dense_pair_generators(), SingularTraceEvent(side=1), q, [10]
+        standard_dense_pair_generators(), SingularTraceEvent(), q, [10]
     )
     # uniform count of tr^2 = 4 on SL2(F5): traces 2 and 3; frozen oracle below
     from sl2lab.sl2 import enumerate_group, trace
@@ -78,7 +78,7 @@ def test_decay_profile_trace_events_run():
     count = sum(1 for x in enumerate_group(q) if (trace(x) ** 2 - 4) % 5 == 0)
     assert abs(prof["uniform_mass"] - count / 120) < 1e-12
     prof_w = decay_profile(
-        standard_dense_pair_generators(), TraceValueEvent(n=2, side=1), q, [10]
+        standard_dense_pair_generators(), TraceValueEvent(n=2), q, [10]
     )
     count_w = sum(1 for x in enumerate_group(q) if trace(x) == 2)
     assert abs(prof_w["uniform_mass"] - count_w / 120) < 1e-12
