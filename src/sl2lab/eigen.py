@@ -16,9 +16,10 @@ Each question has one route, and no run path calls LAPACK:
   the residual that decides every stop, and the Ritz vector is the basis
   times y.
 
-No run path calls implicit-shift QL (``_ql``, with ``tridiag_eigvals`` and
-``tridiag_eigh``).  It stays only while the benchmark tracer names those two
-functions; the tests' reference is LAPACK through numpy.
+Implicit-shift QL is gone.  ``tridiag_eigvals`` and ``tridiag_eigh`` remain
+only as names the benchmark tracer wraps, rebuilt on ``sturm_eigenvalue``
+and ``inverse_iteration``; no run path calls them.  The tests' reference is
+LAPACK through numpy.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 
 import numpy as np
 
-QL_MAX_ITER = 100  # QL sweeps allowed per eigenvalue
 STORE_BASIS_BUDGET = 30_000_000  # floats of Lanczos basis kept for reorthogonalization
 TRIDIAG_BLOCK = 32  # Householder reflectors per panel of the blocked reduction
 TRIDIAG_SLICE = 32  # trailing-block rows per product of the rank-2b panel update
@@ -217,80 +217,19 @@ def inverse_iteration(d, e, lam: float) -> np.ndarray:
     return x / np.sqrt(x @ x)
 
 
-def _ql(d, e, z: np.ndarray | None = None):
-    """Implicit-shift QL on the symmetric tridiagonal (d, e), over Python floats.
-
-    Returns the eigenvalues in ascending order and ``z`` with every rotation
-    applied to its columns, in the same order, or None when no ``z`` is
-    passed (pass the identity for the eigenvectors).
-    """
-    d = np.array(d, dtype=float)
-    n = d.size
-    ee = np.zeros(n)
-    ee[: n - 1] = e
-    eps = np.finfo(float).eps
-    # absolute deflation floor: clustered zero eigenvalues make the relative
-    # test unreachable; dropping |e| <= eps*|A| perturbs eigenvalues by <= n*eps*|A|
-    floor = eps * max(np.abs(d).max(initial=0.0), np.abs(ee).max(initial=0.0), 1e-300)
-    d = d.tolist()
-    ee = ee.tolist()
-    for l in range(n):
-        for _ in range(QL_MAX_ITER):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(ee[m]) <= max(eps * dd, floor):
-                    break
-                m += 1
-            if m == l:
-                break
-            g = (d[l + 1] - d[l]) / (2.0 * ee[l])
-            r = float(np.hypot(g, 1.0))
-            g = d[m] - d[l] + ee[l] / (g + (r if g >= 0 else -r))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * ee[i]
-                b = c * ee[i]
-                r = float(np.hypot(f, g))
-                ee[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    ee[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                if z is not None:  # accumulate the rotation into the eigenvector matrix
-                    col_i = z[:, i].copy()
-                    col_i1 = z[:, i + 1].copy()
-                    z[:, i + 1] = s * col_i + c * col_i1
-                    z[:, i] = c * col_i - s * col_i1
-            if not underflow:
-                d[l] -= p
-                ee[l] = g
-                ee[m] = 0.0
-        else:
-            raise RuntimeError("QL iteration failed to converge")
-    d = np.array(d)
-    order = np.argsort(d)
-    return d[order], None if z is None else z[:, order]
-
-
 def tridiag_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric tridiagonal matrix, sorted ascending."""
-    return _ql(d, e)[0]
+    """Eigenvalues of a symmetric tridiagonal matrix, ascending, each by
+    ``sturm_eigenvalue``.  No run path calls it: it stays while the benchmark
+    tracer names it, and goes with that span (ROADMAP item 8)."""
+    return np.array([sturm_eigenvalue(d, e, k) for k in range(np.size(d))])
 
 
 def tridiag_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvector columns of a symmetric tridiagonal."""
-    return _ql(d, e, np.eye(np.size(d)))
+    """``tridiag_eigvals`` and one ``inverse_iteration`` vector per eigenvalue,
+    as columns.  No run path calls it: it stays while the benchmark tracer
+    names it, and goes with that span (ROADMAP item 8)."""
+    vals = tridiag_eigvals(d, e)
+    return vals, np.column_stack([inverse_iteration(d, e, lam) for lam in vals])
 
 
 def _top_ritz_pair(alphas, betas) -> tuple[float, np.ndarray]:
@@ -333,24 +272,28 @@ def _top_ritz_pair(alphas, betas) -> tuple[float, np.ndarray]:
     return theta, inverse_iteration(alphas, betas, theta)
 
 
-def lanczos_extreme(matvec, n: int, seed: int = 0, tol: float = 1e-10, max_iter: int = 2000):
-    """Largest (signed) eigenvalue of a symmetric operator on mean-zero vectors.
+def lanczos_extreme(matvec, v0: np.ndarray, tol: float = 1e-10, max_iter: int = 2000):
+    """Largest (signed) eigenvalue of a symmetric operator on the Krylov space of v0.
 
-    Full reorthogonalization whenever the basis fits in ``STORE_BASIS_BUDGET``
+    The caller supplies the subspace: the start vector ``v0``, and a
+    ``matvec`` that keeps to the subspace, so that the Krylov space of ``v0``
+    never leaves it (Parlett, *The Symmetric Eigenvalue Problem*, ch. 13).
+    ``v0`` is overwritten: its storage is the run's scratch vector, so a run
+    holds no vector beyond those it works with, even while the caller keeps
+    ``v0``.  At most ``min(max_iter, v0.size)`` iterations.  Full
+    reorthogonalization whenever the basis fits in ``STORE_BASIS_BUDGET``
     floats; otherwise plain three-term Lanczos, which still resolves the
-    extreme eigenvalue of gapped operators.  Deterministic for a fixed seed.
+    extreme eigenvalue of gapped operators.
 
     Returns (value, iterations, residual, converged, ritz_vector_or_None).
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    v = rng.standard_normal(n)
-    v -= v.mean()
-    nv = float(np.sqrt(v @ v))
+    n = v0.size
+    nv = float(np.sqrt(v0 @ v0))
     if nv == 0.0:
         raise ValueError("degenerate start vector")
-    v /= nv
+    v = v0 / nv
 
-    max_basis = min(max_iter, n - 1)
+    max_basis = min(max_iter, n)
     if max_basis < 1:
         raise ValueError("Lanczos needs at least one iteration")
     keep_basis = n * max_basis <= STORE_BASIS_BUDGET
@@ -359,9 +302,9 @@ def lanczos_extreme(matvec, n: int, seed: int = 0, tol: float = 1e-10, max_iter:
         basis = np.empty((max_basis, n))
         basis[0] = v
     v_prev = np.zeros(n)
-    # the three-term step runs through this buffer and spends v_prev, so an
-    # iteration allocates no vector beyond the one matvec returns
-    step = np.empty(n)
+    # the three-term step runs through this buffer, v0's storage, and spends
+    # v_prev, so an iteration allocates no vector beyond the one matvec returns
+    step = v0
     alphas: list[float] = []
     betas: list[float] = []
     beta = 0.0
@@ -369,7 +312,6 @@ def lanczos_extreme(matvec, n: int, seed: int = 0, tol: float = 1e-10, max_iter:
 
     for k in range(1, max_basis + 1):
         w = matvec(v)
-        w -= w.mean()
         alpha = float(v @ w)
         alphas.append(alpha)
         np.multiply(alpha, v, out=step)

@@ -173,7 +173,11 @@ def lambda2(
 
     method='auto' uses the dense solver for N <= DENSE_THRESHOLD and Lanczos
     above; 'iterative' forces the matrix-free route (the path the dense
-    oracle certifies), 'dense' forces the oracle route.  T is self-adjoint,
+    oracle certifies), 'dense' forces the oracle route.  Lanczos runs on T
+    restricted to the mean-zero functions, the orthogonal complement of the
+    constants: its start is a Philox(seed) normal vector with its mean
+    subtracted, each product has its mean subtracted, and it takes at most
+    N - 1 iterations, the dimension of that space.  T is self-adjoint,
     and lambda2 defined, only when the generator multiset is closed under
     inverse; otherwise ValueError.
     """
@@ -190,8 +194,16 @@ def lambda2(
         lam, resid = _checked_dense_lambda2(op)
         iters, conv = 0, True
     elif method == "iterative":
+        v0 = np.random.Generator(np.random.Philox(key=seed)).standard_normal(op.n)
+        v0 -= v0.mean()
+
+        def matvec(v):
+            w = op.apply(v)
+            w -= w.mean()
+            return w
+
         lam, iters, resid, conv, ritz = lanczos_extreme(
-            op.apply, op.n, seed=seed, tol=tol, max_iter=max_iter
+            matvec, v0, tol=tol, max_iter=min(max_iter, op.n - 1)
         )
         if ritz is not None:
             r = op.apply(ritz) - lam * ritz

@@ -140,8 +140,41 @@ def test_commutator_case_on_congruence_kernel():
             "verified": True,
         },
     ]
-    assert out["incomplete"] == [] and rep.q3_star == 1 and rep.no_expansion
+    # the closure covers no congruence kernel, and the report says so
+    assert out["incomplete"] == [
+        {"stage": "commutator-case", "reason": "closure covers no congruence kernel", "target": [4]}
+    ]
+    assert rep.q3_star == 1 and rep.no_expansion
     assert replay_certificates(rep)
+
+
+def test_commutator_depth_below_target_is_an_incomplete_row(monkeypatch):
+    # layer depths that alternate 0, 1, 0, ... never stagnate and never reach
+    # the target 2: after its rounds the case records the depths it reached,
+    # and no certificate that would fail its replay
+    calls = []
+
+    def alternating(digits, p, n):
+        calls.append(p)
+        return np.array([(len(calls) - 1) % 2])
+
+    monkeypatch.setattr(glue, "congruence_depths", alternating)
+    b, cfg = congruence_kernel_case()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # |B| is below the growth size hypothesis
+        rep = glue_pipeline(b, cfg)
+    assert len(calls) == 8
+    assert rep.incomplete == [
+        {
+            "stage": "commutator-case",
+            "reason": "q3-side depth below target",
+            "depths": {2: 1},
+            "target": {2: 2},
+        }
+    ]
+    assert [c.kind for c in rep.certificates] == ["section-valid"]
+    assert replay_certificates(rep)
+    assert rep.q3_star == 1 and rep.no_expansion
 
 
 def test_refused_closure_is_one_incomplete_row(monkeypatch):

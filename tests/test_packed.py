@@ -498,6 +498,18 @@ def test_one_kernel_test_in_src():
     assert offenders == []
 
 
+def test_no_lapack_in_src():
+    # no run path calls LAPACK, and numpy is the only runtime dependency
+    src = Path(packed.__file__).parent
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "linalg" in line or "scipy" in line
+    ]
+    assert offenders == []
+
+
 def test_isin_and_index_sorted():
     table = np.array([2, 5, 9, 11], dtype=np.int64)
     vals = np.array([5, 3, 11], dtype=np.int64)

@@ -155,7 +155,7 @@ def test_blocked_tridiagonalize_matches_lapack(n, kind, seed):
     d, e = tridiagonalize(m)
     assert d.shape == (n,) and e.shape == (n - 1,)
     scale = max(np.abs(m).max(), 1.0)
-    assert np.abs(tridiag_eigvals(d, e) - np.linalg.eigh(m)[0]).max() <= 1e-10 * scale
+    assert np.abs(lapack_eigenvalues(d, e) - np.linalg.eigh(m)[0]).max() <= 1e-10 * scale
     # orthogonal similarity keeps the trace and the Frobenius norm
     assert abs(d.sum() - np.trace(m)) <= 1e-13 * n * scale
     fro2 = float((m * m).sum())
@@ -231,9 +231,10 @@ def test_sturm_eigenvalue_of_zero_is_clean():
 
 def longdouble_top_eigenvalue(d, e) -> np.longdouble:
     """Largest eigenvalue of the tridiagonal (d, e) by Sturm bisection in
-    np.longdouble, tests only.  It is finer than the double-precision QL and
-    LAPACK results: over 4,000 draws like those of the test below, QL was up
-    to 10 eps ||T|| from it, LAPACK up to 8 and ``_top_ritz_pair`` up to 2.1."""
+    np.longdouble, tests only.  It is finer than the double-precision results:
+    over 4,000 draws like those of the test below, LAPACK was up to 8 eps ||T||
+    from it, the implicit-shift QL this module once tested up to 10 and
+    ``_top_ritz_pair`` up to 2.1; over 1,500 draws, ``sturm_eigenvalue`` up to 1.1."""
     ld = np.longdouble
     d = np.asarray(d, dtype=ld)
     e2 = np.asarray(e, dtype=ld) ** 2
@@ -268,8 +269,9 @@ def test_top_ritz_pair_matches_ql_and_lapack(data, n):
     if np.finfo(np.longdouble).nmant >= 63:  # long double finer than double
         assert abs(theta - longdouble_top_eigenvalue(d, e)) <= 4 * eps * norm + floor
     # the references' own error grows with n: up to 20 eps ||T|| from theta
-    # at n <= 60 over 20,000 such draws, and at most 0.55 (4 + n) eps ||T||
-    assert abs(theta - tridiag_eigvals(d, e)[-1]) <= (4 + n) * eps * norm + floor
+    # at n <= 60 over 20,000 such draws (LAPACK and the former QL reference),
+    # and at most 0.55 (4 + n) eps ||T||
+    assert abs(theta - sturm_eigenvalue(d, e, n - 1)) <= (4 + n) * eps * norm + floor
     assert abs(theta - lapack[-1]) <= (4 + n) * eps * norm + floor
     r = m @ y - theta * y
     assert abs(y @ y - 1.0) <= 1e-14
@@ -283,7 +285,12 @@ def test_lanczos_on_explicit_matrix():
     m = (m + m.T) / 2
     p = np.eye(n) - np.full((n, n), 1.0 / n)
     pmp = p @ m @ p  # the mean-zero operator P m P
-    lam, iters, resid, conv, ritz = lanczos_extreme(lambda v: pmp @ v, n, seed=0, tol=1e-11)
+    start = p @ rng.standard_normal(n)  # a mean-zero start: the subspace is the mean-zero one
+    v0 = start.copy()
+    lam, iters, resid, conv, ritz = lanczos_extreme(
+        lambda v: pmp @ v, v0, tol=1e-11, max_iter=n - 1
+    )
+    assert not np.array_equal(v0, start)  # v0 is the run's workspace
     assert conv
     # reference: eigvalsh on the mean-zero subspace, through an orthonormal basis of it
     q = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))[0][:, 1:]
@@ -291,15 +298,55 @@ def test_lanczos_on_explicit_matrix():
     r = pmp @ ritz - lam * ritz
     assert abs(ritz.sum()) < 1e-12 and np.sqrt(r @ r) < 1e-9
     with pytest.raises(ValueError):
-        lanczos_extreme(lambda v: pmp @ v, n, max_iter=0)
+        lanczos_extreme(lambda v: pmp @ v, start, max_iter=0)
+    with pytest.raises(ValueError, match="degenerate start vector"):
+        lanczos_extreme(lambda v: pmp @ v, np.zeros(n))
+
+
+def test_lanczos_without_projection():
+    # no projection: a start with nonzero mean, and n iterations, reach the top of m
+    rng = np.random.default_rng(5)
+    n = 60
+    m = rng.standard_normal((n, n))
+    m = (m + m.T) / 2
+    v0 = rng.standard_normal(n) + 1.0
+    tol = 1e-11
+    lam, iters, resid, conv, ritz = lanczos_extreme(lambda v: m @ v, v0, tol=tol, max_iter=n)
+    assert conv and iters <= n
+    assert abs(lam - np.linalg.eigvalsh(m)[-1]) <= tol
+    r = m @ ritz - lam * ritz
+    assert np.sqrt(r @ r) <= 1e-9
+
+
+def test_lanczos_stays_in_the_callers_subspace():
+    # block-diagonal m, v0 supported on one block: the Krylov space of v0 never
+    # leaves that block, so the value is its top eigenvalue, not the global one
+    rng = np.random.default_rng(6)
+    sizes = (30, 40)
+    blocks = [rng.standard_normal((k, k)) for k in sizes]
+    blocks = [(b + b.T) / 2 for b in blocks]
+    blocks[1] += 3.0 * np.eye(sizes[1])  # the global top lies in the other block
+    n = sum(sizes)
+    m = np.zeros((n, n))
+    m[: sizes[0], : sizes[0]] = blocks[0]
+    m[sizes[0] :, sizes[0] :] = blocks[1]
+    v0 = np.zeros(n)
+    v0[: sizes[0]] = rng.standard_normal(sizes[0])
+    tol = 1e-11
+    lam = lanczos_extreme(lambda v: m @ v, v0, tol=tol, max_iter=n)[0]
+    top = np.linalg.eigvalsh(blocks[0])[-1]
+    assert np.linalg.eigvalsh(m)[-1] > top + 1.0
+    assert abs(lam - top) <= tol
 
 
 def test_no_ql_on_the_lanczos_route(monkeypatch):
-    # QL is a test reference only: stored-basis and three-term runs never call it
+    # the whole-spectrum solvers are names for the benchmark tracer only:
+    # stored-basis and three-term runs never call them
     def no_ql(*args, **kwargs):
-        raise AssertionError("QL ran on the Lanczos route")
+        raise AssertionError("a whole-spectrum solver ran on the Lanczos route")
 
-    monkeypatch.setattr(eigen, "_ql", no_ql)
+    monkeypatch.setattr(eigen, "tridiag_eigvals", no_ql)
+    monkeypatch.setattr(eigen, "tridiag_eigh", no_ql)
     gens = standard_dense_pair_generators()
     rows = gap_sweep(gens, [13, 15], pair=False)
     assert [r["N"] for r in rows] == [2184, 2880]  # above DENSE_THRESHOLD: Lanczos
@@ -648,7 +695,7 @@ def test_gap_sweep_prime_columns():
 
 def test_gap_sweep_rejects_unconverged_lambda2(monkeypatch):
     # an unconverged Lanczos run is an error, never a row of the table
-    def stalled(matvec, n, **kwargs):
+    def stalled(matvec, v0, **kwargs):
         return 0.5, 7, 1e-3, False, None
 
     monkeypatch.setattr(spectral, "lanczos_extreme", stalled)
