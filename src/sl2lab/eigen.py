@@ -287,6 +287,8 @@ def lanczos_extreme(matvec, v0: np.ndarray, tol: float = 1e-10, max_iter: int = 
 
     Returns (value, iterations, residual, converged, ritz_vector_or_None).
     """
+    if v0.dtype != np.float64 or v0.ndim != 1:
+        raise ValueError(f"v0 must be a 1-d float64 array; got {v0.dtype} {v0.shape}")
     n = v0.size
     nv = float(np.sqrt(v0 @ v0))
     if nv == 0.0:

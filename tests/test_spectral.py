@@ -301,6 +301,10 @@ def test_lanczos_on_explicit_matrix():
         lanczos_extreme(lambda v: pmp @ v, start, max_iter=0)
     with pytest.raises(ValueError, match="degenerate start vector"):
         lanczos_extreme(lambda v: pmp @ v, np.zeros(n))
+    # v0 is the step buffer: a float32 one would round every step, an integer one fail late
+    for bad in (start.astype(np.float32), np.ones(n, dtype=np.int64), start[:, None]):
+        with pytest.raises(ValueError, match="1-d float64"):
+            lanczos_extreme(lambda v: pmp @ v, bad)
 
 
 def test_lanczos_without_projection():
