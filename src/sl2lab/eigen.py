@@ -220,14 +220,14 @@ def inverse_iteration(d, e, lam: float) -> np.ndarray:
 def tridiag_eigvals(d: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric tridiagonal matrix, ascending, each by
     ``sturm_eigenvalue``.  No run path calls it: it stays while the benchmark
-    tracer names it, and goes with that span (ROADMAP item 8)."""
+    tracer names it, and goes with that span at the next change to the benchmark."""
     return np.array([sturm_eigenvalue(d, e, k) for k in range(np.size(d))])
 
 
 def tridiag_eigh(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``tridiag_eigvals`` and one ``inverse_iteration`` vector per eigenvalue,
     as columns.  No run path calls it: it stays while the benchmark tracer
-    names it, and goes with that span (ROADMAP item 8)."""
+    names it, and goes with that span at the next change to the benchmark."""
     vals = tridiag_eigvals(d, e)
     return vals, np.column_stack([inverse_iteration(d, e, lam) for lam in vals])
 
