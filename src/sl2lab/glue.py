@@ -435,12 +435,13 @@ def _run_commutator_case(
             raise _Incomplete(reason="q3-side depth stagnated", depths=depths, target=target)
     else:
         raise _Incomplete(reason="q3-side depth below target", depths=depths, target=target)
-    # certificates: final layer is congruent to 1 at the full prime powers
+    # certificates: final layer is congruent to 1 at the full prime powers,
+    # replayed through the kernel test rather than the depths that stopped the loop
     for p, nn in primes:
         report.add_certificate(
             "commutator-depth",
             {"p": p, "target": nn, "achieved": depths[p], "rounds": len(depth_hist)},
-            True,
+            bool(np.all(full.kernel_mask(cur, p**nn, 1))),
         )
     k = _closure(full, cur[:64], cfg, "closure cap")
     achieved = _achieved_congruence(full, cfg, k, report, "commutator")

@@ -52,9 +52,6 @@ class GroupSet:
     def union(self, other: "GroupSet") -> "GroupSet":
         return GroupSet(self.q1, self.q2, unique_codes(np.concatenate([self.codes, other.codes])))
 
-    def elements(self) -> list[PairElement]:
-        return [self.ctx.decode_element(int(c), self.q1, self.q2) for c in self.codes]
-
     @staticmethod
     def from_elements(
         q1: FactoredModulus, q2: FactoredModulus, elements: Sequence[PairElement]
@@ -84,7 +81,12 @@ class GroupSet:
 
 
 def product_set(a: GroupSet, b: GroupSet, cap: int = SET_CAP) -> GroupSet:
-    """{x*y : x in a, y in b}, deduplicated."""
+    """{x*y : x in a, y in b}, deduplicated.
+
+    |a| + |b| > |G| gives the whole group at once, by pigeonhole.  Otherwise
+    ``mul_codes`` forms the products, and stops as soon as they fill the
+    group; ``PRODUCT_WORK_CAP`` bounds the |a| |b| products it may form.
+    """
     if (a.q1, a.q2) != (b.q1, b.q2):
         raise ValueError("modulus mismatch")
     order = a.ctx.order

@@ -19,7 +19,13 @@ such as conjugates and commutators;
 ``BLOCK`` products.  The block size is a constant, not a share of the merge
 threshold ``FLUSH``, because each block holds about a dozen int64
 temporaries of its size: peak memory then stays bounded whatever the sizes
-of the two sets.
+of the two sets.  ``mul_codes`` stops once its merged products number
+|G| = ``ctx.order``: they are then the whole group, and dense sets fill a
+quasirandom group after few products (Gowers, "Quasirandom groups", 2008).
+To see that moment, the buffered blocks are merged once they number at
+least min(FLUSH, max(|G| - merged, merged)): block by block while a block
+could fill the group, and otherwise with a merge that sorts at most twice
+what it adds, or every FLUSH products as before.
 
 ``one_mod`` is the one test of 2x2 digit arrays for x = 1 mod d, and
 ``PairContext.kernel_mask(codes, d1, d2)`` applies it to both factors: the
@@ -422,7 +428,18 @@ def congruence_subgroup_codes(q1: int, q2: int, d1: int, d2: int) -> np.ndarray:
 
 
 def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise products a_i * b_j, deduplicated and sorted."""
+    """All pairwise products a_i * b_j, deduplicated and sorted.
+
+    Returns as soon as the merged products number ``ctx.order``: products of
+    SL2 pairs are SL2 pairs, so that set is the whole group and no later
+    product can add to it.  The buffered blocks are merged once they number
+    min(FLUSH, max(order - merged, merged)): a product that could fill the
+    group is checked block by block, and a merge below FLUSH sorts at most
+    twice what it adds.  When the exit fires, ``a`` and ``b`` must be codes
+    of SL2 pairs (``PairContext.check_codes``), or ValueError: one code
+    outside the group makes the group the wrong answer, even when every
+    product merged so far lies in it.
+    """
     if a.size == 0 or b.size == 0:
         return np.array([], dtype=np.int64)
     # numpy loops fastest along the last axis, so the longer set runs along
@@ -432,6 +449,7 @@ def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n_last = min(long.size, BLOCK)
     n_first = max(1, BLOCK // n_last)
     short_digits = [col[:, None] for col in ctx.decode(short)]
+    order = ctx.order
     acc = np.array([], dtype=np.int64)
     buf: list[np.ndarray] = []
     buffered = 0
@@ -441,9 +459,13 @@ def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             y = [col[j : j + n_first] for col in short_digits]
             buf.append((_product(ctx, x, y) if a_last else _product(ctx, y, x)).ravel())
             buffered += buf[-1].size
-            if buffered >= FLUSH:
+            if buffered >= min(FLUSH, max(order - acc.size, acc.size)):
                 acc = _merge(buf, acc)
                 buffered = 0
+                if acc.size == order:
+                    ctx.check_codes(a)
+                    ctx.check_codes(b)
+                    return acc
     return _merge(buf, acc)
 
 

@@ -1,12 +1,14 @@
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from sl2lab import glue
 from sl2lab.factored import ONE, FactoredModulus
-from sl2lab.glue import GluingConfig, glue_pipeline, replay_certificates
+from sl2lab.cli import main
+from sl2lab.glue import GluingConfig, GluingReport, glue_pipeline, replay_certificates
 from sl2lab.growth import GroupSet
 from sl2lab.packed import PairContext, generated_subgroup, sl2_codes
 from sl2lab.sl2 import PairElement, enumerate_group
@@ -177,6 +179,30 @@ def test_commutator_depth_below_target_is_an_incomplete_row(monkeypatch):
     assert rep.q3_star == 1 and rep.no_expansion
 
 
+def test_commutator_depth_certificate_is_replayed(monkeypatch):
+    # depths that overstate the commutators of random lifts stop the loop
+    # after one round; the kernel test of the final layer refuses the claim
+    cfg = quiet_config(q1=FactoredModulus.of(3), q2=FactoredModulus.of(2),
+                       q3=FactoredModulus.of(4), theta=0.3, cap=500_000)
+    b = GroupSet.full_group(FactoredModulus.of(12), FactoredModulus.of(2))
+    rng = np.random.default_rng(0)
+    psi = SimpleNamespace(lifts=rng.choice(b.codes, size=40, replace=False))
+    monkeypatch.setattr(glue, "congruence_depths", lambda digits, p, n: np.full(np.shape(digits[0]), n))
+    report = GluingReport(cfg)
+    try:
+        glue._run_commutator_case(b, None, cfg, psi, None, {}, [(2, 2)], set(range(40)), report)
+    except glue._Incomplete:
+        pass
+    assert [c.as_dict() for c in report.certificates] == [
+        {
+            "kind": "commutator-depth",
+            "params": {"p": 2, "target": 2, "achieved": 2, "rounds": 1},
+            "verified": False,
+        }
+    ]
+    assert not replay_certificates(report)
+
+
 def test_refused_closure_is_one_incomplete_row(monkeypatch):
     # each scenario whose closure fails records one incomplete row with its
     # own reason, after the stages and certificates it reached
@@ -288,3 +314,13 @@ def test_deterministic_given_seed():
     assert json.dumps(rep1.as_dict(), sort_keys=True) == json.dumps(
         rep2.as_dict(), sort_keys=True
     )
+
+
+def test_glue_cli_dense_a_fills_the_group_in_two_powers(tmp_path):
+    # the final assembly's (B u A)^2 fills SL2(Z/5)^2, and the product stops
+    # there: the benchmark's dense q = 5 run, end to end
+    argv = ["--out", str(tmp_path), "glue", "--q2", "5", "--q3", "5", "--b", "diagonal", "--a", "dense"]
+    assert main(argv) == 0
+    (run,) = tmp_path.glob("run-*")
+    rep = json.loads((run / "glue.json").read_text())
+    assert rep["coverage"]["sizes_by_power"] == [4092, 14400]

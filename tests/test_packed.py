@@ -413,44 +413,62 @@ TEST_REFERENCES = {
     "inverse",  # test_sl2::test_mul_examples, for mul
     "pair_identity",  # test_measure::test_convolution_identity_mass, for convolve
     "pair_inverse",  # test_measure::test_convolve_power_examples, for convolve_power
+    "decode_element",  # test_packed's exact oracle for encode, mul and reduce_codes
 }
 
 
-def _referenced_names(node) -> set[str]:
-    """Identifiers a node refers to: names, attributes, imported names, and
-    the parts of dotted-name strings such as bench/spans.py's span names."""
-    out = set()
+def _referenced_names(node) -> tuple[set[str], set[str]]:
+    """What a node refers to, as (names, attributes).  Names are identifiers,
+    attributes, imported names, identifier strings and the parts of
+    dotted-name strings such as bench/spans.py's span names.  Attributes are
+    what reaches a method: attribute names, and each "x.m" of consecutive
+    parts of a dotted-name string, which reaches the method m of a class or
+    module x.  So a dict key such as rep["elements"], or a counter name such
+    as "packed.generated_subgroup.elements", reaches no method elements."""
+    names, attrs = set(), set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            out.add(n.id)
+            names.add(n.id)
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            names.add(n.attr)
+            attrs.add(n.attr)
         elif isinstance(n, ast.alias):
-            out.add(n.name.rpartition(".")[2])
+            names.add(n.name.rpartition(".")[2])
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-            if re.fullmatch(r"[A-Za-z_][\w.]*", n.value):
-                out.update(n.value.split("."))
-    return out
+            parts = n.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+                attrs.update(f"{x}.{m}" for x, m in zip(parts, parts[1:]))
+    return names, attrs
 
 
-def _names_in(nodes) -> set[str]:
-    return set().union(*(_referenced_names(n) for n in nodes))
+def _names_in(nodes) -> tuple[set[str], set[str]]:
+    refs = [_referenced_names(n) for n in nodes]
+    return set().union(*(r[0] for r in refs)), set().union(*(r[1] for r in refs))
 
 
 def test_every_src_def_is_reached():
     # every top-level function, class and constant of src/, and every method,
     # is reached from cli.py, the acceptance criteria, bench/ or module-level
     # code, directly or through other reached definitions, or is a listed test
-    # reference; names are matched by identifier, so a shared name counts as
-    # reached.  Dunders, and the methods of a subclass (hooks its base class
+    # reference.  Names are matched by identifier, so a shared name counts as
+    # reached; a method counts only through attribute access or a dotted-name
+    # string.  Dunders, and the methods of a subclass (hooks its base class
     # calls, such as argparse's error), count as code of their class
     src = Path(packed.__file__).parent
     tests = Path(__file__).parent
     roots = [src / "cli.py", tests / "test_acceptance.py", *sorted((tests.parent / "bench").glob("*.py"))]
-    reached = set(TEST_REFERENCES)
+    reached, reached_attrs = set(TEST_REFERENCES), set(TEST_REFERENCES)
+
+    def reach(refs):
+        reached.update(refs[0])
+        reached_attrs.update(refs[1])
+
     for path in roots:
-        reached |= _referenced_names(ast.parse(path.read_text()))
-    defs = {}  # "module:name" -> (name, names its definition refers to)
+        reach(_referenced_names(ast.parse(path.read_text())))
+    # "module:name" -> (name, or a method's keys: m, module.m and Class.m;
+    # whether it is a method; what its definition refers to)
+    defs = {}
     for path in sorted(src.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef):
@@ -461,27 +479,32 @@ def test_every_src_def_is_reached():
                     and not node.bases
                 ]
                 for m in methods:
-                    defs[f"{path.name}:{node.name}.{m.name}"] = (m.name, _referenced_names(m))
+                    keys = {m.name, f"{path.stem}.{m.name}", f"{node.name}.{m.name}"}
+                    defs[f"{path.name}:{node.name}.{m.name}"] = (keys, True, _referenced_names(m))
                 rest = [n for n in node.body if n not in methods]
                 own = node.bases + node.keywords + node.decorator_list + rest
-                defs[f"{path.name}:{node.name}"] = (node.name, _names_in(own))
+                defs[f"{path.name}:{node.name}"] = (node.name, False, _names_in(own))
             elif isinstance(node, ast.FunctionDef):
-                defs[f"{path.name}:{node.name}"] = (node.name, _referenced_names(node))
+                defs[f"{path.name}:{node.name}"] = (node.name, False, _referenced_names(node))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for t in targets:
                     if isinstance(t, ast.Name):
-                        defs[f"{path.name}:{t.id}"] = (t.id, _referenced_names(node.value))
+                        defs[f"{path.name}:{t.id}"] = (t.id, False, _referenced_names(node.value))
             elif not isinstance(node, (ast.Import, ast.ImportFrom)):
-                reached |= _referenced_names(node)
+                reach(_referenced_names(node))
+
+    def is_reached(name, method):
+        return bool(name & reached_attrs) if method else name in reached
+
     grown = True
     while grown:
         grown = False
-        for name, refs in defs.values():
-            if name in reached and not refs <= reached:
-                reached |= refs
+        for name, method, refs in defs.values():
+            if is_reached(name, method) and not (refs[0] <= reached and refs[1] <= reached_attrs):
+                reach(refs)
                 grown = True
-    assert sorted(key for key, (name, _) in defs.items() if name not in reached) == []
+    assert sorted(key for key, (name, method, _) in defs.items() if not is_reached(name, method)) == []
 
 
 def test_one_kernel_test_in_src():
@@ -540,6 +563,129 @@ def test_mul_codes_matches_bruteforce(moduli, sizes, block, flush, seed):
     brute = {ctx.encode_element(pair_mul(x, y)) for x in xs for y in ys}
     assert got.dtype == np.int64
     assert got.tolist() == sorted(brute)
+
+
+@functools.lru_cache(maxsize=None)
+def group_elements(q1: int, q2: int) -> tuple[PairElement, ...]:
+    return tuple(
+        PairElement(x, y)
+        for x in enumerate_group(FactoredModulus.of(q1))
+        for y in enumerate_group(FactoredModulus.of(q2))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moduli=st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)]),
+    shares=st.tuples(st.floats(0.25, 1.0), st.floats(0.25, 1.0)),
+    block=st.integers(1, 40),
+    flush=st.integers(1, 100),
+    seed=st.integers(0, 2**32),
+)
+def test_mul_codes_saturating_matches_bruteforce(moduli, shares, block, flush, seed):
+    # sets of at least a quarter of the group, so that most products fill
+    # it; small blocks let the exit fire between blocks
+    rng = random.Random(seed)
+    ctx = PairContext(*moduli)
+    group = group_elements(*moduli)
+    xs, ys = (rng.sample(group, max(1, int(s * len(group)))) for s in shares)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed, "BLOCK", block)
+        mp.setattr(packed, "FLUSH", flush)
+        got = mul_codes(ctx, codes_of_elements(ctx, xs), codes_of_elements(ctx, ys))
+    brute = {ctx.encode_element(pair_mul(x, y)) for x in xs for y in ys}
+    assert got.tolist() == sorted(brute)
+
+
+def codes_of_elements(ctx: PairContext, xs) -> np.ndarray:
+    return np.array([ctx.encode_element(x) for x in xs], dtype=np.int64)
+
+
+def test_mul_codes_stops_once_the_group_is_full(monkeypatch):
+    # two random quarters of SL2(Z/5)^2 fill it within the first block of
+    # products, so the other 61 blocks are never formed
+    ctx = PairContext(5, 5)
+    full = full_pair_codes(5, 5)
+    rng = np.random.default_rng(1)
+    a, b = (np.sort(rng.choice(full, size=4000, replace=False)) for _ in range(2))
+    calls = []
+    orig = packed._product
+
+    def counted(*args):
+        calls.append(1)
+        return orig(*args)
+
+    monkeypatch.setattr(packed, "_product", counted)
+    assert np.array_equal(mul_codes(ctx, a, b), full)
+    assert len(calls) == 1
+
+
+def matrix_codes(ctx: PairContext, mats) -> np.ndarray:
+    return ctx.encode([np.array(col, dtype=np.int64) for col in zip(*mats)])
+
+
+def brute_matrix_products(ctx: PairContext, xs, ys) -> list[int]:
+    """Sorted distinct codes of x y over 8-entry tuples, in Python integers."""
+
+    def mul(x, y, q):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
+
+    prods = {mul(x[:4], y[:4], ctx.q1) + mul(x[4:], y[4:], ctx.q2) for x in xs for y in ys}
+    return sorted(matrix_codes(ctx, sorted(prods)).tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    moduli=st.sampled_from([(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)]),
+    sizes=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+    block=st.integers(1, 40),
+    flush=st.integers(1, 100),
+    seed=st.integers(0, 2**32),
+)
+def test_mul_codes_non_group_codes_match_bruteforce(moduli, sizes, block, flush, seed):
+    # any 2x2 matrices, most not of determinant 1: mul_codes gives their
+    # exact product set, or a ValueError when the exit would fire on them
+    rng = random.Random(seed)
+    ctx = PairContext(*moduli)
+    q1, q2 = moduli
+
+    def draw(n):
+        return [
+            tuple(rng.randrange(q1) for _ in range(4)) + tuple(rng.randrange(q2) for _ in range(4))
+            for _ in range(n)
+        ]
+
+    xs, ys = draw(sizes[0]), draw(sizes[1])
+    brute = brute_matrix_products(ctx, xs, ys)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(packed, "BLOCK", block)
+        mp.setattr(packed, "FLUSH", flush)
+        try:
+            got = mul_codes(ctx, matrix_codes(ctx, xs), matrix_codes(ctx, ys))
+        except ValueError:
+            # the merged products numbered |G|, from codes not all in the group
+            assert len(brute) >= ctx.order
+            with pytest.raises(ValueError):
+                ctx.check_codes(matrix_codes(ctx, xs + ys))
+            return
+    assert got.tolist() == brute
+
+
+def test_mul_codes_exit_refuses_codes_outside_the_group(monkeypatch):
+    # SL2(Z/3) times SL2(Z/3) fills the group in the first block, but the
+    # determinant-2 code after it in a makes the product twice the group:
+    # comparing the merged set with the group cannot see that, so the exit
+    # checks its inputs
+    ctx = PairContext(3, 1)
+    g = sl2_codes(3)
+    a = np.append(g, matrix_codes(ctx, [(2, 0, 0, 1, 0, 0, 0, 0)]))
+    monkeypatch.setattr(packed, "BLOCK", g.size)
+    with pytest.raises(ValueError, match="not codes of SL2 pairs"):
+        mul_codes(ctx, a, g)
+    monkeypatch.setattr(packed, "BLOCK", 2 * a.size * g.size)
+    assert mul_codes(ctx, a, g).size == 2 * g.size
 
 
 def elementary_generators(q1: int, q2: int) -> list[tuple[int, ...]]:
