@@ -436,7 +436,7 @@ def _run_commutator_case(
     else:
         raise _Incomplete(reason="q3-side depth below target", depths=depths, target=target)
     # certificates: final layer is congruent to 1 at the full prime powers,
-    # replayed through the kernel test rather than the depths that stopped the loop
+    # checked by the kernel test, not by the depths that stopped the loop
     for p, nn in primes:
         report.add_certificate(
             "commutator-depth",

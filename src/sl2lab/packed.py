@@ -25,7 +25,7 @@ quasirandom group after few products (Gowers, "Quasirandom groups", 2008).
 To see that moment, the buffered blocks are merged once they number at
 least min(FLUSH, max(|G| - merged, merged)): block by block while a block
 could fill the group, and otherwise with a merge that sorts at most twice
-what it adds, or every FLUSH products as before.
+what it adds, or once every FLUSH products.
 
 ``one_mod`` is the one test of 2x2 digit arrays for x = 1 mod d, and
 ``PairContext.kernel_mask(codes, d1, d2)`` applies it to both factors: the
@@ -466,7 +466,7 @@ def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     ctx.check_codes(a)
                     ctx.check_codes(b)
                     return acc
-    return _merge(buf, acc)
+    return _merge(buf, acc) if buf else acc
 
 
 def _merge(buf: list[np.ndarray], acc: np.ndarray) -> np.ndarray:

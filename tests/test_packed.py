@@ -589,16 +589,13 @@ def test_mul_codes_saturating_matches_bruteforce(moduli, shares, block, flush, s
     ctx = PairContext(*moduli)
     group = group_elements(*moduli)
     xs, ys = (rng.sample(group, max(1, int(s * len(group)))) for s in shares)
+    a, b = (np.array([ctx.encode_element(x) for x in s], dtype=np.int64) for s in (xs, ys))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(packed, "BLOCK", block)
         mp.setattr(packed, "FLUSH", flush)
-        got = mul_codes(ctx, codes_of_elements(ctx, xs), codes_of_elements(ctx, ys))
+        got = mul_codes(ctx, a, b)
     brute = {ctx.encode_element(pair_mul(x, y)) for x in xs for y in ys}
     assert got.tolist() == sorted(brute)
-
-
-def codes_of_elements(ctx: PairContext, xs) -> np.ndarray:
-    return np.array([ctx.encode_element(x) for x in xs], dtype=np.int64)
 
 
 def test_mul_codes_stops_once_the_group_is_full(monkeypatch):
@@ -620,10 +617,6 @@ def test_mul_codes_stops_once_the_group_is_full(monkeypatch):
     assert len(calls) == 1
 
 
-def matrix_codes(ctx: PairContext, mats) -> np.ndarray:
-    return ctx.encode([np.array(col, dtype=np.int64) for col in zip(*mats)])
-
-
 def brute_matrix_products(ctx: PairContext, xs, ys) -> list[int]:
     """Sorted distinct codes of x y over 8-entry tuples, in Python integers."""
 
@@ -633,7 +626,7 @@ def brute_matrix_products(ctx: PairContext, xs, ys) -> list[int]:
         return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
 
     prods = {mul(x[:4], y[:4], ctx.q1) + mul(x[4:], y[4:], ctx.q2) for x in xs for y in ys}
-    return sorted(matrix_codes(ctx, sorted(prods)).tolist())
+    return sorted(codes_of(ctx, sorted(prods)).tolist())
 
 
 @settings(max_examples=60, deadline=None)
@@ -663,12 +656,12 @@ def test_mul_codes_non_group_codes_match_bruteforce(moduli, sizes, block, flush,
         mp.setattr(packed, "BLOCK", block)
         mp.setattr(packed, "FLUSH", flush)
         try:
-            got = mul_codes(ctx, matrix_codes(ctx, xs), matrix_codes(ctx, ys))
+            got = mul_codes(ctx, codes_of(ctx, xs), codes_of(ctx, ys))
         except ValueError:
             # the merged products numbered |G|, from codes not all in the group
             assert len(brute) >= ctx.order
             with pytest.raises(ValueError):
-                ctx.check_codes(matrix_codes(ctx, xs + ys))
+                ctx.check_codes(codes_of(ctx, xs + ys))
             return
     assert got.tolist() == brute
 
@@ -680,7 +673,7 @@ def test_mul_codes_exit_refuses_codes_outside_the_group(monkeypatch):
     # checks its inputs
     ctx = PairContext(3, 1)
     g = sl2_codes(3)
-    a = np.append(g, matrix_codes(ctx, [(2, 0, 0, 1, 0, 0, 0, 0)]))
+    a = np.append(g, codes_of(ctx, [(2, 0, 0, 1, 0, 0, 0, 0)]))
     monkeypatch.setattr(packed, "BLOCK", g.size)
     with pytest.raises(ValueError, match="not codes of SL2 pairs"):
         mul_codes(ctx, a, g)
