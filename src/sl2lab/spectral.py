@@ -1,8 +1,15 @@
 """The Cayley averaging operator, its second eigenvalue, and Cheeger constants.
 
-The operator acts matrix-free through per-generator permutation arrays over
-an enumerated group; the dense oracle route goes through the in-repo
-symmetric eigensolver in :mod:`sl2lab.eigen`.
+The operator acts matrix-free on a grid of shape rows x cols = N over the
+sorted element codes: vertex i sits at (i // cols, i % cols).  Over a direct
+H = A x N2 with |N2| > 1 (``packed.pair_subgroup``) the grid is (|A|, |N2|):
+each generator moves a vertex by a row permutation of A and a column
+permutation of N2, so the operator holds factor-sized arrays only.  Every
+other operator (a single factor, a non-direct H, given codes) is one row,
+(1, N), with the row permutation [0].  ``CayleyOperator.apply`` walks the
+output in row blocks of about ``APPLY_BLOCK`` entries, so each block's sums
+stay in cache.  The dense oracle route goes through the in-repo symmetric
+eigensolver in :mod:`sl2lab.eigen`.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ EXACT_CHEEGER_MAX = 22  # largest N for the exhaustive Cheeger sweep (2^(N-1) su
 # largest ||Tx - lambda2 x|| accepted for a dense lambda2 and its inverse-iteration
 # vector x; the value and x each err by about N ulps of ||T|| = 1, far inside it
 RESIDUAL_DELTA = 1e-9
+APPLY_BLOCK = 2**14  # entries of the output per row block of CayleyOperator.apply
 
 
 @dataclass
@@ -33,7 +41,10 @@ class CayleyOperator:
     ctx: PairContext
     codes: np.ndarray  # sorted element codes; index space of the operator
     gens: np.ndarray  # generator codes in the caller's order and multiplicity
-    perms: list[np.ndarray]  # perms[s][i] = index of gens[s]^{-1} * x_i
+    shape: tuple[int, int]  # grid (rows, cols), rows * cols = N; vertex i at (i // cols, i % cols)
+    # gens[s]^{-1} x_i sits at (row_perms[s][i // cols], col_perms[s][i % cols])
+    row_perms: list[np.ndarray]
+    col_perms: list[np.ndarray]
 
     @property
     def n(self) -> int:
@@ -52,38 +63,65 @@ class CayleyOperator:
         ``gens`` is an array of codes of ``ctx``, used as given: order and
         duplicates are kept, and the operator is self-adjoint exactly when
         the multiset is closed under inverse (``lambda2`` checks it).  Over
-        <gens> = A x N2 (see ``packed.pair_subgroup``) vertex i is
-        (A[i // |N2|], N2[i % |N2|]), so each permutation is the Kronecker
-        sum of two factor permutations.  ValueError if ``gens`` are not
-        codes of SL2 pairs (``PairContext.check_codes``).
+        <gens> = A x N2 with |N2| > 1 (see ``packed.pair_subgroup``) vertex
+        i is (A[i // |N2|], N2[i % |N2|]), and the grid is (|A|, |N2|).
+        Otherwise the grid is one row, (1, N): the row permutations are [0]
+        and the column permutations map all of the codes.  ValueError if
+        ``gens`` are not codes of SL2 pairs (``PairContext.check_codes``).
         """
         gens = ctx.check_codes(gens)
         g_invs = ctx.inv(gens)
         if codes is None:
             sub = pair_subgroup(ctx, gens, GROUP_CAP)
             codes = sub.codes
-            if sub.direct:
+            if sub.direct and sub.kernel.size > 1:
                 c1, c2 = PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)
                 x1, x2 = c1.decode(sub.left), c2.decode(sub.kernel)
                 m = ctx.q2**4
-                perms = []
-                for g1, g2 in zip(g_invs // m, g_invs % m):
-                    p1 = index_sorted(_product(c1, c1.decode(g1), x1), sub.left)
-                    p2 = index_sorted(_product(c2, c2.decode(g2), x2), sub.kernel)
-                    perms.append((p1[:, None] * sub.kernel.size + p2).ravel())
-                return CayleyOperator(ctx, codes, gens, perms)
+                rows = [index_sorted(_product(c1, c1.decode(g), x1), sub.left) for g in g_invs // m]
+                cols = [index_sorted(_product(c2, c2.decode(g), x2), sub.kernel) for g in g_invs % m]
+                shape = (sub.left.size, sub.kernel.size)
+                return CayleyOperator(ctx, codes, gens, shape, rows, cols)
         x = ctx.decode(codes)
-        perms = [index_sorted(_product(ctx, ctx.decode(g), x), codes) for g in g_invs]
-        return CayleyOperator(ctx, codes, gens, perms)
+        cols = [index_sorted(_product(ctx, ctx.decode(g), x), codes) for g in g_invs]
+        rows = [np.zeros(1, dtype=np.int64)] * len(cols)
+        return CayleyOperator(ctx, codes, gens, (1, codes.size), rows, cols)
+
+    def perm(self, s: int) -> np.ndarray:
+        """The flat permutation of generator s: i -> index of gens[s]^{-1} * x_i."""
+        return (self.row_perms[s][:, None] * self.shape[1] + self.col_perms[s]).ravel()
 
     def apply(self, v: np.ndarray) -> np.ndarray:
+        """Tv for a real vector v, as float64.  Each entry starts from 0.0,
+        adds its neighbors in generator order and divides by the degree.
+
+        The output goes in blocks of about APPLY_BLOCK entries, whole rows of
+        the grid: per generator, the block's source rows are copied out of
+        v, their columns permuted, and the result added to the block while
+        it is in cache."""
         if v.shape != (self.n,):
             raise ValueError(f"vector length {v.shape} does not match N={self.n}")
-        out = np.zeros(self.n)
-        for perm in self.perms:
-            out += v[perm]
-        out /= self.degree
-        return out
+        if v.dtype.kind not in "biuf":
+            raise TypeError(f"apply needs a real vector, not dtype {v.dtype}")
+        rows, cols = self.shape
+        src = v.astype(np.float64, copy=False).reshape(rows, cols)
+        out = np.zeros((rows, cols))
+        b = max(1, APPLY_BLOCK // max(cols, 1))
+        moved = np.empty((min(b, rows), cols))  # the block's source rows
+        taken = np.empty_like(moved)  # ... with their columns permuted
+        for r0 in range(0, rows, b):
+            block = out[r0 : r0 + b]
+            k = len(block)
+            m, t = moved[:k], taken[:k]
+            last = None
+            for p1, p2 in zip(self.row_perms, self.col_perms):
+                if p1 is not last:  # rows shared with the previous generator stay in m
+                    src.take(p1[r0 : r0 + k], 0, m, "clip")
+                    last = p1
+                m.take(p2, 1, t, "clip")
+                block += t
+            block /= self.degree
+        return out.ravel()
 
     def dense_matrix(self) -> np.ndarray:
         """The N x N operator matrix; oracle use only (N <= DENSE_THRESHOLD)."""
@@ -91,16 +129,16 @@ class CayleyOperator:
             raise ValueError(f"N={self.n} too large for the dense route")
         m = np.zeros((self.n, self.n))
         rows = np.arange(self.n)
-        for perm in self.perms:
-            np.add.at(m, (rows, perm), 1.0 / self.degree)
+        for s in range(self.degree):
+            np.add.at(m, (rows, self.perm(s)), 1.0 / self.degree)
         return m
 
     def neighbor_table(self) -> list[list[int]]:
         """neighbors[i] = indices of s * x_i over the generator multiset."""
-        # perms[s] maps i to the index of s^{-1} x_i, so its inverse maps i to s x_i
+        # perm(s) maps i to the index of s^{-1} x_i, so its inverse maps i to s x_i
         moved = np.empty((self.degree, self.n), dtype=np.int64)
-        for s, perm in enumerate(self.perms):
-            moved[s, perm] = np.arange(self.n)
+        for s in range(self.degree):
+            moved[s, self.perm(s)] = np.arange(self.n)
         return moved.T.tolist()
 
 

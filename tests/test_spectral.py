@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import random
 import tracemalloc
@@ -419,6 +421,83 @@ def test_coset_constant_functions_stay_coset_constant():
     assert np.allclose(w, v)
 
 
+def test_apply_casts_real_vectors_and_rejects_complex():
+    # an int, bool or float32 vector acts as its float64 cast; complex is an error
+    op = cayley_for_sl2_pair(standard_dense_pair_generators(), 4, 9)
+    rng = np.random.default_rng(5)
+    for v in (
+        rng.integers(-(2**40), 2**40, op.n),
+        rng.integers(0, 2, op.n).astype(bool),
+        rng.standard_normal(op.n).astype(np.float32),
+    ):
+        got = op.apply(v)
+        assert got.dtype == np.float64
+        assert got.tobytes() == op.apply(v.astype(np.float64)).tobytes()
+    with pytest.raises(TypeError, match="real vector"):
+        op.apply(np.ones(op.n, dtype=complex))
+    # an operator over no codes maps the empty vector to itself
+    ctx = PairContext(5, 1)
+    empty = CayleyOperator.build(ctx, codes_of(ctx, [(1, 1, 0, 1, 0, 0, 0, 0)]), codes=sl2_codes(5)[:0])
+    assert empty.n == 0 and empty.apply(np.zeros(0)).shape == (0,)
+
+
+@functools.cache
+def apply_case(name: str) -> CayleyOperator:
+    stock, unit = standard_dense_pair_generators(), unit_dense_pair_generators()
+    if name == "codes":
+        ctx = PairContext(5, 1)
+        return CayleyOperator.build(ctx, ctx.encode_intpairs(symmetrize(stock)), codes=sl2_codes(5))
+    gens, q1, q2 = {
+        "pair55": (stock, 5, 5),
+        "pair49": (stock, 4, 9),
+        "single": (stock, 7, 1),
+        "nondirect": (unit, 8, 8),
+    }[name]
+    return cayley_for_sl2_pair(gens, q1, q2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(["pair55", "pair49", "single", "nondirect", "codes"]),
+    block=st.sampled_from(["one", "ragged", "whole"]),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.lists(st.floats(allow_nan=False, width=64), max_size=8),
+)
+def test_blocked_apply_matches_flat_gather(name, block, seed, special):
+    # the blocked apply gives the bits of sum(v[perm(s)]) / degree, for blocks
+    # of one row, blocks with a partial last one, and one block for everything
+    op = apply_case(name)
+    rows, cols = op.shape
+    ragged = next((b for b in range(2, rows) if rows % b), 1) * cols
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(op.n) * 2.0 ** rng.integers(-60, 60, op.n)
+    v[rng.random(op.n) < 0.2] = -0.0
+    v[rng.integers(0, op.n, len(special))] = special
+    ref = sum(v[op.perm(s)] for s in range(op.degree)) / op.degree
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "APPLY_BLOCK", {"one": 1, "ragged": ragged, "whole": op.n + 1}[block])
+        assert op.apply(v).tobytes() == ref.tobytes()
+
+
+def test_pair_operator_holds_factor_sized_arrays():
+    # over a direct H = A x N2 the operator holds the codes (8N bytes) and,
+    # besides them, arrays of at most max(|A|, |N2|) entries
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = cayley_for_sl2_pair(standard_dense_pair_generators(), 7, 7)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert op.n == 112_896 and op.shape == (336, 336)
+    assert held <= 1.5 * 8 * op.n
+    for field in dataclasses.fields(op):
+        value = getattr(op, field.name)
+        if field.name != "codes":
+            for a in value if isinstance(value, list) else [value]:
+                assert not isinstance(a, np.ndarray) or a.size <= max(op.shape)
+
+
 # ---------------------------------------------------------------------------
 # lambda2: circulant closed form, dense oracle, disconnected case
 
@@ -440,7 +519,8 @@ def test_build_reduces_generator_entries(q, ks):
     ref = CayleyOperator.build(ctx, ctx.encode_intpairs(gens), codes=codes)
     op = CayleyOperator.build(ctx, ctx.encode_intpairs(shifted), codes=codes)
     assert op.gens.dtype == np.int64 and np.array_equal(op.gens, ref.gens)
-    for p, r in zip(op.perms, ref.perms):
+    for s in range(op.degree):
+        p, r = op.perm(s), ref.perm(s)
         assert p.dtype == r.dtype and np.array_equal(p, r)
     assert op.neighbor_table() == ref.neighbor_table()
 
@@ -452,7 +532,7 @@ def test_build_unreduced_overflow_regression():
     op = CayleyOperator.build(ctx, ctx.encode_intpairs([(g, IMAT_ID)]), codes=sl2_codes(7))
     ref = CayleyOperator.build(ctx, codes_of(ctx, [(1, 1, 0, 1, 0, 0, 0, 0)]), codes=sl2_codes(7))
     assert np.array_equal(op.gens, ref.gens)
-    assert np.array_equal(op.perms[0], ref.perms[0])
+    assert op.perm(0).dtype == ref.perm(0).dtype and np.array_equal(op.perm(0), ref.perm(0))
 
 
 @pytest.mark.parametrize(
@@ -469,8 +549,9 @@ def test_kronecker_build_matches_index_sorted_build(name, q1, q2):
     op = CayleyOperator.build(ctx, gens)
     ref = CayleyOperator.build(ctx, gens, codes=generated_subgroup(ctx, gens))
     assert np.array_equal(op.codes, ref.codes)
-    assert len(op.perms) == len(ref.perms) == len(gens)
-    for got, want in zip(op.perms, ref.perms):
+    assert op.degree == ref.degree == len(gens)
+    for s in range(op.degree):
+        got, want = op.perm(s), ref.perm(s)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
