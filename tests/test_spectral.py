@@ -461,7 +461,7 @@ def apply_case(name: str) -> CayleyOperator:
     name=st.sampled_from(["pair55", "pair49", "single", "nondirect", "codes"]),
     block=st.sampled_from(["one", "ragged", "whole"]),
     seed=st.integers(0, 2**32 - 1),
-    special=st.lists(st.floats(allow_nan=False, width=64), max_size=8),
+    special=st.lists(st.floats(-1e300, 1e300), max_size=8),  # no sum of 4 overflows
 )
 def test_blocked_apply_matches_flat_gather(name, block, seed, special):
     # the blocked apply gives the bits of sum(v[perm(s)]) / degree, for blocks
