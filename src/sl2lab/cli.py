@@ -127,14 +127,7 @@ def cmd_spectral(args) -> int:
 
     gens = _load_generators(args.gens)
     moduli = [int(v) for v in args.moduli.split(",") if v]
-    rows = gap_sweep(
-        gens,
-        moduli,
-        pair=args.pair,
-        tol=args.tol,
-        seed=args.seed,
-        method=args.method,
-    )
+    rows = gap_sweep(gens, moduli, pair=args.pair, tol=args.tol, seed=args.seed)
     header = ["q", "N", "degree", "lambda2", "residual", "h_lower", "h_upper", "h_exact", "seconds"]
     out_rows = []
     for r in rows:
@@ -333,9 +326,9 @@ def cmd_glue(args) -> int:
     if args.b == "diagonal":
         if args.q1 != 1 or args.q2 != args.q3:
             raise UsageError("the diagonal example needs q1 = 1 and q2 = q3")
-        # the pairs (x, x), x in SL2(Z/q3): code x q3^4 + x, sorted as x is
+        # the pairs (x, x), x in SL2(Z/q3), sorted as x is
         x = sl2_codes(args.q3)
-        b = GroupSet(left, q2, x * np.int64(args.q3**4) + x)
+        b = GroupSet(left, q2, PairContext(left.value, q2.value).join(x, x))
     elif args.b == "full":
         b = GroupSet.full_group(left, q2)
     else:
@@ -461,7 +454,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--pair", action=argparse.BooleanOptionalAction, default=True)
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--method", default="auto", choices=["auto", "dense", "iterative"])
     sp.add_argument("--timings", action="store_true")
     sp.set_defaults(func=cmd_spectral)
 

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .factored import FactoredModulus, divides
-from .growth import GroupSet, product_set
+from .growth import GroupSet, bounded_generation_search, product_set
 from .packed import (
     PairContext,
     _mat_mul,
@@ -29,7 +29,7 @@ from .packed import (
     one_mod,
     unique_codes,
 )
-from .sl2 import LieVector, lie_is_primitive
+from .sl2 import LieVector, bracket, lie_is_primitive
 
 # ---------------------------------------------------------------------------
 # the commutator congruence identity
@@ -251,8 +251,6 @@ def bracket_span_cover(v: LieVector, w: LieVector, q: FactoredModulus) -> dict:
     m = [av[i] + aw[i] for i in range(3)]
     targets = {"h": (2, 0, 0), "e": (0, 2, 0), "f": (0, 0, 2)}
     certificates = {}
-    from .sl2 import bracket
-
     for name, t in targets.items():
         z = solve_mod_q(m, list(t), q)
         if z is None:
@@ -416,8 +414,6 @@ def connecting_map(
     reduced B.  Each element of the subgroup gets its smallest-code
     preimage in B^k, so sections are deterministic.
     """
-    from .growth import bounded_generation_search
-
     if not (divides(q1, b.q1) and divides(q2, b.q2)):
         raise ValueError("target moduli must divide the ambient moduli of B")
     if q1.is_one() and q2.is_one():

@@ -322,10 +322,10 @@ def glue_pipeline(
     tgt = PairContext(target_left, cfg.q2.value)
     cur = union
     sizes = []
-    for _ in range(4):
+    for power in range(1, 5):
         red = unique_codes(cur.ctx.reduce_codes(cur.codes, tgt))
         sizes.append(int(red.size))
-        if red.size == tgt.order:
+        if red.size == tgt.order or power == 4:
             break
         try:
             cur = product_set(cur, union, cfg.cap)

@@ -24,7 +24,7 @@ from .packed import (
     mul_codes,
     unique_codes,
 )
-from .sl2 import IntPair, PairElement
+from .sl2 import IntPair, PairElement, group_order
 
 SET_CAP = 10_000_000
 PRODUCT_WORK_CAP = 200_000_000  # multiplications one product_set may spend
@@ -142,8 +142,6 @@ def covers_congruence(
 
 
 def _kernel_order(q: FactoredModulus, d: FactoredModulus) -> int:
-    from .sl2 import group_order
-
     return group_order(q) // group_order(d)
 
 

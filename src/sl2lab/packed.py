@@ -101,17 +101,26 @@ class PairContext:
             FactoredModulus.of(self.q2)
         )
 
+    def split(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right): the factor codes of pair codes, in the contexts
+        (q1, 1) and (q2, 1).  With ``join``, the one place of the radix q2^4."""
+        return codes // self.q2**4, codes % self.q2**4
+
+    def join(self, left, right) -> np.ndarray:
+        """Pair codes of factor codes ``left`` (q1, 1) and ``right`` (q2, 1),
+        broadcast against each other."""
+        return left * self.q2**4 + right
+
     def encode(self, digits) -> np.ndarray:
         """Pack 8 digit arrays (a1,b1,c1,d1,a2,b2,c2,d2) into codes."""
         a1, b1, c1, d1, a2, b2, c2, d2 = (np.asarray(x, dtype=np.int64) for x in digits)
         left = ((a1 * self.q1 + b1) * self.q1 + c1) * self.q1 + d1
         right = ((a2 * self.q2 + b2) * self.q2 + c2) * self.q2 + d2
-        return left * self.q2**4 + right
+        return self.join(left, right)
 
     def decode(self, codes: np.ndarray) -> tuple[np.ndarray, ...]:
-        codes = np.asarray(codes, dtype=np.int64)
-        right, out = codes % self.q2**4, []
-        left = codes // self.q2**4
+        left, right = self.split(np.asarray(codes, dtype=np.int64))
+        out = []
         for base, chunk in ((self.q2, right), (self.q1, left)):
             for _ in range(4):
                 out.append(chunk % base)
@@ -356,9 +365,8 @@ def pair_subgroup(ctx: PairContext, gens: np.ndarray, cap: int) -> PairSubgroup:
     """The subgroup generated by the codes ``gens`` from factor-sized work;
     raises ValueError when it has more than ``cap`` elements, or when
     ``gens`` are not codes of SL2 pairs (``PairContext.check_codes``)."""
-    m = np.int64(ctx.q2**4)
     gen_codes = unique_codes(ctx.check_codes(gens))
-    s1, s2 = gen_codes // m, gen_codes % m
+    s1, s2 = ctx.split(gen_codes)
     c1, c2 = PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)
     one2 = c2.identity_code()
     if (s2 == one2).all():
@@ -366,7 +374,7 @@ def pair_subgroup(ctx: PairContext, gens: np.ndarray, cap: int) -> PairSubgroup:
         left = closure(s1, c1.identity_code(), lambda x, g: mul_codes(c1, x, g), cap)
         if left is None:
             raise ValueError(f"generated subgroup exceeds cap {cap}")
-        return PairSubgroup(left, np.array([one2]), left * m + one2, True)
+        return PairSubgroup(left, np.array([one2]), ctx.join(left, one2), True)
     left = np.array([c1.identity_code()], dtype=np.int64)
     trans = np.array([one2], dtype=np.int64)  # t(a) for each a of left
     schreier = np.array([], dtype=np.int64)
@@ -396,14 +404,14 @@ def pair_subgroup(ctx: PairContext, gens: np.ndarray, cap: int) -> PairSubgroup:
         raise ValueError(f"generated subgroup exceeds cap {cap}")
     direct = bool(isin_sorted(s2, kernel).all())
     if direct:
-        codes = (left[:, None] * m + kernel).ravel()
+        codes = ctx.join(left[:, None], kernel).ravel()
     else:
         codes = np.empty((left.size, kernel.size), dtype=np.int64)
         rows = max(1, BLOCK // kernel.size)
         for i in range(0, left.size, rows):
             coset = c2.mul(trans[i : i + rows, None], kernel)
             coset.sort(axis=1)
-            codes[i : i + rows] = left[i : i + rows, None] * m + coset
+            codes[i : i + rows] = ctx.join(left[i : i + rows, None], coset)
         codes = codes.ravel()
     return PairSubgroup(left, kernel, codes, direct)
 
@@ -421,10 +429,11 @@ def congruence_kernel_codes(q: int, d: int) -> np.ndarray:
 
 
 def congruence_subgroup_codes(q1: int, q2: int, d1: int, d2: int) -> np.ndarray:
-    """Sorted codes of Lambda(d1)/Lambda(q1) x Lambda(d2)/Lambda(q2)."""
+    """Sorted codes of Lambda(d1)/Lambda(q1) x Lambda(d2)/Lambda(q2): the
+    Kronecker sum of sorted factor codes, in row-major order, is sorted."""
     left = congruence_kernel_codes(q1, d1)
     right = congruence_kernel_codes(q2, d2)
-    return np.sort((left[:, None] * np.int64(q2**4) + right[None, :]).ravel())
+    return PairContext(q1, q2).join(left[:, None], right).ravel()
 
 
 def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:

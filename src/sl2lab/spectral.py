@@ -8,8 +8,13 @@ permutation of N2, so the operator holds factor-sized arrays only.  Every
 other operator (a single factor, a non-direct H, given codes) is one row,
 (1, N), with the row permutation [0].  ``CayleyOperator.apply`` walks the
 output in row blocks of about ``APPLY_BLOCK`` entries, so each block's sums
-stay in cache.  The dense oracle route goes through the in-repo symmetric
-eigensolver in :mod:`sl2lab.eigen`.
+stay in cache.
+
+``lambda2`` picks its route from N alone: the dense oracle route, through
+the in-repo symmetric eigensolver in :mod:`sl2lab.eigen`, for
+N <= ``DENSE_THRESHOLD``, and matrix-free Lanczos (``lanczos_lambda2``)
+above.  ``lanczos_lambda2`` is also the one judge of convergence: an
+unconverged run raises there, whoever called it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .eigen import inverse_iteration, lanczos_extreme, sturm_eigenvalue, tridiagonalize
 from .packed import PairContext, _product, index_sorted, pair_subgroup
-from .sl2 import IntPair, symmetrize
+from .sl2 import IntPair, imat_inv, imat_mul, symmetrize
 
 DENSE_THRESHOLD = 2048
 GROUP_CAP = 10_000_000
@@ -77,9 +82,9 @@ class CayleyOperator:
             if sub.direct and sub.kernel.size > 1:
                 c1, c2 = PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)
                 x1, x2 = c1.decode(sub.left), c2.decode(sub.kernel)
-                m = ctx.q2**4
-                rows = [index_sorted(_product(c1, c1.decode(g), x1), sub.left) for g in g_invs // m]
-                cols = [index_sorted(_product(c2, c2.decode(g), x2), sub.kernel) for g in g_invs % m]
+                inv1, inv2 = ctx.split(g_invs)
+                rows = [index_sorted(_product(c1, c1.decode(g), x1), sub.left) for g in inv1]
+                cols = [index_sorted(_product(c2, c2.decode(g), x2), sub.kernel) for g in inv2]
                 shape = (sub.left.size, sub.kernel.size)
                 return CayleyOperator(ctx, codes, gens, shape, rows, cols)
         x = ctx.decode(codes)
@@ -156,7 +161,6 @@ class SpectralReport:
     residual: float
     cheeger_lower: float
     cheeger_upper: float
-    converged: bool = True
 
     def __post_init__(self):
         if self.cheeger_lower > self.cheeger_upper + 1e-12:
@@ -171,19 +175,34 @@ def cheeger_bounds(lambda2: float, degree: int) -> tuple[float, float]:
     return degree * gap / 2.0, degree * float(np.sqrt(2.0 * gap))
 
 
-def dense_lambda2(op: CayleyOperator) -> float:
-    """Second eigenvalue via the in-repo dense eigensolver (oracle route)."""
-    return _checked_dense_lambda2(op)[0]
+def _check_operator(op: CayleyOperator) -> None:
+    """T is self-adjoint, and lambda2 defined, only when N >= 2 and the
+    generator multiset is closed under inverse; otherwise ValueError."""
+    if op.n < 2:
+        raise ValueError("lambda2 needs N >= 2")
+    if not np.array_equal(np.sort(op.gens), np.sort(op.ctx.inv(op.gens))):
+        raise ValueError(
+            "lambda2 needs a generator multiset closed under inverse: "
+            "each generator must occur as often as its inverse"
+        )
 
 
-def _checked_dense_lambda2(op: CayleyOperator) -> tuple[float, float]:
-    """(lambda2, ||Tx - lambda2 x||) on the dense route.
+def _report(op: CayleyOperator, lam: float, iterations: int, residual: float) -> SpectralReport:
+    """lambda2 clamped to [-1, 1], with its Cheeger bounds."""
+    lam = min(1.0, max(-1.0, lam))
+    lo, hi = cheeger_bounds(lam, op.degree)
+    return SpectralReport(lam, iterations, residual, lo, hi)
+
+
+def dense_lambda2(op: CayleyOperator) -> tuple[float, float]:
+    """(lambda2, ||Tx - lambda2 x||) by the in-repo dense eigensolver (oracle route).
 
     Sturm multisection on the tridiagonal gives the value: the second largest
     eigenvalue, since the trivial 1 is the largest (a disconnected graph has 1
     twice, so lambda2 = 1).  Inverse iteration on the same tridiagonal then
     gives a vector x, and ||Tx - lambda2 x|| <= RESIDUAL_DELTA proves an
     eigenvalue within RESIDUAL_DELTA of lambda2, else ValueError."""
+    _check_operator(op)
     d, e = tridiagonalize(op.dense_matrix())
     lam = sturm_eigenvalue(d, e, d.size - 2)
     x = inverse_iteration(d, e, lam)
@@ -200,64 +219,57 @@ def _checked_dense_lambda2(op: CayleyOperator) -> tuple[float, float]:
     return lam, resid
 
 
+def lanczos_lambda2(
+    op: CayleyOperator, tol: float = 1e-10, max_iter: int = 4000, seed: int = 0
+) -> SpectralReport:
+    """lambda2 by matrix-free Lanczos at any N: the route ``lambda2`` takes
+    above DENSE_THRESHOLD, and the one the dense oracle certifies below it.
+
+    Lanczos runs on T restricted to the mean-zero functions, the orthogonal
+    complement of the constants: its start is a Philox(seed) normal vector
+    with its mean subtracted, each product has its mean subtracted, and it
+    takes at most min(max_iter, N - 1) iterations, the dimension of that
+    space.  A stored-basis run reports ||Tx - lambda2 x|| of its Ritz vector
+    x.  This is the one place that judges convergence: a run that stops
+    short of ``tol`` is a ValueError, so no caller receives its value.
+    """
+    _check_operator(op)
+    v0 = np.random.Generator(np.random.Philox(key=seed)).standard_normal(op.n)
+    v0 -= v0.mean()
+
+    def matvec(v):
+        w = op.apply(v)
+        w -= w.mean()
+        return w
+
+    lam, iters, resid, converged, ritz = lanczos_extreme(
+        matvec, v0, tol=tol, max_iter=min(max_iter, op.n - 1)
+    )
+    if ritz is not None:
+        r = op.apply(ritz) - lam * ritz
+        resid = float(np.sqrt(r @ r))
+    if not converged:
+        raise ValueError(
+            f"lambda2 at N={op.n} did not converge in {iters} Lanczos iterations "
+            f"(residual {resid:.3g} > tol {tol:g})"
+        )
+    return _report(op, lam, iters, resid)
+
+
 def lambda2(
-    op: CayleyOperator,
-    tol: float = 1e-10,
-    max_iter: int = 4000,
-    seed: int = 0,
-    method: str = "auto",
+    op: CayleyOperator, tol: float = 1e-10, max_iter: int = 4000, seed: int = 0
 ) -> SpectralReport:
     """Largest eigenvalue of T on mean-zero functions, with Cheeger bounds.
 
-    method='auto' uses the dense solver for N <= DENSE_THRESHOLD and Lanczos
-    above; 'iterative' forces the matrix-free route (the path the dense
-    oracle certifies), 'dense' forces the oracle route.  Lanczos runs on T
-    restricted to the mean-zero functions, the orthogonal complement of the
-    constants: its start is a Philox(seed) normal vector with its mean
-    subtracted, each product has its mean subtracted, and it takes at most
-    N - 1 iterations, the dimension of that space.  T is self-adjoint,
-    and lambda2 defined, only when the generator multiset is closed under
-    inverse; otherwise ValueError.
+    The route follows from N alone: ``dense_lambda2`` (0 iterations) for
+    N <= DENSE_THRESHOLD, ``lanczos_lambda2`` above, which raises when its
+    run stops short of ``tol``.  Either route raises ValueError when N < 2
+    or the generator multiset is not closed under inverse.
     """
-    if op.n < 2:
-        raise ValueError("lambda2 needs N >= 2")
-    if not np.array_equal(np.sort(op.gens), np.sort(op.ctx.inv(op.gens))):
-        raise ValueError(
-            "lambda2 needs a generator multiset closed under inverse: "
-            "each generator must occur as often as its inverse"
-        )
-    if method == "auto":
-        method = "dense" if op.n <= DENSE_THRESHOLD else "iterative"
-    if method == "dense":
-        lam, resid = _checked_dense_lambda2(op)
-        iters, conv = 0, True
-    elif method == "iterative":
-        v0 = np.random.Generator(np.random.Philox(key=seed)).standard_normal(op.n)
-        v0 -= v0.mean()
-
-        def matvec(v):
-            w = op.apply(v)
-            w -= w.mean()
-            return w
-
-        lam, iters, resid, conv, ritz = lanczos_extreme(
-            matvec, v0, tol=tol, max_iter=min(max_iter, op.n - 1)
-        )
-        if ritz is not None:
-            r = op.apply(ritz) - lam * ritz
-            resid = float(np.sqrt(r @ r))
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    lam = min(1.0, max(-1.0, lam))
-    lo, hi = cheeger_bounds(lam, op.degree)
-    return SpectralReport(
-        lambda2=lam,
-        iterations=iters,
-        residual=resid,
-        cheeger_lower=lo,
-        cheeger_upper=hi,
-        converged=conv,
-    )
+    if op.n > DENSE_THRESHOLD:
+        return lanczos_lambda2(op, tol, max_iter, seed)
+    lam, resid = dense_lambda2(op)
+    return _report(op, lam, 0, resid)
 
 
 def cheeger_exact(op: CayleyOperator) -> Fraction:
@@ -300,22 +312,17 @@ def gap_sweep(
     pair: bool = True,
     tol: float = 1e-8,
     seed: int = 0,
-    method: str = "auto",
 ) -> list[dict]:
     """lambda2 and Cheeger data per modulus; the table behind the CLI CSV.
 
-    Raises ValueError when Lanczos stops short of ``tol`` at some modulus,
-    so no unconverged lambda2 is reported."""
+    ``lambda2`` picks each row's route and raises on an unconverged run, so
+    every row holds a converged value; the sweep adds the exact Cheeger
+    constant for N <= EXACT_CHEEGER_MAX and the time per modulus."""
     rows = []
     for q in moduli:
         t0 = time.perf_counter()
         op = cayley_for_sl2_pair(gens, q, q if pair else 1)
-        rep = lambda2(op, tol=tol, seed=seed, method=method)
-        if not rep.converged:
-            raise ValueError(
-                f"lambda2 at q={q} did not converge in {rep.iterations} Lanczos iterations "
-                f"(residual {rep.residual:.3g} > tol {tol:g})"
-            )
+        rep = lambda2(op, tol=tol, seed=seed)
         exact = None
         if op.n <= EXACT_CHEEGER_MAX:
             exact = cheeger_exact(op)
@@ -343,8 +350,6 @@ def standard_dense_pair_generators() -> list[IntPair]:
     reduces onto the full product SL2(Z/q) x SL2(Z/q) at the odd primes
     (verified for q in {5, 7, 11, 13}).
     """
-    from .sl2 import imat_inv, imat_mul
-
     g1 = ((1, 2), (0, 1))
     g2 = ((1, 0), (2, 1))
 
@@ -365,8 +370,6 @@ def unit_dense_pair_generators() -> list[IntPair]:
     and onto large subgroups of the 2-power quotients (18432 of the 147456
     elements mod 8), where the stock set above collapses.
     """
-    from .sl2 import imat_inv, imat_mul
-
     u1 = ((1, 1), (0, 1))
     u2 = ((1, 0), (1, 1))
     base = [(u1, imat_mul(u2, u1)), (u2, imat_mul(u1, imat_mul(u1, u2)))]

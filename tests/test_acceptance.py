@@ -59,7 +59,7 @@ def _random_symmetric_genset(codes, ctx, rng, k=2):
 
 def run_criterion_02():
     from sl2lab.packed import PairContext, sl2_codes
-    from sl2lab.spectral import CayleyOperator, dense_lambda2, lambda2
+    from sl2lab.spectral import CayleyOperator, dense_lambda2, lanczos_lambda2
 
     canon = []
     ok = True
@@ -70,8 +70,8 @@ def run_criterion_02():
         for trial in range(5):
             gens = _random_symmetric_genset(codes, ctx, rng, k=2)
             op = CayleyOperator.build(ctx, gens, codes=codes)
-            dense = dense_lambda2(op)
-            rep = lambda2(op, tol=1e-11, max_iter=6000, seed=trial, method="iterative")
+            dense, _ = dense_lambda2(op)
+            rep = lanczos_lambda2(op, tol=1e-11, max_iter=6000, seed=trial)
             diff = abs(rep.lambda2 - dense)
             ok &= diff < 1e-8
             canon.append(f"q{qv}t{trial}:{dense!r}:{rep.lambda2!r}")
@@ -81,7 +81,7 @@ def run_criterion_02():
         u = ctx.encode([1, 1 % n, 0, 1, 0, 0, 0, 0])
         ui = ctx.encode([1, (-1) % n, 0, 1, 0, 0, 0, 0])
         op = CayleyOperator.build(ctx, np.array([u, ui]))
-        rep = lambda2(op, tol=1e-13, max_iter=30000, seed=0, method="iterative")
+        rep = lanczos_lambda2(op, tol=1e-13, max_iter=30000, seed=0)
         target = math.cos(2 * math.pi / n)
         ok &= abs(rep.lambda2 - target) < 1e-10
         canon.append(f"c{n}:{rep.lambda2!r}")
@@ -101,7 +101,7 @@ def run_criterion_03():
     canon = []
     for qv in (3, 4, 5, 7, 9, 11, 13):
         op = cayley_for_sl2_pair(gens, qv, qv)
-        rep = lambda2(op, tol=1e-6, max_iter=1500, seed=0, method="auto")
+        rep = lambda2(op, tol=1e-6, max_iter=1500, seed=0)
         lams[qv] = rep.lambda2
         canon.append(f"q{qv}:N{op.n}:{rep.lambda2!r}")
     last4 = [lams[q] for q in (7, 9, 11, 13)]
@@ -142,7 +142,7 @@ def run_criterion_04():
     ok = True
     canon = []
     for op in ops:
-        rep = lambda2(op, method="dense")
+        rep = lambda2(op)
         h = cheeger_exact(op)
         lo, hi = rep.cheeger_lower, rep.cheeger_upper
         ok &= lo <= float(h) + 1e-12 and float(h) <= hi + 1e-12

@@ -41,12 +41,14 @@ def test_pair_spectral_csv_cells_are_plain(tmp_path):
     assert not [cell for cell in cells if cell.startswith("np.")]
     float(rows[1].split(",")[4])  # the residual cell
     manifest = json.loads((run / "manifest.json").read_text())
-    assert "threads" not in manifest["config"]
+    assert "threads" not in manifest["config"] and "method" not in manifest["config"]
 
 
 def test_unknown_flag_exits_64(tmp_path):
     assert main(["--out", str(tmp_path), "spectral", "--moduli", "5", "--bogus"]) == 64
     assert main(["--out", str(tmp_path), "--threads", "2", "spectral", "--moduli", "5"]) == 64
+    # lambda2 picks its route from N, so there is no --method to set
+    assert main(["--out", str(tmp_path), "spectral", "--moduli", "5", "--method", "dense"]) == 64
     growth = ["--out", str(tmp_path), "growth", "--set", "full", "--q1", "5", "--q2", "1"]
     assert main(growth + ["--seed", "1"]) == 64
 
@@ -222,10 +224,12 @@ def test_unconverged_spectral_exits_1_without_run_dir(tmp_path, capsys, monkeypa
     from sl2lab import spectral
 
     monkeypatch.setattr(spectral, "lanczos_extreme", lambda *a, **k: (0.5, 7, 1e-3, False, None))
-    argv = ["spectral", "--moduli", "5", "--no-pair", "--method", "iterative"]
+    # N = 2184 > DENSE_THRESHOLD: lambda2 takes the Lanczos route
+    argv = ["spectral", "--moduli", "13", "--no-pair"]
     assert main(["--out", str(tmp_path), *argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: lambda2 at q=5 did not converge") and err.count("\n") == 1
+    assert err.startswith("error: lambda2 at N=2184 did not converge in 7 Lanczos iterations")
+    assert err.count("\n") == 1
     assert not list(tmp_path.glob("run-*"))
 
 

@@ -283,6 +283,23 @@ def test_diagonal_q8_with_dense_a():
     assert "one-parameter-kernel-coverage" in kinds
 
 
+def test_final_assembly_forms_only_the_powers_it_measures(monkeypatch):
+    # a product that never grows records U, U^2, U^3 and U^4: three products
+    calls = []
+
+    def stalled(a, b, cap):
+        calls.append(len(a))
+        return a
+
+    monkeypatch.setattr(glue, "product_set", stalled)
+    cfg = quiet_config(q1=ONE, q2=Q5, q3=Q5, theta=0.3, cap=300_000)
+    rep = glue_pipeline(diagonal_set(Q5), cfg, a=dense_ball(5, 4000))
+    assert rep.q3_star == 5
+    sizes = rep.coverage["sizes_by_power"]
+    assert sizes == [sizes[0]] * 4 and sizes[0] < 120**2
+    assert len(calls) == 3
+
+
 def test_report_serializes_to_json():
     cfg = quiet_config(q1=ONE, q2=Q5, q3=Q5, theta=0.3, cap=300_000)
     rep = glue_pipeline(diagonal_set(Q5), cfg, a=dense_ball(5, 2000))

@@ -348,6 +348,9 @@ def test_congruence_subgroup_codes():
     codes = congruence_subgroup_codes(4, 3, 2, 1)
     expected = (group_order(FactoredModulus.of(4)) // group_order(FactoredModulus.of(2))) * group_order(Q3)
     assert codes.size == expected
+    # sorted with no sort of its own, and the kernel of the reduction to (2, 1)
+    full = full_pair_codes(4, 3)
+    assert np.array_equal(codes, full[PairContext(4, 3).kernel_mask(full, 2, 1)])
 
 
 def int64_arrays():
@@ -517,6 +520,20 @@ def test_one_kernel_test_in_src():
         if path.name != "packed.py"
         for n, line in enumerate(path.read_text().splitlines(), 1)
         if mask.search(line)
+    ]
+    assert offenders == []
+
+
+def test_one_pair_code_radix_in_src():
+    # PairContext.split and .join hold the radix q2^4 of the pair codes
+    radix = re.compile(r"\*\*\s*4\b")
+    src = Path(packed.__file__).parent
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(src.glob("*.py"))
+        if path.name != "packed.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if radix.search(line)
     ]
     assert offenders == []
 

@@ -33,6 +33,7 @@ from sl2lab.spectral import (
     dense_lambda2,
     gap_sweep,
     lambda2,
+    lanczos_lambda2,
     standard_dense_pair_generators,
     unit_dense_pair_generators,
 )
@@ -225,7 +226,7 @@ def test_sturm_eigenvalue_of_zero_is_clean():
     for d, e in [([0.0, 0.0], [1.0]), ([0.0], []), ([1.0, 0.0, -1.0], [0.0, 0.0])]:
         vals = [sturm_eigenvalue(d, e, k) for k in range(len(d))]
         assert np.abs(vals - lapack_eigenvalues(d, e)).max() <= 1e-15
-    lam = dense_lambda2(cycle_operator(4))
+    lam, _ = dense_lambda2(cycle_operator(4))
     assert abs(lam) <= 1e-15 and (lam == 0.0 or abs(lam) > 1e-300)
     with pytest.raises(ValueError):
         sturm_eigenvalue([0.0, 1.0], [0.5], 2)
@@ -558,16 +559,16 @@ def test_kronecker_build_matches_index_sorted_build(name, q1, q2):
 def test_lambda2_circulant_closed_form():
     for n in (4, 6, 9, 16, 33):
         op = cycle_operator(n)
-        rep = lambda2(op, tol=1e-12, method="dense")
+        rep = lambda2(op, tol=1e-12)
         assert abs(rep.lambda2 - math.cos(2 * math.pi / n)) < 1e-10
-    rep6 = lambda2(cycle_operator(6), method="dense")
+    rep6 = lambda2(cycle_operator(6))
     assert abs(rep6.lambda2 - 0.5) < 1e-12
 
 
 def test_lambda2_iterative_matches_dense():
     op = cayley_for_sl2_pair(standard_dense_pair_generators(), 5, 1)
-    dense = lambda2(op, method="dense")
-    it = lambda2(op, tol=1e-11, method="iterative", seed=3)
+    dense = lambda2(op)
+    it = lanczos_lambda2(op, tol=1e-11, seed=3)
     assert abs(dense.lambda2 - it.lambda2) < 1e-8
     assert it.residual < 1e-9
 
@@ -586,15 +587,15 @@ def test_lambda2_sl2_f5_sanov_like():
     )
     op = CayleyOperator.build(ctx, gens)
     assert op.n == 120
-    dense = dense_lambda2(op)
-    rep = lambda2(op, tol=1e-11, method="iterative", seed=1)
+    dense, _ = dense_lambda2(op)
+    rep = lanczos_lambda2(op, tol=1e-11, seed=1)
     assert abs(rep.lambda2 - dense) < 1e-8
 
 
 @pytest.mark.parametrize("shift", [1e-6, -1e-6])
 def test_dense_lambda2_off_its_eigenvector_check_is_an_error(monkeypatch, tmp_path, capsys, shift):
     op = cayley_for_sl2_pair(standard_dense_pair_generators(), 5, 1)
-    assert abs(dense_lambda2(op) - (1 + math.sqrt(5)) / 4) < 1e-14
+    assert abs(dense_lambda2(op)[0] - (1 + math.sqrt(5)) / 4) < 1e-14
 
     def shifted(d, e, k):
         return eigen.sturm_eigenvalue(d, e, k) + shift
@@ -612,8 +613,8 @@ def test_dense_lambda2_off_its_eigenvector_check_is_an_error(monkeypatch, tmp_pa
 def test_dense_row_reports_its_checked_residual():
     # the residual of a dense row is the ||Tx - lambda2 x|| its eigenvector check accepted
     op = cayley_for_sl2_pair(standard_dense_pair_generators(), 5, 1)
-    rep = lambda2(op, method="dense")
-    lam, checked = spectral._checked_dense_lambda2(op)
+    rep = lambda2(op)
+    lam, checked = dense_lambda2(op)
     assert rep.lambda2 == lam and rep.residual == checked
     assert 0.0 < checked <= spectral.RESIDUAL_DELTA
     # the same norm, formed through the dense tridiagonal
@@ -630,7 +631,7 @@ def test_lambda2_disconnected_is_one():
     ctx = PairContext(5, 1)
     gens = codes_of(ctx, [(2, 0, 0, 3, 0, 0, 0, 0), (3, 0, 0, 2, 0, 0, 0, 0)])
     op = CayleyOperator.build(ctx, gens, codes=sl2_codes(5))
-    rep = lambda2(op, method="dense")
+    rep = lambda2(op)
     assert abs(rep.lambda2 - 1.0) < 1e-10
 
 
@@ -638,8 +639,8 @@ def test_lambda2_doubling_generators_invariant():
     op1 = cayley_for_sl2_pair(standard_dense_pair_generators(), 3, 3)
     doubled = standard_dense_pair_generators() * 2
     op2 = cayley_for_sl2_pair(doubled, 3, 3)
-    a = lambda2(op1, method="dense").lambda2
-    b = lambda2(op2, method="dense").lambda2
+    a = lambda2(op1).lambda2
+    b = lambda2(op2).lambda2
     assert abs(a - b) < 1e-12
 
 
@@ -649,7 +650,7 @@ def test_lambda2_quotient_monotonicity():
     lam = {}
     for q in (3, 6, 12):
         op = cayley_for_sl2_pair(gens, q, 1)
-        lam[q] = lambda2(op, method="dense").lambda2
+        lam[q] = lambda2(op).lambda2
     assert lam[3] <= lam[6] + 1e-9
     assert lam[6] <= lam[12] + 1e-9
     assert lam[3] <= lam[12] + 1e-9
@@ -665,12 +666,12 @@ def test_lambda2_rejects_generators_not_closed_under_inverse():
     for q in (5, 7):
         op = cayley_for_sl2_pair(UNBALANCED, q, 1)
         assert op.degree == 5 and not np.array_equal(np.sort(op.gens), np.sort(op.ctx.inv(op.gens)))
-        for method in ("dense", "iterative"):
+        for route in (lambda2, lanczos_lambda2):
             with pytest.raises(ValueError, match="closed under inverse"):
-                lambda2(op, method=method)
+                route(op)
     # the same set with the multiplicities balanced is accepted
     op = cayley_for_sl2_pair(UNBALANCED + [(UI, LI)], 5, 1)
-    assert lambda2(op, method="dense").lambda2 < 1.0
+    assert lambda2(op).lambda2 < 1.0
 
 
 def test_build_rejects_codes_not_sl2_pairs():
@@ -750,7 +751,7 @@ def test_cheeger_sandwich_on_small_instances():
     rng = random.Random(9)
     for n in (5, 8, 12):
         op = cycle_operator(n)
-        rep = lambda2(op, method="dense")
+        rep = lambda2(op)
         h = cheeger_exact(op)
         assert rep.cheeger_lower <= float(h) + 1e-12
         assert float(h) <= rep.cheeger_upper + 1e-12
@@ -772,7 +773,7 @@ def test_gap_sweep_empty():
 
 
 def test_gap_sweep_prime_columns():
-    rows = gap_sweep(standard_dense_pair_generators(), [5, 7], pair=False, method="dense")
+    rows = gap_sweep(standard_dense_pair_generators(), [5, 7], pair=False)
     assert [r["q"] for r in rows] == [5, 7]
     for r in rows:
         assert r["lambda2"] < 0.995
@@ -784,5 +785,28 @@ def test_gap_sweep_rejects_unconverged_lambda2(monkeypatch):
         return 0.5, 7, 1e-3, False, None
 
     monkeypatch.setattr(spectral, "lanczos_extreme", stalled)
-    with pytest.raises(ValueError, match="did not converge"):
-        gap_sweep(standard_dense_pair_generators(), [5], pair=False, method="iterative")
+    with pytest.raises(ValueError, match="N=2184 did not converge"):
+        gap_sweep(standard_dense_pair_generators(), [13], pair=False)
+
+
+def test_lambda2_raises_for_every_unconverged_lanczos_run(monkeypatch):
+    # the verdict lives in lanczos_lambda2, so a direct call to lambda2 above
+    # DENSE_THRESHOLD, or to lanczos_lambda2 at any N, never returns the value
+    calls = []
+
+    def stalled(matvec, v0, **kwargs):
+        calls.append(v0.size)
+        return 0.5, 7, 1e-3, False, None
+
+    monkeypatch.setattr(spectral, "lanczos_extreme", stalled)
+    big = cayley_for_sl2_pair(standard_dense_pair_generators(), 13, 1)
+    assert big.n == 2184 > spectral.DENSE_THRESHOLD
+    with pytest.raises(ValueError, match=r"^lambda2 at N=2184 did not converge in 7 Lanczos "):
+        lambda2(big, tol=1e-9)
+    small = cycle_operator(9)
+    with pytest.raises(ValueError, match=r"^lambda2 at N=9 did not converge .* > tol 1e-09\)$"):
+        lanczos_lambda2(small, tol=1e-9)
+    assert calls == [2184, 9]
+    # below the threshold lambda2 takes the dense route and never runs Lanczos
+    assert abs(lambda2(small).lambda2 - math.cos(2 * math.pi / 9)) < 1e-12
+    assert calls == [2184, 9]
