@@ -3,14 +3,19 @@
 A map psi: G1 -> G2 with few multiplicative defects is either certified
 DEFECT (with a witnessing pair) or repaired into a genuine homomorphism f
 agreeing with psi off a small exceptional set.  The constructive chain is
-degree pruning on the agreement graph, subgroup closure of A'A'^{-1} in
-G1 x G2, and fiber extraction; every claim the result carries is verified
-exhaustively before it is returned.  One boolean agreement table
+degree pruning on the agreement graph to a set A', the subgroup
+H = <A'A'^{-1}> of G1 x G2, and fiber extraction; every claim the result
+carries is verified exhaustively before it is returned.  H is closed from
+the |A'| elements (x, psi x)(a0, psi a0)^{-1}, x in A', for one a0 in A',
+not from the |A'|^2 products of A'A'^{-1}: they generate the same subgroup,
+since x y^{-1} = (x a0^{-1})(y a0^{-1})^{-1}.  One boolean agreement table
 (``agreement_table``) serves both maps: ``dichotomy`` builds it once for psi,
 reading the agreement fraction, the pruning degrees and the DEFECT witness
 from it, and once for f, as the exhaustive homomorphism check.  The closure
 runs through ``packed.closure`` over sorted pair codes i*|G2| + j, so the
-fiber over each i of G1 is a run of adjacent codes.
+fiber over each i of G1 is a run of adjacent codes.  A table built by
+``FiniteGroupTable.from_codes`` keeps the sorted packed codes of its
+elements as ``codes``: index i of the table is the element codes[i].
 """
 
 from __future__ import annotations
@@ -42,14 +47,14 @@ class FiniteGroupTable:
     mul: np.ndarray  # (n, n) int32/int64, mul[i, j] = index of x_i * x_j
     inv: np.ndarray
     identity: int
-    labels: Optional[list] = None
+    codes: Optional[np.ndarray] = None  # sorted packed codes x_i, from from_codes
 
     @property
     def order(self) -> int:
         return int(self.mul.shape[0])
 
     @staticmethod
-    def from_mul_table(mul: np.ndarray, labels=None):
+    def from_mul_table(mul: np.ndarray, codes=None):
         mul = np.asarray(mul)
         n = mul.shape[0]
         if mul.shape != (n, n):
@@ -72,13 +77,13 @@ class FiniteGroupTable:
             a, b, c = (int(v) for v in rng.integers(0, n, size=3))
             if mul[mul[a, b], c] != mul[a, mul[b, c]]:
                 raise ValueError(f"associativity fails on ({a}, {b}, {c})")
-        return FiniteGroupTable(mul.astype(np.int64), inv, ident, labels)
+        return FiniteGroupTable(mul.astype(np.int64), inv, ident, codes)
 
     @staticmethod
     def cyclic(n: int) -> "FiniteGroupTable":
         idx = np.arange(n)
         mul = (idx[:, None] + idx[None, :]) % n
-        return FiniteGroupTable.from_mul_table(mul, labels=list(range(n)))
+        return FiniteGroupTable.from_mul_table(mul)
 
     @staticmethod
     def from_codes(ctx, codes: np.ndarray) -> "FiniteGroupTable":
@@ -90,7 +95,7 @@ class FiniteGroupTable:
             index_sorted(ctx.mul(codes[i : i + rows, None], codes[None, :]), codes)
             for i in range(0, codes.size, rows)
         ])
-        return FiniteGroupTable.from_mul_table(mul, labels=[int(c) for c in codes])
+        return FiniteGroupTable.from_mul_table(mul, codes)
 
     @staticmethod
     def from_sl2(q: int) -> "FiniteGroupTable":
@@ -149,24 +154,19 @@ def _attempt_structured(
     """The constructive chain on psi's agreement table ``good``; returns
     ((S, f, certificate), "") or (None, violated claim)."""
     n = g1.order
-    # degree pruning: keep x whose row in the agreement graph is nearly full
-    threshold = (1 - _sqrt_fraction(eps_work)) * n
+    # degree pruning: keep x whose row in the agreement graph misses fewer
+    # than sqrt(eps) n pairs.  m < sqrt(eps) n is tested as m^2 < eps n^2 in
+    # integers: in floats, 1 - sqrt(eps) rounds to 1 for eps below 1e-32
+    slack = math.isqrt(math.ceil(eps_work * n * n) - 1)
     degrees = good.sum(axis=1)
-    a_prime = np.nonzero(degrees > threshold)[0]
-    if a_prime.size <= threshold:
-        return None, f"|A'| = {a_prime.size} <= (1 - sqrt(eps)) |G1| = {float(threshold):.3f}"
-    # subgroup closure of A' A'^{-1} inside G1 x G2; the |A'|^2 products are
-    # formed in row blocks of A' of about BLOCK products each
+    a_prime = np.nonzero(degrees >= n - slack)[0]
+    if n - a_prime.size > slack:
+        threshold = (1 - _sqrt_fraction(eps_work)) * n
+        return None, f"|A'| = {a_prime.size} <= (1 - sqrt(eps)) |G1| = {threshold:.3f}"
+    # H = <A'A'^-1> inside G1 x G2, closed from (x, psi x)(a0, psi a0)^-1
     m2 = g2.order
-    inv1, inv2 = g1.inv[a_prime], g2.inv[psi[a_prime]]
-    rows = max(1, BLOCK // a_prime.size)
-    gen_codes = np.array([], dtype=np.int64)
-    for i in range(0, a_prime.size, rows):
-        block = a_prime[i : i + rows, None]
-        codes = g1.mul[block, inv1] * m2 + g2.mul[psi[block], inv2]
-        gen_codes = unique_codes(np.concatenate([gen_codes, codes.ravel()]))
-    if gen_codes.size > 2 * n:
-        return None, f"|A'A'^-1| = {gen_codes.size} > 2|G1| = {2 * n}"
+    a0 = a_prime[0]
+    gen_codes = g1.mul[a_prime, g1.inv[a0]] * m2 + g2.mul[psi[a_prime], g2.inv[psi[a0]]]
     h = closure_in_product(gen_codes, g1, g2, cap=2 * n)
     if h is None:
         return None, f"|<A'A'^-1>| > 2|G1| = {2 * n} (fiber map cannot be single-valued)"

@@ -5,7 +5,9 @@ directory under the output root (flag --out, else $SL2LAB_OUT, else ./runs).
 CSV bodies are byte-identical across reruns with the same config and seed;
 wall-clock data lives only in the manifest (and in the optional --timings
 column).  Exit codes: 0 success, 2 verified-hypothesis-failure report,
-1 error, 64 usage.
+1 error, 64 usage.  The parser checks the domains of the options whose
+out-of-range values would yield a wrong number or a bare traceback: --tol,
+--rho, --density, --epsilon and --moduli.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from . import __version__
 
 USAGE_EXIT = 64
 HYPOTHESIS_EXIT = 2
+TOL_MAX = 1e-6  # the loosest --tol; lambda2 at it agrees with tol 1e-12 runs to 6e-12
 
 
 class UsageError(Exception):
@@ -104,6 +107,46 @@ def _emit(args, t0: float, files: dict[str, str]) -> Path:
     _write_atomic(run_dir / "manifest.json", json.dumps(manifest, indent=1, sort_keys=True))
     print(paths[0])
     return paths[0]
+
+
+# argparse ``type`` callables: each returns the parsed value, or raises with
+# the domain; argparse names the callable in its message for unparsable text
+
+
+def _in_domain(text: str, value, ok: bool, requirement: str):
+    if not ok:
+        raise argparse.ArgumentTypeError(f"{text!r}: {requirement}")
+    return value
+
+
+def tolerance(text: str) -> float:
+    tol = float(text)
+    return _in_domain(text, tol, 0 < tol <= TOL_MAX, f"must lie in (0, {TOL_MAX}]")  # nan fails
+
+
+def rate(text: str) -> float:
+    rho = float(text)
+    return _in_domain(text, rho, 0 <= rho < 1, "must lie in [0, 1)")
+
+
+def density(text: str) -> float:
+    d = float(text)
+    return _in_domain(text, d, 0 < d <= 1, "must lie in (0, 1]")
+
+
+def fraction(text: str) -> str:
+    """A fraction in (0, 1), kept as text so that the manifest records it."""
+    try:
+        ok = 0 < Fraction(text) < 1
+    except ZeroDivisionError:
+        ok = False
+    return _in_domain(text, text, ok, "must be a fraction in (0, 1)")
+
+
+def moduli(text: str) -> str:
+    """Comma-separated integers, at least one, kept as text for the manifest."""
+    values = [int(v) for v in text.split(",") if v]
+    return _in_domain(text, text, bool(values), "must name at least one modulus")
 
 
 def _load_generators(spec: str):
@@ -450,9 +493,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("spectral", help="Cayley gap sweep")
     sp.add_argument("--gens", default="builtin:dense")
-    sp.add_argument("--moduli", required=True, help="comma-separated")
+    sp.add_argument("--moduli", type=moduli, required=True, help="comma-separated")
     sp.add_argument("--pair", action=argparse.BooleanOptionalAction, default=True)
-    sp.add_argument("--tol", type=float, default=1e-8)
+    sp.add_argument("--tol", type=tolerance, default=1e-8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--timings", action="store_true")
     sp.set_defaults(func=cmd_spectral)
@@ -478,7 +521,7 @@ def build_parser() -> _Parser:
 
     ac = sub.add_parser("addcomb", help="sumset covering trials")
     ac.add_argument("--q", type=int, required=True)
-    ac.add_argument("--density", type=float, default=0.8)
+    ac.add_argument("--density", type=density, default=0.8)
     ac.add_argument("--folds", type=int, default=24)
     ac.add_argument("--trials", type=int, default=20)
     ac.add_argument("--gamma", type=float, default=0.2)
@@ -489,8 +532,8 @@ def build_parser() -> _Parser:
     ah.add_argument("--trials", type=int, default=50)
     ah.add_argument("--nmin", type=int, default=40)
     ah.add_argument("--nmax", type=int, default=400)
-    ah.add_argument("--rho", type=float, default=0.01)
-    ah.add_argument("--epsilon", default="1/1700")
+    ah.add_argument("--rho", type=rate, default=0.01)
+    ah.add_argument("--epsilon", type=fraction, default="1/1700")
     ah.add_argument("--seed", type=int, default=0)
     ah.set_defaults(func=cmd_approxhom)
 

@@ -10,6 +10,16 @@ achieved.  Every containment the report asserts is replayed through an
 independent membership oracle before the report is returned; stages that
 cannot complete say so, with the congruence target that failed.  The
 pipeline is a guided experiment, not a proof engine.
+
+Certificates are plain ``{"kind", "params", "verified"}`` records, made
+JSON-ready once when ``GluingReport.add_certificate`` appends them, and
+``replay_certificates`` reads their ``verified`` fields.  Sets go through the
+set layer: kernel coverage reduces the closure with ``GroupSet.reduce_to``
+and tests each Lambda(m)/Lambda(d) with ``growth.covers_congruence``, and
+the final assembly measures ``GroupSet.reduce_to`` of the powers.  The
+q3-side tables keep the packed codes they were built from
+(``FiniteGroupTable.codes``), so the section's lifts index into them
+directly.
 """
 
 from __future__ import annotations
@@ -29,15 +39,9 @@ from .approxhom import (
 )
 from .commutator import ConnectingMap, congruence_depths, connecting_map
 from .factored import ONE, FactoredModulus, divisors, exact_divisors, fgcd
-from .growth import GroupSet, product_set
-from .packed import (
-    PairContext,
-    congruence_subgroup_codes,
-    generated_subgroup,
-    index_sorted,
-    isin_sorted,
-    unique_codes,
-)
+from .growth import GroupSet, covers_congruence, product_set
+from .packed import PairContext, generated_subgroup, index_sorted, unique_codes
+from .sl2 import group_order
 
 DEFECT_THRESHOLD = Fraction(1, 10_000)  # dichotomy threshold per prime of q3
 STRUCTURED_DENSITY = Fraction(99, 100)  # share of the domain S must reach
@@ -68,27 +72,13 @@ class GluingConfig:
             )
 
 
-@dataclass
-class Certificate:
-    kind: str
-    params: dict
-    verified: bool
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "params": _jsonable(self.params), "verified": self.verified}
-
-
 def _jsonable(obj):
+    """``obj`` in JSON form: string keys, lists for tuples, moduli as integers.
+    The report records Python numbers, strings and booleans only."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [int(v) for v in obj[:64]] + (["..."] if obj.size > 64 else [])
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
     if isinstance(obj, FactoredModulus):
         return obj.value
     return obj
@@ -107,26 +97,12 @@ class GluingReport:
     no_expansion: bool = False
 
     def add_certificate(self, kind: str, params: dict, verified: bool):
-        self.certificates.append(Certificate(kind, params, verified))
+        self.certificates.append({"kind": kind, "params": _jsonable(params), "verified": verified})
 
     def as_dict(self) -> dict:
-        return {
-            "config": {
-                "q1": self.config.q1.value,
-                "q2": self.config.q2.value,
-                "q3": self.config.q3.value,
-                "theta": self.config.theta,
-                "seed": self.config.seed,
-            },
-            "hypotheses": _jsonable(self.hypotheses),
-            "stages": _jsonable(self.stages),
-            "prime_table": _jsonable(self.prime_table),
-            "certificates": [c.as_dict() for c in self.certificates],
-            "incomplete": _jsonable(self.incomplete),
-            "q3_star": self.q3_star,
-            "coverage": _jsonable(self.coverage),
-            "no_expansion": self.no_expansion,
-        }
+        c = self.config
+        config = {"q1": c.q1, "q2": c.q2, "q3": c.q3, "theta": c.theta, "seed": c.seed}
+        return _jsonable({**vars(self), "config": config})
 
 
 # ---------------------------------------------------------------------------
@@ -151,40 +127,40 @@ def _closure(full: PairContext, gens: np.ndarray, cfg: GluingConfig, reason: str
 
 
 def _achieved_congruence(
-    full: PairContext,
+    b: GroupSet,
     cfg: GluingConfig,
     k_codes: np.ndarray,
     report: GluingReport,
     label: str,
 ) -> tuple[int, int]:
     """Largest exact divisor d of q3 (with depth divisor m) whose kernel
-    Lambda(m)/Lambda(d) embeds in the q3-part of the closure K.  The
-    coverage certificate is recorded once its membership scan passes."""
-    # q3-parts of kernel elements: reduce the left component mod q3
-    tgt = PairContext(cfg.q3.value, 1)
-    k3 = unique_codes(full.reduce_codes(k_codes, tgt))
+    Lambda(m)/Lambda(d) embeds in the q3-part of the closure K, sorted codes
+    ``k_codes`` over B's moduli.  The coverage certificate is recorded once
+    its membership scan passes."""
+    # q3-parts of kernel elements: the left component mod q3
+    k3 = GroupSet(b.q1, b.q2, k_codes).reduce_to(cfg.q3, ONE)
     for d in sorted(exact_divisors(cfg.q3), key=lambda m: -m.value):
         if d.is_one():
             continue
-        dctx = PairContext(d.value, 1)
-        k3_red = unique_codes(tgt.reduce_codes(k3, dctx))
+        k3_red = k3.reduce_to(d, ONE)
         # depth moduli are arbitrary divisors (fractional powers), smallest first
         for m in sorted(divisors(d), key=lambda mm: mm.value):
-            if m == d:
+            size = group_order(d) // group_order(m)
+            # a kernel larger than the q3-part cannot lie in it, and below
+            # that size cfg.cap, which bounds the closure, never fires
+            if m == d or size > len(k3_red) or not covers_congruence(k3_red, m, ONE, cfg.cap):
                 continue
-            sub = congruence_subgroup_codes(d.value, 1, m.value, 1)
-            if np.all(isin_sorted(sub, k3_red)):
-                report.add_certificate(
-                    f"{label}-kernel-coverage",
-                    {
-                        "q3_star": d.value,
-                        "depth_modulus": m.value,
-                        "subgroup_size": int(sub.size),
-                        "achieved_size": int(k3_red.size),
-                    },
-                    True,
-                )
-                return d.value, m.value
+            report.add_certificate(
+                f"{label}-kernel-coverage",
+                {
+                    "q3_star": d.value,
+                    "depth_modulus": m.value,
+                    "subgroup_size": size,
+                    "achieved_size": len(k3_red),
+                },
+                True,
+            )
+            return d.value, m.value
     return 1, 1
 
 
@@ -258,9 +234,8 @@ def glue_pipeline(
         d_class = max(1, int(n * theta_q))
         d_half = max(1, math.ceil(d_class / 2))
         g2 = FiniteGroupTable.from_sl2(p**d_class)
-        g2_codes = np.array(g2.labels, dtype=np.int64)
         small = PairContext(p**d_class, 1)
-        psi_j = index_sorted(full.reduce_codes(psi.lifts, small), g2_codes)
+        psi_j = index_sorted(full.reduce_codes(psi.lifts, small), g2.codes)
         psi_tables[(p, n)] = (psi_j, d_class, d_half, g2)
         try:
             res = dichotomy(psi_j, g_table, g2, DEFECT_THRESHOLD)
@@ -282,7 +257,7 @@ def glue_pipeline(
             )
         else:
             # half-depth triviality of the recovered homomorphism h_j
-            trivial = bool(np.all(small.kernel_mask(g2_codes[res.f], p**d_half, 1)))
+            trivial = bool(np.all(small.kernel_mask(g2.codes[res.f], p**d_half, 1)))
             # h trivial at half depth: iterated commutators; deep h: a
             # one-parameter set spread by conjugation
             buckets["commutator-case" if trivial else "one-parameter-case"].append((p, n))
@@ -318,14 +293,13 @@ def glue_pipeline(
 
     # --- final assembly: coverage density of (B u A)-powers -----------------
     union = b if a is None else b.union(a)
-    target_left = cfg.q1.value * q3_star
-    tgt = PairContext(target_left, cfg.q2.value)
+    target_left = FactoredModulus.of(cfg.q1.value * q3_star)
+    order = group_order(target_left) * group_order(cfg.q2)
     cur = union
     sizes = []
     for power in range(1, 5):
-        red = unique_codes(cur.ctx.reduce_codes(cur.codes, tgt))
-        sizes.append(int(red.size))
-        if red.size == tgt.order or power == 4:
+        sizes.append(len(cur.reduce_to(target_left, cfg.q2)))
+        if sizes[-1] == order or power == 4:
             break
         try:
             cur = product_set(cur, union, cfg.cap)
@@ -336,9 +310,9 @@ def glue_pipeline(
         math.log(sizes[-1]) / math.log(denom) if denom > 1 and sizes[-1] > 1 else 0.0
     )
     report.coverage = {
-        "target_moduli": [target_left, cfg.q2.value],
+        "target_moduli": [target_left.value, cfg.q2.value],
         "sizes_by_power": sizes,
-        "group_order": tgt.order,
+        "group_order": order,
         "density_exponent": density_exp,
         "asymptotic_target_exponent": 3 - 300 * cfg.theta**0.25,
     }
@@ -395,7 +369,7 @@ def _run_defect_case(
     pool = _pool_codes(b, a, cfg)
     gens = np.append(gamma_code, full.mul(full.mul(pool, gamma_code), full.inv(pool)))
     k = _closure(full, gens, cfg, "closure exceeded cap")
-    achieved = _achieved_congruence(full, cfg, k, report, "defect")
+    achieved = _achieved_congruence(b, cfg, k, report, "defect")
     report.stages.append(
         {"stage": "defect-case", "closure_size": int(k.size), "achieved": achieved}
     )
@@ -444,7 +418,7 @@ def _run_commutator_case(
             bool(np.all(full.kernel_mask(cur, p**nn, 1))),
         )
     k = _closure(full, cur[:64], cfg, "closure cap")
-    achieved = _achieved_congruence(full, cfg, k, report, "commutator")
+    achieved = _achieved_congruence(b, cfg, k, report, "commutator")
     report.stages.append(
         {
             "stage": "commutator-case",
@@ -513,7 +487,7 @@ def _run_one_parameter_case(
             + ("" if a is not None else " (no A supplied)"),
             target=target,
         )
-    achieved = _achieved_congruence(full, cfg, k_kernel, report, "one-parameter")
+    achieved = _achieved_congruence(b, cfg, k_kernel, report, "one-parameter")
     if achieved == (1, 1):
         raise _Incomplete(reason="kernel part covers no congruence subgroup", target=target)
     return achieved
@@ -522,4 +496,4 @@ def _run_one_parameter_case(
 def replay_certificates(report: GluingReport) -> bool:
     """Every certificate in the report must hold; reports are built so this
     is true by construction, and acceptance replays it."""
-    return all(c.verified for c in report.certificates)
+    return all(c["verified"] for c in report.certificates)

@@ -474,7 +474,7 @@ def run_criterion_12():
             a = GroupSet(q, q, ball)
             rich = glue_pipeline(diag, cfg, a=a)
             ok &= (not rich.no_expansion) and replay_certificates(rich)
-            ok &= all(c.verified for c in rich.certificates)
+            ok &= all(c["verified"] for c in rich.certificates)
         canon.append(
             f"q{q3v}:bare{int(bare.no_expansion)}:q3*{rich.q3_star}:"
             f"certs{len(rich.certificates)}"

@@ -15,7 +15,7 @@ from sl2lab.approxhom import (
     closure_in_product,
     dichotomy,
 )
-from sl2lab.packed import PairContext, generated_subgroup, sl2_codes
+from sl2lab.packed import PairContext, generated_subgroup, index_sorted, sl2_codes
 
 EPS = Fraction(1, 1700)
 
@@ -130,10 +130,13 @@ def test_dichotomy_exact_homomorphism():
     g1 = FiniteGroupTable.cyclic(20)
     g2 = FiniteGroupTable.cyclic(5)
     psi = cyclic_hom(20, 5, 1)
-    res = dichotomy(psi, g1, g2, EPS)
-    assert res.branch == "STRUCTURED"
-    assert res.s_indices.size == 20
-    assert np.array_equal(res.f, psi)
+    # at eps = 1e-300 a float 1 - sqrt(eps) is 1, and a pruning in floats
+    # dropped every row, full ones included
+    for eps in (EPS, Fraction(1, 10**300)):
+        res = dichotomy(psi, g1, g2, eps)
+        assert res.branch == "STRUCTURED"
+        assert res.s_indices.size == 20
+        assert np.array_equal(res.f, psi)
 
 
 def test_dichotomy_one_point_corruption_recovers():
@@ -224,7 +227,7 @@ def test_closure_cyclic_closed_form(n, data):
     assert cyclic_closure(s, n, cap=n // d - 1) is None
 
 
-SL2_TABLES = {q: FiniteGroupTable.from_sl2(q) for q in (1, 2, 3, 4)}
+SL2_TABLES = {q: FiniteGroupTable.from_sl2(q) for q in (1, 2, 3, 4, 5)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,7 +250,7 @@ def test_closure_in_product_matches_generated_subgroup(moduli, data):
     # the left code times q2^4 plus the right code
     ctx = PairContext(q1, q2)
     labels1, labels2 = sl2_codes(q1), sl2_codes(q2)
-    assert labels1.tolist() == g1.labels and labels2.tolist() == g2.labels
+    assert np.array_equal(labels1, g1.codes) and np.array_equal(labels2, g2.codes)
     as_pair = labels1[h // m2] * q2**4 + labels2[h % m2]
     gens = np.array([labels1[i] * q2**4 + labels2[j] for i, j in pairs], dtype=np.int64)
     assert np.sort(as_pair).tolist() == generated_subgroup(ctx, gens).tolist()
@@ -257,6 +260,48 @@ def test_closure_in_product_matches_generated_subgroup(moduli, data):
     assert generated_subgroup(ctx, gens, cap=h.size).size == h.size
     with pytest.raises(ValueError):
         generated_subgroup(ctx, gens, cap=h.size - 1)
+
+
+def reduction(q1: int, q2: int):
+    """(SL2(Z/q1), SL2(Z/q2), reduction mod q2), q2 | q1, through the tables' codes."""
+    g1, g2 = SL2_TABLES[q1], SL2_TABLES[q2]
+    red = PairContext(q1, 1).reduce_codes(g1.codes, PairContext(q2, 1))
+    return g1, g2, index_sorted(red, g2.codes)
+
+
+# (G1, G2, a homomorphism G1 -> G2) that drawn corruption turns into a map psi
+GRAPH_CASES = {
+    "Z12->Z4": (FiniteGroupTable.cyclic(12), FiniteGroupTable.cyclic(4), cyclic_hom(12, 4, 1)),
+    "Z10->Z5": (FiniteGroupTable.cyclic(10), FiniteGroupTable.cyclic(5), cyclic_hom(10, 5, 2)),
+    "Z7->Z7": (FiniteGroupTable.cyclic(7), FiniteGroupTable.cyclic(7), cyclic_hom(7, 7, 1)),
+    "SL2(4)->SL2(2)": reduction(4, 2),
+    "SL2(3)->SL2(1)": reduction(3, 1),
+    "SL2(5)->SL2(5)": reduction(5, 5),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(GRAPH_CASES)), data=st.data())
+def test_a0_generators_close_to_the_a_prime_products(case, data):
+    # <A'A'^-1> = <A' a0^-1>, since x y^-1 = (x a0^-1)(y a0^-1)^-1: the |A'|
+    # generators (x, psi x)(a0, psi a0)^-1 close to the subgroup of the |A'|^2
+    # products x y^-1, the reference, and give None exactly when it does
+    g1, g2, hom = GRAPH_CASES[case]
+    n, m2 = g1.order, g2.order
+    psi = hom.copy()
+    for x in data.draw(st.lists(st.integers(0, n - 1), max_size=4), label="corrupted"):
+        psi[x] = data.draw(st.integers(0, m2 - 1))
+    a_prime = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="A'")))
+    x, y = a_prime[:, None], a_prime[None, :]
+    products = g1.mul[x, g1.inv[y]] * m2 + g2.mul[psi[x], g2.inv[psi[y]]]
+    reference = closure_in_product(np.unique(products), g1, g2, cap=2 * n)
+    a0 = data.draw(st.sampled_from(a_prime.tolist()), label="a0")
+    gens = g1.mul[a_prime, g1.inv[a0]] * m2 + g2.mul[psi[a_prime], g2.inv[psi[a0]]]
+    h = closure_in_product(gens, g1, g2, cap=2 * n)
+    if reference is None:
+        assert h is None
+    else:
+        assert h is not None and h.tolist() == reference.tolist()
 
 
 def test_attempt_structured_fiber_message():

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sl2lab
 from sl2lab.cli import main
@@ -218,6 +223,63 @@ def test_bad_input_exits_1_without_run_dir(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(tmp_path.glob("run-*"))
+
+
+# values these options used to accept: a false lambda2 (--tol inf, 0.5), a
+# header-only CSV (no modulus), a clamped set size (--density) or a traceback
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectral", "--moduli", "5", "--tol", "inf"],
+        ["spectral", "--moduli", "5", "--tol", "0.5"],
+        ["spectral", "--moduli", "5", "--tol", "0"],
+        ["spectral", "--moduli", "5", "--tol", "nan"],
+        ["spectral", "--moduli", ","],
+        ["spectral", "--moduli", ""],
+        ["approxhom", "--rho", "2"],
+        ["approxhom", "--rho", "-0.5"],
+        ["approxhom", "--rho", "inf"],
+        ["approxhom", "--epsilon", "1/0"],
+        ["addcomb", "--q", "12", "--density", "1.5"],
+        ["addcomb", "--q", "12", "--density", "-1"],
+        ["addcomb", "--q", "12", "--density", "1e300"],
+    ],
+    ids=["tol-inf", "tol-0.5", "tol0", "tol-nan", "moduli-comma", "moduli-empty", "rho2",
+         "rho-0.5", "rho-inf", "epsilon-1/0", "density1.5", "density-1", "density1e300"],
+)
+def test_out_of_domain_option_exits_64_without_run_dir(tmp_path, capsys, argv):
+    assert main(["--out", str(tmp_path), *argv]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run-*"))
+
+
+EDGE_VALUES = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e300", "1e-300", "", ",", "1/0"]
+# each option the parser checks, with the rest of a small run around it
+DOMAIN_OPTIONS = {
+    "--tol": ["spectral", "--moduli", "3", "--no-pair"],
+    "--moduli": ["spectral", "--no-pair"],
+    "--rho": ["approxhom", "--trials", "2", "--nmin", "20", "--nmax", "30"],
+    "--epsilon": ["approxhom", "--trials", "2", "--nmin", "20", "--nmax", "30"],
+    "--density": ["addcomb", "--q", "12", "--trials", "2"],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    option=st.sampled_from(sorted(DOMAIN_OPTIONS)),
+    value=st.one_of(st.sampled_from(EDGE_VALUES), st.floats().map(repr)),
+)
+def test_option_edge_values_exit_cleanly(option, value):
+    with tempfile.TemporaryDirectory() as out:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["--out", out, *DOMAIN_OPTIONS[option], f"{option}={value}"])
+        runs = list(Path(out).glob("run-*"))
+    assert code in (0, 1, 2, 64)
+    assert "Traceback" not in err.getvalue()
+    if code in (1, 64):
+        assert err.getvalue().count("\n") == 1 and not runs
 
 
 def test_unconverged_spectral_exits_1_without_run_dir(tmp_path, capsys, monkeypatch):

@@ -17,8 +17,6 @@ from sl2lab.eigen import (
     lanczos_extreme,
     sturm_count,
     sturm_eigenvalue,
-    tridiag_eigh,
-    tridiag_eigvals,
     tridiagonalize,
 )
 from sl2lab import eigen, spectral
@@ -63,23 +61,29 @@ def unipotent_k6() -> CayleyOperator:
 # eigen: the in-repo solvers against each other and against LAPACK (test-only)
 
 
+def sturm_spectrum(d, e) -> np.ndarray:
+    """Every eigenvalue of the tridiagonal (d, e), ascending, one
+    ``sturm_eigenvalue`` each (tests only)."""
+    return np.array([sturm_eigenvalue(d, e, k) for k in range(np.size(d))])
+
+
 def test_symmetric_eigenvalues_vs_lapack():
     rng = np.random.default_rng(0)
     for n in (3, 10, 40, 150):
         m = rng.standard_normal((n, n))
         m = (m + m.T) / 2
-        mine = tridiag_eigvals(*tridiagonalize(m))
+        mine = sturm_spectrum(*tridiagonalize(m))
         ref = np.linalg.eigvalsh(m)
         assert np.abs(mine - ref).max() < 1e-10
 
 
-def test_jacobi_cross_checks_primary_solver():
+def test_tridiagonalize_and_sturm_vs_lapack_eigh():
     # the reference is LAPACK's eigh (see lapack_eigenvalues for why not eigvalsh)
     rng = np.random.default_rng(1)
     for n in (5, 20, 60):
         m = rng.standard_normal((n, n))
         m = (m + m.T) / 2
-        assert np.abs(np.linalg.eigh(m)[0] - tridiag_eigvals(*tridiagonalize(m))).max() < 1e-10
+        assert np.abs(np.linalg.eigh(m)[0] - sturm_spectrum(*tridiagonalize(m))).max() < 1e-10
 
 
 def test_tridiag_eigh_vectors():
@@ -87,11 +91,12 @@ def test_tridiag_eigh_vectors():
     n = 30
     d = rng.standard_normal(n)
     e = rng.standard_normal(n - 1)
-    vals, vecs = tridiag_eigh(d, e)
+    vals = sturm_spectrum(d, e)
     m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     assert np.abs(np.sort(np.linalg.eigvalsh(m)) - vals).max() < 1e-10
     for k in (0, n // 2, n - 1):
-        r = m @ vecs[:, k] - vals[k] * vecs[:, k]
+        x = inverse_iteration(d, e, vals[k])
+        r = m @ x - vals[k] * x
         assert np.sqrt(r @ r) < 1e-9
 
 
@@ -113,14 +118,11 @@ def lapack_eigenvalues(d, e):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), n=st.integers(1, 40))
-def test_single_ql_loop_paths_agree(data, n):
+def test_sturm_spectrum_vs_lapack_on_repeated_entries(data, n):
     d = np.array(data.draw(st.lists(DIAG, min_size=n, max_size=n)))
     e = np.array(data.draw(st.lists(OFFDIAG, min_size=n - 1, max_size=n - 1)))
-    vals, vecs = tridiag_eigh(d, e)
-    assert tridiag_eigvals(d, e).tobytes() == vals.tobytes()
-    m = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     scale = max(np.abs(d).max(), np.abs(e).max(initial=0.0), 1.0)
-    assert np.abs(lapack_eigenvalues(d, e) - vals).max() <= 1e-10 * scale
+    assert np.abs(lapack_eigenvalues(d, e) - sturm_spectrum(d, e)).max() <= 1e-10 * scale
 
 
 def symmetric_case(kind: str, n: int, seed: int) -> np.ndarray:
