@@ -281,25 +281,50 @@ GRAPH_CASES = {
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=st.sampled_from(sorted(GRAPH_CASES)), data=st.data())
-def test_a0_generators_close_to_the_a_prime_products(case, data):
-    # <A'A'^-1> = <A' a0^-1>, since x y^-1 = (x a0^-1)(y a0^-1)^-1: the |A'|
-    # generators (x, psi x)(a0, psi a0)^-1 close to the subgroup of the |A'|^2
-    # products x y^-1, the reference, and give None exactly when it does
+@given(
+    case=st.sampled_from(sorted(GRAPH_CASES)),
+    eps=st.sampled_from([Fraction(1, 10**300), EPS, Fraction(1, 50), Fraction(1, 8), Fraction(1, 4)]),
+    data=st.data(),
+)
+def test_structured_closure_matches_the_a_prime_products(case, eps, data):
+    # <A'A'^-1> = <A' a0^-1>, since x y^-1 = (x a0^-1)(y a0^-1)^-1.  The
+    # closure _attempt_structured forms from its |A'| generators must equal
+    # the closure of the |A'|^2 products x y^-1, the reference here, and be
+    # None exactly when that exceeds 2|G1|.  The agreement table is either
+    # psi's own or a drawn one, whose full rows are a drawn A'.
     g1, g2, hom = GRAPH_CASES[case]
     n, m2 = g1.order, g2.order
     psi = hom.copy()
     for x in data.draw(st.lists(st.integers(0, n - 1), max_size=4), label="corrupted"):
         psi[x] = data.draw(st.integers(0, m2 - 1))
-    a_prime = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="A'")))
+    if data.draw(st.booleans(), label="psi's own table"):
+        good = agreement_table(psi, g1, g2)
+    else:
+        rows = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="full rows")
+        good = np.repeat(np.array(rows)[:, None], n, axis=1)
+    # A' from its definition: the rows that miss fewer than sqrt(eps) n pairs
+    misses = n - good.sum(axis=1)
+    a_prime = np.array([x for x in range(n) if int(misses[x]) ** 2 < eps * n * n], dtype=np.int64)
+    closures = []
+
+    def recorded(gens, *args, **kwargs):
+        closures.append(closure_in_product(gens, *args, **kwargs))
+        return closures[-1]
+
+    approxhom.closure_in_product = recorded
+    try:
+        _, violated = _attempt_structured(psi, good, g1, g2, eps)
+    finally:
+        approxhom.closure_in_product = closure_in_product
+    if (n - a_prime.size) ** 2 >= eps * n * n:  # |A'| <= (1 - sqrt(eps)) n
+        assert closures == [] and violated.startswith(f"|A'| = {a_prime.size} <=")
+        return
     x, y = a_prime[:, None], a_prime[None, :]
     products = g1.mul[x, g1.inv[y]] * m2 + g2.mul[psi[x], g2.inv[psi[y]]]
     reference = closure_in_product(np.unique(products), g1, g2, cap=2 * n)
-    a0 = data.draw(st.sampled_from(a_prime.tolist()), label="a0")
-    gens = g1.mul[a_prime, g1.inv[a0]] * m2 + g2.mul[psi[a_prime], g2.inv[psi[a0]]]
-    h = closure_in_product(gens, g1, g2, cap=2 * n)
+    (h,) = closures
     if reference is None:
-        assert h is None
+        assert h is None and violated.startswith("|<A'A'^-1>| > 2|G1|")
     else:
         assert h is not None and h.tolist() == reference.tolist()
 
