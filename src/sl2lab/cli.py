@@ -6,8 +6,9 @@ CSV bodies are byte-identical across reruns with the same config and seed;
 wall-clock data lives only in the manifest (and in the optional --timings
 column).  Exit codes: 0 success, 2 verified-hypothesis-failure report,
 1 error, 64 usage.  The parser checks the domains of the options whose
-out-of-range values would yield a wrong number or a bare traceback: --tol,
---rho, --density, --epsilon and --moduli.
+out-of-range values would yield a wrong number, a vacuous run or a bare
+traceback: --tol, --rho, --density, --epsilon, --moduli, --gamma, --delta,
+approxhom's --trials, --nmin and --nmax, and glue's --a-size and --cap.
 """
 
 from __future__ import annotations
@@ -141,6 +142,26 @@ def fraction(text: str) -> str:
     except ZeroDivisionError:
         ok = False
     return _in_domain(text, text, ok, "must be a fraction in (0, 1)")
+
+
+def positive(text: str) -> int:
+    n = int(text)
+    return _in_domain(text, n, n >= 1, "must be at least 1")
+
+
+def gamma(text: str) -> float:
+    """The exponent of addcomb's size hypothesis |A| > q^(1-gamma); beyond
+    [0, 1] the hypothesis says no more, and q^(12 gamma / 5) overflows."""
+    g = float(text)
+    return _in_domain(text, g, 0 <= g <= 1, "must lie in [0, 1]")
+
+
+def delta(text: str) -> float:
+    """The exponent of growth's |AAA| > |A|^(1+delta) and of its size
+    hypothesis |A| > (q1 q2)^(3-delta); beyond [0, 3] both powers say no
+    more, and they overflow."""
+    d = float(text)
+    return _in_domain(text, d, 0 <= d <= 3, "must lie in [0, 3]")
 
 
 def moduli(text: str) -> str:
@@ -310,8 +331,10 @@ def cmd_addcomb(args) -> int:
 
 def cmd_approxhom(args) -> int:
     t0 = time.perf_counter()
-    from .approxhom import FiniteGroupTable, dichotomy
+    from .approxhom import FiniteGroupTable, StructuredConstructionError, dichotomy
 
+    if args.nmin > args.nmax:
+        raise UsageError(f"argument --nmax: {args.nmax} is below --nmin {args.nmin}")
     rng = np.random.Generator(np.random.Philox(key=args.seed))
     eps = Fraction(args.epsilon)
     rows = []
@@ -333,7 +356,10 @@ def cmd_approxhom(args) -> int:
             psi[idx] = (psi[idx] + 1 + rng.integers(0, m - 1, size=corrupt)) % m
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = dichotomy(psi, g1, g2, eps)
+            try:
+                res = dichotomy(psi, g1, g2, eps)
+            except StructuredConstructionError as exc:
+                raise ValueError(f"trial {trial}: {exc}") from None
         recovered = (
             res.branch == "STRUCTURED"
             and int((res.f == psi0).sum()) >= (1 - float(eps) ** 0.5) * n
@@ -504,7 +530,7 @@ def build_parser() -> _Parser:
     gr.add_argument("--set", required=True, help="generator file, or 'full'")
     gr.add_argument("--q1", type=int, required=True)
     gr.add_argument("--q2", type=int, required=True)
-    gr.add_argument("--delta", type=float, default=0.04)
+    gr.add_argument("--delta", type=delta, default=0.04)
     gr.add_argument("--kmax", type=int, default=12)
     gr.set_defaults(func=cmd_growth)
 
@@ -524,14 +550,14 @@ def build_parser() -> _Parser:
     ac.add_argument("--density", type=density, default=0.8)
     ac.add_argument("--folds", type=int, default=24)
     ac.add_argument("--trials", type=int, default=20)
-    ac.add_argument("--gamma", type=float, default=0.2)
+    ac.add_argument("--gamma", type=gamma, default=0.2)
     ac.add_argument("--seed", type=int, default=0)
     ac.set_defaults(func=cmd_addcomb)
 
     ah = sub.add_parser("approxhom", help="dichotomy recovery trials")
-    ah.add_argument("--trials", type=int, default=50)
-    ah.add_argument("--nmin", type=int, default=40)
-    ah.add_argument("--nmax", type=int, default=400)
+    ah.add_argument("--trials", type=positive, default=50)
+    ah.add_argument("--nmin", type=positive, default=40)
+    ah.add_argument("--nmax", type=positive, default=400)
     ah.add_argument("--rho", type=rate, default=0.01)
     ah.add_argument("--epsilon", type=fraction, default="1/1700")
     ah.add_argument("--seed", type=int, default=0)
@@ -544,8 +570,8 @@ def build_parser() -> _Parser:
     gl.add_argument("--theta", type=float, default=0.3)
     gl.add_argument("--b", default="diagonal", help="'diagonal', 'full' or a generator file")
     gl.add_argument("--a", default="none", help="'none', 'dense' or a generator file")
-    gl.add_argument("--a-size", type=int, default=4000)
-    gl.add_argument("--cap", type=int, default=500_000)
+    gl.add_argument("--a-size", type=positive, default=4000)
+    gl.add_argument("--cap", type=positive, default=500_000)
     gl.add_argument("--seed", type=int, default=0)
     gl.set_defaults(func=cmd_glue)
 

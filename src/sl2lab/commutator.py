@@ -405,14 +405,16 @@ def connecting_map(
     q2: FactoredModulus,
     k_max: int = 12,
     cap: int = 2_000_000,
-) -> ConnectingMap:
-    """Build a section of pi_{q1,q2} out of powers of B.
+) -> Optional[ConnectingMap]:
+    """Build a section of pi_{q1,q2} out of powers of B, or None when no
+    power up to ``k_max`` covers a congruence subgroup of the target.
 
     Reduction is a homomorphism, so B^k reduces onto (B reduced)^k: the
     smallest power whose reduction covers the bounded-generation congruence
     subgroup is the k that ``bounded_generation_search`` finds for the
     reduced B.  Each element of the subgroup gets its smallest-code
-    preimage in B^k, so sections are deterministic.
+    preimage in B^k, so sections are deterministic.  A ``cap`` that stops
+    the search or a power raises ValueError: it says nothing about B.
     """
     if not (divides(q1, b.q1) and divides(q2, b.q2)):
         raise ValueError("target moduli must divide the ambient moduli of B")
@@ -422,7 +424,7 @@ def connecting_map(
     else:
         res = bounded_generation_search(b.reduce_to(q1, q2), k_max=k_max, cap=cap)
         if not res.found:
-            raise ValueError(f"B-powers do not cover a congruence subgroup within k_max={k_max}")
+            return None
         k, d1, d2 = res.k, res.q1p, res.q2p
     reduced_ctx = PairContext(q1.value, q2.value)
     domain = congruence_subgroup_codes(q1.value, q2.value, d1.value, d2.value)

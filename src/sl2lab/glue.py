@@ -8,8 +8,10 @@ section's q3-side behavior, runs the matching construction per scenario
 set spanned by conjugation), and reports the exact congruence coverage it
 achieved.  Every containment the report asserts is replayed through an
 independent membership oracle before the report is returned; stages that
-cannot complete say so, with the congruence target that failed.  The
-pipeline is a guided experiment, not a proof engine.
+cannot complete say so, with the congruence target that failed.  A cap
+that cuts the section search short is not such a finding: its ValueError
+reaches the caller.  The pipeline is a guided experiment, not a proof
+engine.
 
 Certificates are plain ``{"kind", "params", "verified"}`` records, made
 JSON-ready once when ``GluingReport.add_certificate`` appends them, and
@@ -196,10 +198,10 @@ def glue_pipeline(
     }
 
     # --- stage: bounded generation and the section -------------------------
-    try:
-        psi = connecting_map(b, cfg.q1, cfg.q2, k_max=K_MAX, cap=cfg.cap)
-    except ValueError as exc:
-        report.incomplete.append({"stage": "section", "reason": str(exc)})
+    psi = connecting_map(b, cfg.q1, cfg.q2, k_max=K_MAX, cap=cfg.cap)
+    if psi is None:
+        reason = f"B-powers do not cover a congruence subgroup within k_max={K_MAX}"
+        report.incomplete.append({"stage": "section", "reason": reason})
         report.no_expansion = True
         return report
     report.stages.append(

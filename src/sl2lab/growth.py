@@ -176,7 +176,9 @@ def bounded_generation_search(
     the congruence subgroup at (q1p, q2p); incremental powering.
 
     The size hypothesis |A| > (q1 q2)^{3 - delta} is advisory: violations
-    warn and the search proceeds.
+    warn and the search proceeds.  Pairs whose congruence subgroup exceeds
+    ``cap`` are skipped; when one was skipped and no other pair is found,
+    the search raises ValueError, since the cap, not A, ended it.
     """
     qq = a.q1.value * a.q2.value
     if qq > 1 and len(a) <= qq ** (3 - delta):
@@ -184,8 +186,8 @@ def bounded_generation_search(
             f"|A| = {len(a)} is below the size hypothesis (q1 q2)^(3-delta) = {qq ** (3 - delta):.1f}",
             stacklevel=2,
         )
-    pairs = _divisor_pairs(a.q1, a.q2)
-    pairs = [p for p in pairs if _kernel_order(a.q1, p[0]) * _kernel_order(a.q2, p[1]) <= cap]
+    all_pairs = _divisor_pairs(a.q1, a.q2)
+    pairs = [p for p in all_pairs if _kernel_order(a.q1, p[0]) * _kernel_order(a.q2, p[1]) <= cap]
     # strongest pair first (ascending (q1p*q2p, q1p)), smallest power within;
     # powers are materialized incrementally and shared across pair attempts
     powers = [a]
@@ -207,4 +209,9 @@ def bounded_generation_search(
                 return BoundedGenerationResult(True, min(k, len(powers)), d1, d2, sizes)
             if stabilized and k >= len(powers):
                 break
+    if len(pairs) < len(all_pairs):
+        raise ValueError(
+            f"cap {cap} skipped {len(all_pairs) - len(pairs)} of {len(all_pairs)} divisor pairs, "
+            f"whose congruence subgroups exceed it, and no other is covered within k_max={k_max}"
+        )
     return BoundedGenerationResult(False, sizes=sizes)

@@ -9,23 +9,31 @@ for (q1*q2)**4 < 2**63, far beyond desk scale.
 Every 2x2 product of digit arrays goes through ``_mat_mul`` but one: the
 innermost product of ``commutator.commutator_sweep``, which is left
 unreduced inside its congruence test because reducing it first costs the
-time the sweep saves.  Every product of packed elements goes through
+time the sweep saves.  Every product of factor digits goes through
 ``_product``: one ``_mat_mul`` per factor, skipping the trivial factor when
 q2 = 1.  ``PairContext.mul`` is the elementwise product of two
 broadcastable code arrays (or single codes), the one to use for group words
 such as conjugates and commutators;
-``mul_const`` feeds ``_product`` one fixed element on either side;
-``mul_codes`` decodes each set once and feeds it broadcast blocks of
-``BLOCK`` products.  The block size is a constant, not a share of the merge
-threshold ``FLUSH``, because each block holds about a dozen int64
-temporaries of its size: peak memory then stays bounded whatever the sizes
-of the two sets.  ``mul_codes`` stops once its merged products number
-|G| = ``ctx.order``: they are then the whole group, and dense sets fill a
-quasirandom group after few products (Gowers, "Quasirandom groups", 2008).
-To see that moment, the buffered blocks are merged once they number at
-least min(FLUSH, max(|G| - merged, merged)): block by block while a block
-could fill the group, and otherwise with a merge that sorts at most twice
-what it adds, or once every FLUSH products.
+``mul_const`` feeds ``_product`` one fixed element on either side.
+``mul_codes`` forms broadcast blocks of ``BLOCK`` products by one of two
+routes.  The table route multiplies, per factor, the distinct parts of the
+two sets once, with ``_product`` in the factor context, and joins each pair
+product from one entry of each table: t1[i1] + t2[i2], with t1 scaled by
+the radix q2^4.  It is taken when the tables hold fewer entries than the
+|a| |b| products and at most ``FLUSH``, the bound on buffered products.
+Each table is bounded by min(|a|, |Gi|) min(|b|, |Gi|), which needs no
+sort; sets of distinct codes in a single-factor context never pass, since
+their one table would hold every product.  The digit route decodes each
+set once and feeds ``_product`` the blocks.  The block size is a constant,
+not a share of the merge threshold ``FLUSH``, because each digit block
+holds about a dozen int64 temporaries of its size: peak memory then stays
+bounded whatever the sizes of the two sets.  ``mul_codes`` stops once its
+merged products number |G| = ``ctx.order``: they are then the whole group,
+and dense sets fill a quasirandom group after few products (Gowers,
+"Quasirandom groups", 2008).  To see that moment, the buffered blocks are
+merged once they number at least min(FLUSH, max(|G| - merged, merged)):
+block by block while a block could fill the group, and otherwise with a
+merge that sorts at most twice what it adds, or once every FLUSH products.
 
 ``one_mod`` is the one test of 2x2 digit arrays for x = 1 mod d, and
 ``PairContext.kernel_mask(codes, d1, d2)`` applies it to both factors: the
@@ -439,34 +447,39 @@ def congruence_subgroup_codes(q1: int, q2: int, d1: int, d2: int) -> np.ndarray:
 def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise products a_i * b_j, deduplicated and sorted.
 
-    Returns as soon as the merged products number ``ctx.order``: products of
-    SL2 pairs are SL2 pairs, so that set is the whole group and no later
-    product can add to it.  The buffered blocks are merged once they number
-    min(FLUSH, max(order - merged, merged)): a product that could fill the
-    group is checked block by block, and a merge below FLUSH sorts at most
-    twice what it adds.  When the exit fires, ``a`` and ``b`` must be codes
-    of SL2 pairs (``PairContext.check_codes``), or ValueError: one code
-    outside the group makes the group the wrong answer, even when every
-    product merged so far lies in it.
+    The blocks of products come from ``_table_route`` where it applies, and
+    from ``_digit_route`` otherwise.  Returns as soon as the merged products
+    number ``ctx.order``: products of SL2 pairs are SL2 pairs, so that set
+    is the whole group and no later product can add to it.  The buffered
+    blocks are merged once they number min(FLUSH, max(order - merged,
+    merged)): a product that could fill the group is checked block by
+    block, and a merge below FLUSH sorts at most twice what it adds.  When
+    the exit fires, ``a`` and ``b`` must be codes of SL2 pairs
+    (``PairContext.check_codes``), or ValueError: one code outside the group
+    makes the group the wrong answer, even when every product merged so far
+    lies in it.
     """
     if a.size == 0 or b.size == 0:
         return np.array([], dtype=np.int64)
+    a_parts, b_parts, product = _table_route(ctx, a, b) or _digit_route(ctx, a, b)
     # numpy loops fastest along the last axis, so the longer set runs along
-    # it, decoded one chunk at a time; the shorter set is decoded once
+    # it, one chunk at a time; the parts of the shorter set are formed once
     a_last = a.size >= b.size
-    long, short = (a, b) if a_last else (b, a)
+    long, long_parts, short, short_parts = (
+        (a, a_parts, b, b_parts) if a_last else (b, b_parts, a, a_parts)
+    )
     n_last = min(long.size, BLOCK)
     n_first = max(1, BLOCK // n_last)
-    short_digits = [col[:, None] for col in ctx.decode(short)]
+    short_cols = [col[:, None] for col in short_parts(slice(None))]
     order = ctx.order
     acc = np.array([], dtype=np.int64)
     buf: list[np.ndarray] = []
     buffered = 0
     for i in range(0, long.size, n_last):
-        x = [col[None, :] for col in ctx.decode(long[i : i + n_last])]
+        x = [col[None, :] for col in long_parts(slice(i, i + n_last))]
         for j in range(0, short.size, n_first):
-            y = [col[j : j + n_first] for col in short_digits]
-            buf.append((_product(ctx, x, y) if a_last else _product(ctx, y, x)).ravel())
+            y = [col[j : j + n_first] for col in short_cols]
+            buf.append((product(x, y) if a_last else product(y, x)).ravel())
             buffered += buf[-1].size
             if buffered >= min(FLUSH, max(order - acc.size, acc.size)):
                 acc = _merge(buf, acc)
@@ -476,6 +489,54 @@ def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
                     ctx.check_codes(b)
                     return acc
     return _merge(buf, acc) if buf else acc
+
+
+def _digit_route(ctx: PairContext, a: np.ndarray, b: np.ndarray):
+    """(a_parts, b_parts, product) for ``mul_codes``: parts(s) decodes the
+    codes of a slice of one set, and ``_product`` multiplies the digits."""
+    return (
+        lambda s: ctx.decode(a[s]),
+        lambda s: ctx.decode(b[s]),
+        lambda x, y: _product(ctx, x, y),
+    )
+
+
+def _table_route(ctx: PairContext, a: np.ndarray, b: np.ndarray):
+    """(a_parts, b_parts, product) for ``mul_codes`` from factor tables, or
+    None where the tables would not pay.
+
+    The table of factor i holds the products u v of the distinct parts u of
+    ``a`` and v of ``b`` on that factor, in row-major order, formed by
+    ``_edge_products`` in the factor context; the left table is scaled by
+    the radix q2^4.  parts(s) gives the table offsets of a slice of one set,
+    and the product of a_i and b_j is the join t1[a1_i + b1_j] +
+    t2[a2_i + b2_j] of two entries.
+
+    Codes of SL2 pairs have at most |Gi| distinct parts on factor i, so the
+    tables hold at most sum_i min(|a|, |Gi|) min(|b|, |Gi|) entries.  They
+    are built only when that bound is below the |a| |b| products they
+    replace and at most ``FLUSH``, and only when the distinct parts keep to
+    it, as only codes outside the group fail to.  Sets of distinct codes in
+    a single-factor context never qualify: their left table alone would
+    hold all |a| |b| products.
+    """
+    factors = [PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)]
+    bound = sum(min(a.size, f.order) * min(b.size, f.order) for f in factors)
+    if bound >= a.size * b.size or bound > FLUSH:
+        return None
+    parts = [(x, y, unique_codes(x), unique_codes(y)) for x, y in zip(ctx.split(a), ctx.split(b))]
+    if sum(ux.size * uy.size for _, _, ux, uy in parts) > bound:
+        return None
+    (a1, b1, t1), (a2, b2, t2) = (
+        (np.searchsorted(ux, x) * uy.size, np.searchsorted(uy, y), _edge_products(f, ux, uy))
+        for f, (x, y, ux, uy) in zip(factors, parts)
+    )
+    t1 = ctx.join(t1, 0)
+    return (
+        lambda s: (a1[s], a2[s]),
+        lambda s: (b1[s], b2[s]),
+        lambda x, y: t1[x[0] + y[0]] + t2[x[1] + y[1]],
+    )
 
 
 def _merge(buf: list[np.ndarray], acc: np.ndarray) -> np.ndarray:

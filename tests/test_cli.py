@@ -243,9 +243,22 @@ def test_bad_input_exits_1_without_run_dir(tmp_path, capsys, argv):
         ["addcomb", "--q", "12", "--density", "1.5"],
         ["addcomb", "--q", "12", "--density", "-1"],
         ["addcomb", "--q", "12", "--density", "1e300"],
+        ["approxhom", "--trials", "0"],
+        ["approxhom", "--trials", "-1"],
+        ["approxhom", "--nmin", "0", "--nmax", "0"],
+        ["approxhom", "--nmin", "5", "--nmax", "3"],
+        ["glue", "--q2", "5", "--q3", "5", "--a", "dense", "--a-size", "-1"],
+        ["glue", "--q2", "5", "--q3", "5", "--a-size", "0"],
+        ["glue", "--q2", "5", "--q3", "5", "--cap", "0"],
+        ["addcomb", "--q", "12", "--gamma", "nan"],
+        ["addcomb", "--q", "12", "--gamma", "1000"],
+        ["growth", "--set", "full", "--q1", "3", "--q2", "1", "--delta", "nan"],
+        ["growth", "--set", "full", "--q1", "3", "--q2", "1", "--delta", "1e300"],
     ],
     ids=["tol-inf", "tol-0.5", "tol0", "tol-nan", "moduli-comma", "moduli-empty", "rho2",
-         "rho-0.5", "rho-inf", "epsilon-1/0", "density1.5", "density-1", "density1e300"],
+         "rho-0.5", "rho-inf", "epsilon-1/0", "density1.5", "density-1", "density1e300",
+         "trials0", "trials-1", "nmin0", "nmin-above-nmax", "a-size-1", "a-size0", "cap0",
+         "gamma-nan", "gamma1000", "delta-nan", "delta1e300"],
 )
 def test_out_of_domain_option_exits_64_without_run_dir(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path), *argv]) == 64
@@ -254,7 +267,7 @@ def test_out_of_domain_option_exits_64_without_run_dir(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("run-*"))
 
 
-EDGE_VALUES = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e300", "1e-300", "", ",", "1/0"]
+EDGE_VALUES = ["0", "1", "-1", "-0.5", "nan", "inf", "-inf", "1e300", "1e-300", "", ",", "1/0"]
 # each option the parser checks, with the rest of a small run around it
 DOMAIN_OPTIONS = {
     "--tol": ["spectral", "--moduli", "3", "--no-pair"],
@@ -262,10 +275,17 @@ DOMAIN_OPTIONS = {
     "--rho": ["approxhom", "--trials", "2", "--nmin", "20", "--nmax", "30"],
     "--epsilon": ["approxhom", "--trials", "2", "--nmin", "20", "--nmax", "30"],
     "--density": ["addcomb", "--q", "12", "--trials", "2"],
+    "--trials": ["approxhom", "--nmin", "20", "--nmax", "30"],
+    "--nmin": ["approxhom", "--trials", "2", "--nmax", "30"],
+    "--nmax": ["approxhom", "--trials", "2", "--nmin", "1"],
+    "--a-size": ["glue", "--q2", "2", "--q3", "2", "--a", "dense"],
+    "--cap": ["glue", "--q2", "2", "--q3", "2"],
+    "--gamma": ["addcomb", "--q", "12", "--trials", "2"],
+    "--delta": ["growth", "--set", "full", "--q1", "3", "--q2", "1", "--kmax", "2"],
 }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     option=st.sampled_from(sorted(DOMAIN_OPTIONS)),
     value=st.one_of(st.sampled_from(EDGE_VALUES), st.floats().map(repr)),
@@ -280,6 +300,30 @@ def test_option_edge_values_exit_cleanly(option, value):
     assert "Traceback" not in err.getvalue()
     if code in (1, 64):
         assert err.getvalue().count("\n") == 1 and not runs
+
+
+def test_structured_construction_error_exits_1_without_run_dir(tmp_path, capsys, monkeypatch):
+    from sl2lab import approxhom
+
+    def broken(*args, **kwargs):
+        raise approxhom.StructuredConstructionError("|A'| = 3 < (1 - sqrt(eps))|G1| = 4.0")
+
+    monkeypatch.setattr(approxhom, "dichotomy", broken)
+    assert main(["--out", str(tmp_path), "approxhom", "--trials", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trial 0: |A'| = 3") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("run-*"))
+
+
+def test_glue_cap_that_skips_the_search_exits_1(tmp_path, capsys):
+    # a cap of 1 skips every divisor pair of the section search: no power of
+    # B was formed, so the run is an error, not a report of no expansion
+    argv = ["glue", "--q2", "5", "--q3", "5", "--a", "dense", "--cap", "1"]
+    assert main(["--out", str(tmp_path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cap 1 skipped 1 of 1 divisor pairs") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run-*"))
 
 
 def test_unconverged_spectral_exits_1_without_run_dir(tmp_path, capsys, monkeypatch):

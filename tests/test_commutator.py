@@ -358,11 +358,10 @@ def test_connecting_map_matches_plain_search(moduli, size, seed):
     expect = plain_section(b, q1, q2, k_max=4)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the size hypothesis of bounded generation
-        if expect is None:
-            with pytest.raises(ValueError):
-                connecting_map(b, q1, q2, k_max=4)
-            return
         cm = connecting_map(b, q1, q2, k_max=4)
+        if expect is None:
+            assert cm is None
+            return
     got = (cm.power, cm.d1.value, cm.d2.value, cm.domain_codes.tolist(), cm.lifts.tolist())
     assert got == expect
 
@@ -379,5 +378,4 @@ def test_connecting_map_coverage_failure():
             )
         ],
     )
-    with pytest.raises(ValueError):
-        connecting_map(d, q5, ONE, k_max=3)
+    assert connecting_map(d, q5, ONE, k_max=3) is None

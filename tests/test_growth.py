@@ -200,6 +200,29 @@ def test_bounded_generation_proper_coset_failure():
     assert not res.found
 
 
+def test_bounded_generation_cap_is_not_a_finding():
+    # SL2(Z/5) covers the (1, 1) pair at k = 1, whose kernel has 120 elements
+    full5 = GroupSet.full_group(Q5, ONE)
+    assert bounded_generation_search(full5, k_max=2, cap=120).found
+    with pytest.raises(ValueError, match="cap 119 skipped 1 of 1 divisor pairs"):
+        bounded_generation_search(full5, k_max=2, cap=119)
+    # a cap that skips the strongest pair but leaves one that is covered
+    full54 = GroupSet.full_group(Q5, FactoredModulus.of(4))
+    res = bounded_generation_search(full54, k_max=2, cap=200)
+    assert res.found and (res.q1p.value, res.q2p.value) == (1, 4)
+    # the powers of A stabilize in a proper coset chain: not covered, and no
+    # pair was skipped, so that is the answer
+    q8 = FactoredModulus.of(8)
+    a = GroupSet.from_elements(
+        q8, ONE, [reduce_pair((((1, 2), (0, 1)), ((1, 0), (0, 1))), q8, ONE)]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert not bounded_generation_search(a, k_max=3).found
+        with pytest.raises(ValueError, match="cap 1 skipped"):
+            bounded_generation_search(a, k_max=3, cap=1)
+
+
 def test_bounded_generation_size_warning():
     rng = random.Random(9)
     a = random_groupset(rng, Q5, ONE, 4)

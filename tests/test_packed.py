@@ -622,16 +622,17 @@ def test_mul_codes_stops_once_the_group_is_full(monkeypatch):
     full = full_pair_codes(5, 5)
     rng = np.random.default_rng(1)
     a, b = (np.sort(rng.choice(full, size=4000, replace=False)) for _ in range(2))
-    calls = []
-    orig = packed._product
+    blocks = []
+    orig = packed._merge
 
-    def counted(*args):
-        calls.append(1)
-        return orig(*args)
+    def counted(buf, acc):
+        blocks.extend(block.size for block in buf)
+        return orig(buf, acc)
 
-    monkeypatch.setattr(packed, "_product", counted)
+    monkeypatch.setattr(packed, "_merge", counted)
     assert np.array_equal(mul_codes(ctx, a, b), full)
-    assert len(calls) == 1
+    # rows of 4000 products, BLOCK // 4000 = 65 rows a block: 62 blocks in all
+    assert blocks == [65 * 4000]
 
 
 def brute_matrix_products(ctx: PairContext, xs, ys) -> list[int]:
@@ -696,6 +697,121 @@ def test_mul_codes_exit_refuses_codes_outside_the_group(monkeypatch):
         mul_codes(ctx, a, g)
     monkeypatch.setattr(packed, "BLOCK", 2 * a.size * g.size)
     assert mul_codes(ctx, a, g).size == 2 * g.size
+
+
+def route_spy(monkeypatch) -> list[bool]:
+    """Record, per mul_codes call, whether it took the table route."""
+    routes = []
+    orig = packed._table_route
+
+    def spy(*args):
+        out = orig(*args)
+        routes.append(out is not None)
+        return out
+
+    monkeypatch.setattr(packed, "_table_route", spy)
+    return routes
+
+
+def digit_tuples(ctx: PairContext, codes) -> list[tuple[int, ...]]:
+    return list(zip(*(col.tolist() for col in ctx.decode(np.asarray(codes, dtype=np.int64)))))
+
+
+def test_mul_codes_pair_routes_match_bruteforce(monkeypatch):
+    # both routes of a pair context against Python products of the digits:
+    # random SL2 pairs, sets of a quarter of the group or more, and 2x2
+    # digit tuples of any determinant, drawn from few parts per factor so
+    # that the tables apply to them too
+    routes = route_spy(monkeypatch)
+    tables = []
+    edge_products = packed._edge_products
+
+    def recorded(*args):
+        out = edge_products(*args)
+        tables.append(out.size)
+        return out
+
+    monkeypatch.setattr(packed, "_edge_products", recorded)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        moduli=st.sampled_from([(2, 2), (3, 2), (2, 3), (5, 4)]),
+        kind=st.sampled_from(["random", "saturating", "digits"]),
+        sizes=st.tuples(st.integers(1, 150), st.integers(1, 150)),
+        shares=st.tuples(st.floats(0.25, 1.0), st.floats(0.25, 1.0)),
+        pool=st.integers(1, 16),
+        block=st.integers(8, 512),
+        flush=st.integers(1, 20_000),
+        seed=st.integers(0, 2**32),
+    )
+    # more distinct parts than SL2(Z/2) has elements: the bound rules out tables
+    @example(
+        moduli=(2, 2), kind="digits", sizes=(60, 60), shares=(1.0, 1.0), pool=16,
+        block=512, flush=20_000, seed=0,
+    )
+    def check(moduli, kind, sizes, shares, pool, block, flush, seed):
+        rng = random.Random(seed)
+        ctx = PairContext(*moduli)
+        q1, q2 = moduli
+        if kind == "random":
+            xs, ys = (digit_tuples(ctx, random_set(rng, ctx, n)[1]) for n in sizes)
+        elif kind == "saturating" and ctx.order <= 144:
+            group = full_pair_codes(q1, q2).tolist()
+            xs, ys = (
+                digit_tuples(ctx, rng.sample(group, max(1, int(s * len(group))))) for s in shares
+            )
+        else:
+            lefts = [tuple(rng.randrange(q1) for _ in range(4)) for _ in range(pool)]
+            rights = [tuple(rng.randrange(q2) for _ in range(4)) for _ in range(pool)]
+            xs, ys = (
+                [rng.choice(lefts) + rng.choice(rights) for _ in range(n)] for n in sizes
+            )
+        brute = brute_matrix_products(ctx, xs, ys)
+        tables.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(packed, "BLOCK", block)
+            mp.setattr(packed, "FLUSH", flush)
+            try:
+                got = mul_codes(ctx, codes_of(ctx, xs), codes_of(ctx, ys))
+            except ValueError:
+                # the merged products numbered |G|, from codes not all in the group
+                assert len(brute) >= ctx.order
+                with pytest.raises(ValueError):
+                    ctx.check_codes(codes_of(ctx, xs + ys))
+                return
+        assert got.dtype == np.int64
+        assert got.tolist() == brute
+        # the tables keep to their bound, which is below |a| |b| and FLUSH
+        orders = [PairContext(q, 1).order for q in moduli]
+        bound = sum(min(len(xs), g) * min(len(ys), g) for g in orders)
+        assert sum(tables) <= min(bound, flush, len(xs) * len(ys) - 1)
+
+    check()
+    assert set(routes) == {False, True}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]),
+    shares=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32),
+)
+def test_single_factor_context_never_builds_tables(q, shares, seed):
+    # sets of distinct codes of SL2(Z/q), from one element to the whole
+    # group, and the subgroup closures of the spectral sweeps
+    group = sl2_codes(q)
+    rng = np.random.default_rng(seed)
+    a, b = (
+        np.sort(rng.choice(group, size=max(1, int(s * group.size)), replace=False))
+        for s in shares
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        routes = route_spy(mp)
+        got = mul_codes(PairContext(q, 1), a, b)
+        pair_subgroup(PairContext(q, 1), rng.choice(group, size=3), cap=10**6)
+    assert routes and not any(routes)
+    ctx = PairContext(q, 1)
+    assert got.tolist() == sorted(set(ctx.mul(a[:, None], b).ravel().tolist()))
 
 
 def elementary_generators(q1: int, q2: int) -> list[tuple[int, ...]]:
