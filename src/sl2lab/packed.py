@@ -521,7 +521,8 @@ def _table_route(ctx: PairContext, a: np.ndarray, b: np.ndarray):
     hold all |a| |b| products.
     """
     factors = [PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)]
-    bound = sum(min(a.size, f.order) * min(b.size, f.order) for f in factors)
+    orders = [f.order for f in factors]
+    bound = sum(min(a.size, g) * min(b.size, g) for g in orders)
     if bound >= a.size * b.size or bound > FLUSH:
         return None
     parts = [(x, y, unique_codes(x), unique_codes(y)) for x, y in zip(ctx.split(a), ctx.split(b))]
