@@ -8,7 +8,8 @@ column).  Exit codes: 0 success, 2 verified-hypothesis-failure report,
 1 error, 64 usage.  The parser checks the domains of the options whose
 out-of-range values would yield a wrong number, a vacuous run or a bare
 traceback: --tol, --rho, --density, --epsilon, --moduli, --gamma, --delta,
-approxhom's --trials, --nmin and --nmax, and glue's --a-size and --cap.
+the --trials of approxhom, addcomb and lemma-check, approxhom's --nmin and
+--nmax, nonconc's --lmin, --lmax and --lstep, and glue's --a-size and --cap.
 """
 
 from __future__ import annotations
@@ -272,6 +273,10 @@ def cmd_nonconc(args) -> int:
     from .factored import FactoredModulus
     from .walks import IntegralLinearEvent, archimedean_decay, decay_profile
 
+    if args.lmin > args.lmax:
+        raise UsageError(
+            f"argument --lmax: {args.lmax} is below --lmin {args.lmin}, so the range of l is empty"
+        )
     gens = _load_generators(args.gens)
     event = _parse_event(args.event)
     l_values = list(range(args.lmin, args.lmax + 1, args.lstep))
@@ -540,7 +545,7 @@ def build_parser() -> _Parser:
     nc.add_argument("--Q", type=int, default=5)
     nc.add_argument("--lmin", type=int, default=1)
     nc.add_argument("--lmax", type=int, default=20)
-    nc.add_argument("--lstep", type=int, default=1)
+    nc.add_argument("--lstep", type=positive, default=1)
     nc.add_argument("--samples", type=int, default=2000)
     nc.add_argument("--seed", type=int, default=0)
     nc.set_defaults(func=cmd_nonconc)
@@ -549,7 +554,7 @@ def build_parser() -> _Parser:
     ac.add_argument("--q", type=int, required=True)
     ac.add_argument("--density", type=density, default=0.8)
     ac.add_argument("--folds", type=int, default=24)
-    ac.add_argument("--trials", type=int, default=20)
+    ac.add_argument("--trials", type=positive, default=20)
     ac.add_argument("--gamma", type=gamma, default=0.2)
     ac.add_argument("--seed", type=int, default=0)
     ac.set_defaults(func=cmd_addcomb)
@@ -584,7 +589,7 @@ def build_parser() -> _Parser:
     lc.add_argument("--p", type=int, default=3)
     lc.add_argument("--depth", type=int, default=4)
     lc.add_argument("--q", type=int, default=105)
-    lc.add_argument("--trials", type=int, default=100)
+    lc.add_argument("--trials", type=positive, default=100)
     lc.add_argument("--window-cap", type=int, default=128)
     lc.add_argument("--seed", type=int, default=0)
     lc.set_defaults(func=cmd_lemma_check)

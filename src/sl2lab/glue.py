@@ -9,9 +9,9 @@ set spanned by conjugation), and reports the exact congruence coverage it
 achieved.  Every containment the report asserts is replayed through an
 independent membership oracle before the report is returned; stages that
 cannot complete say so, with the congruence target that failed.  A cap
-that cuts the section search short is not such a finding: its ValueError
-reaches the caller.  The pipeline is a guided experiment, not a proof
-engine.
+that cuts the section search or a scenario's closure short is not such a
+finding: its ValueError reaches the caller.  The pipeline is a guided
+experiment, not a proof engine.
 
 Certificates are plain ``{"kind", "params", "verified"}`` records, made
 JSON-ready once when ``GluingReport.add_certificate`` appends them, and
@@ -118,14 +118,6 @@ class _Incomplete(Exception):
     def __init__(self, **row):
         super().__init__(row["reason"])
         self.row = row
-
-
-def _closure(full: PairContext, gens: np.ndarray, cfg: GluingConfig, reason: str) -> np.ndarray:
-    """Sorted codes of <gens>; a closure past ``cfg.cap`` is incomplete for ``reason``."""
-    try:
-        return generated_subgroup(full, gens, cfg.cap)
-    except ValueError:
-        raise _Incomplete(reason=reason) from None
 
 
 def _achieved_congruence(
@@ -370,7 +362,7 @@ def _run_defect_case(
         )
     pool = _pool_codes(b, a, cfg)
     gens = np.append(gamma_code, full.mul(full.mul(pool, gamma_code), full.inv(pool)))
-    k = _closure(full, gens, cfg, "closure exceeded cap")
+    k = generated_subgroup(full, gens, cfg.cap)
     achieved = _achieved_congruence(b, cfg, k, report, "defect")
     report.stages.append(
         {"stage": "defect-case", "closure_size": int(k.size), "achieved": achieved}
@@ -419,7 +411,7 @@ def _run_commutator_case(
             {"p": p, "target": nn, "achieved": depths[p], "rounds": len(depth_hist)},
             bool(np.all(full.kernel_mask(cur, p**nn, 1))),
         )
-    k = _closure(full, cur[:64], cfg, "closure cap")
+    k = generated_subgroup(full, cur[:64], cfg.cap)
     achieved = _achieved_congruence(b, cfg, k, report, "commutator")
     report.stages.append(
         {
@@ -471,7 +463,7 @@ def _run_one_parameter_case(
     # <g> lies in the closure of the conjugates, so conjugating the single
     # generator suffices and keeps the generating set small
     gens = np.append(best, full.mul(full.mul(pool, best), full.inv(pool)))
-    k = _closure(full, gens, cfg, "closure cap")
+    k = generated_subgroup(full, gens, cfg.cap)
     # the kernel part of the closure is what covers new congruence classes
     k_kernel = k[full.kernel_mask(k, cfg.q1.value, cfg.q2.value)]
     report.stages.append(

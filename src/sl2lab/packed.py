@@ -17,23 +17,31 @@ such as conjugates and commutators;
 ``mul_const`` feeds ``_product`` one fixed element on either side.
 ``mul_codes`` forms broadcast blocks of ``BLOCK`` products by one of two
 routes.  The table route multiplies, per factor, the distinct parts of the
-two sets once, with ``_product`` in the factor context, and joins each pair
-product from one entry of each table: t1[i1] + t2[i2], with t1 scaled by
-the radix q2^4.  It is taken when the tables hold fewer entries than the
-|a| |b| products and at most ``FLUSH``, the bound on buffered products.
-Each table is bounded by min(|a|, |Gi|) min(|b|, |Gi|), which needs no
-sort; sets of distinct codes in a single-factor context never pass, since
-their one table would hold every product.  The digit route decodes each
-set once and feeds ``_product`` the blocks.  The block size is a constant,
-not a share of the merge threshold ``FLUSH``, because each digit block
-holds about a dozen int64 temporaries of its size: peak memory then stays
-bounded whatever the sizes of the two sets.  ``mul_codes`` stops once its
-merged products number |G| = ``ctx.order``: they are then the whole group,
-and dense sets fill a quasirandom group after few products (Gowers,
-"Quasirandom groups", 2008).  To see that moment, the buffered blocks are
-merged once they number at least min(FLUSH, max(|G| - merged, merged)):
-block by block while a block could fill the group, and otherwise with a
-merge that sorts at most twice what it adds, or once every FLUSH products.
+two sets once, with ``_product`` in the factor context, and keeps each
+table entry as its rank: its index in ``sl2_codes(qi)``, the left ranks
+scaled by |G2|.  A pair product is then the rank r1[i1] + r2[i2] of its
+code in G = G1 x G2.  Pair codes sort by the left factor first, so rank
+order is sorted-code order, and the products are deduped by marking a mask
+of |G| = ``ctx.order`` bytes; the sorted codes are those of the marked
+ranks, g1[r // |G2|] q2^4 + g2[r % |G2|], with no sort.  The route is
+taken when the tables hold fewer entries than the |a| |b| products and at
+most ``FLUSH``, the bound on buffered products, when |G| <= 8 ``FLUSH``,
+the bytes those products fill, and when every table entry lies in its
+factor group.  Each table is bounded by min(|a|, |Gi|) min(|b|, |Gi|),
+which needs no sort; sets of distinct codes in a single-factor context
+never pass, since their one table would hold every product.  The digit
+route decodes each set once, feeds ``_product`` the blocks and merges the
+codes with ``unique_codes``.  The block size is a constant, not a share of
+the merge threshold ``FLUSH``, because each digit block holds about a
+dozen int64 temporaries of its size: peak memory then stays bounded
+whatever the sizes of the two sets.  ``mul_codes`` stops once its distinct
+products number |G|: they are then the whole group, and dense sets fill a
+quasirandom group after few products (Gowers, "Quasirandom groups", 2008).
+To see that moment, the distinct products are counted, by a merge or by
+counting the marks, once the products added since the last count number at
+least min(FLUSH, max(|G| - counted, counted)): block by block while a block
+could fill the group, and otherwise with a merge that sorts at most twice
+what it adds, or once every FLUSH products.
 
 ``one_mod`` is the one test of 2x2 digit arrays for x = 1 mod d, and
 ``PairContext.kernel_mask(codes, d1, d2)`` applies it to both factors: the
@@ -70,10 +78,12 @@ H = A x 1 and A is closed directly, with no transversal.
 Pair codes order by the left factor first, so either way the rows run in
 sorted order: the codes of H are the array a search over pair codes returns.
 
-Every dedupe and union of code arrays goes through ``unique_codes``: one
-``np.sort`` and a mask of adjacent differences.  ``np.unique`` returns the
-same sorted distinct array, but numpy 2.4 routes it through a hash table and
-then sorts the result, which on int64 codes is 5 to 100 times slower.
+Every dedupe and union of code arrays goes through ``unique_codes``, one
+``np.sort`` and a mask of adjacent differences, but one: the table route of
+``mul_codes`` dedupes ranks in its mask over the group, with no sort.
+``np.unique`` returns the same sorted distinct array, but numpy 2.4 routes
+it through a hash table and then sorts the result, which on int64 codes is
+5 to 100 times slower.
 """
 
 from __future__ import annotations
@@ -87,7 +97,7 @@ from .factored import FactoredModulus
 from .sl2 import PairElement, SL2Residue, _ext_gcd, group_order, reduce_pair
 
 BLOCK = 1 << 18  # products per broadcast block in mul_codes
-FLUSH = 8_000_000  # buffered products before mul_codes merges them with unique_codes
+FLUSH = 8_000_000  # products mul_codes adds between counts of its distinct products
 
 
 @dataclass(frozen=True)
@@ -447,21 +457,22 @@ def congruence_subgroup_codes(q1: int, q2: int, d1: int, d2: int) -> np.ndarray:
 def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise products a_i * b_j, deduplicated and sorted.
 
-    The blocks of products come from ``_table_route`` where it applies, and
-    from ``_digit_route`` otherwise.  Returns as soon as the merged products
-    number ``ctx.order``: products of SL2 pairs are SL2 pairs, so that set
-    is the whole group and no later product can add to it.  The buffered
-    blocks are merged once they number min(FLUSH, max(order - merged,
-    merged)): a product that could fill the group is checked block by
-    block, and a merge below FLUSH sorts at most twice what it adds.  When
-    the exit fires, ``a`` and ``b`` must be codes of SL2 pairs
+    The blocks of products and the set that dedupes them come from
+    ``_table_route`` where it applies, and from ``_digit_route`` otherwise.
+    Returns as soon as the distinct products number ``ctx.order``: products
+    of SL2 pairs are SL2 pairs, so that set is the whole group and no later
+    product can add to it.  The distinct products are counted once the
+    products added since the last count number min(FLUSH, max(order -
+    counted, counted)): a product that could fill the group is checked block
+    by block, and a merge below FLUSH sorts at most twice what it adds.  When the exit
+    fires, ``a`` and ``b`` must be codes of SL2 pairs
     (``PairContext.check_codes``), or ValueError: one code outside the group
-    makes the group the wrong answer, even when every product merged so far
+    makes the group the wrong answer, even when every product found so far
     lies in it.
     """
     if a.size == 0 or b.size == 0:
         return np.array([], dtype=np.int64)
-    a_parts, b_parts, product = _table_route(ctx, a, b) or _digit_route(ctx, a, b)
+    a_parts, b_parts, product, found = _table_route(ctx, a, b) or _digit_route(ctx, a, b)
     # numpy loops fastest along the last axis, so the longer set runs along
     # it, one chunk at a time; the parts of the shorter set are formed once
     a_last = a.size >= b.size
@@ -472,77 +483,125 @@ def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n_first = max(1, BLOCK // n_last)
     short_cols = [col[:, None] for col in short_parts(slice(None))]
     order = ctx.order
-    acc = np.array([], dtype=np.int64)
-    buf: list[np.ndarray] = []
-    buffered = 0
+    counted = added = 0
     for i in range(0, long.size, n_last):
         x = [col[None, :] for col in long_parts(slice(i, i + n_last))]
         for j in range(0, short.size, n_first):
             y = [col[j : j + n_first] for col in short_cols]
-            buf.append((product(x, y) if a_last else product(y, x)).ravel())
-            buffered += buf[-1].size
-            if buffered >= min(FLUSH, max(order - acc.size, acc.size)):
-                acc = _merge(buf, acc)
-                buffered = 0
-                if acc.size == order:
+            block = (product(x, y) if a_last else product(y, x)).ravel()
+            found.add(block)
+            added += block.size
+            if added >= min(FLUSH, max(order - counted, counted)):
+                counted = found.count()
+                added = 0
+                if counted == order:
                     ctx.check_codes(a)
                     ctx.check_codes(b)
-                    return acc
-    return _merge(buf, acc) if buf else acc
+                    return found.codes()
+    return found.codes()
+
+
+class _Merged:
+    """The distinct codes of the blocks added: they wait in a buffer until
+    ``count`` merges them into ``acc`` with ``unique_codes``."""
+
+    def __init__(self):
+        self.buf: list[np.ndarray] = []
+        self.acc = np.array([], dtype=np.int64)
+
+    def add(self, block: np.ndarray):
+        self.buf.append(block)
+
+    def count(self) -> int:
+        if self.buf:
+            merged = np.concatenate(self.buf + [self.acc])
+            # the blocks are freed before the sorted copy exists
+            self.buf.clear()
+            self.acc = unique_codes(merged)
+        return self.acc.size
+
+    def codes(self) -> np.ndarray:
+        self.count()
+        return self.acc
+
+
+class _Marked:
+    """The distinct ranks of the blocks added, marked in a mask of |G1| |G2|
+    bytes; rank r is the pair of ``g1[r // |G2|]`` and ``g2[r % |G2|]``,
+    the sorted codes of the two factor groups."""
+
+    def __init__(self, ctx: PairContext, g1: np.ndarray, g2: np.ndarray):
+        self.ctx, self.g1, self.g2 = ctx, g1, g2
+        self.mask = np.zeros(g1.size * g2.size, dtype=bool)
+
+    def add(self, ranks: np.ndarray):
+        self.mask[ranks] = True
+
+    def count(self) -> int:
+        return int(np.count_nonzero(self.mask))
+
+    def codes(self) -> np.ndarray:
+        r = np.flatnonzero(self.mask)
+        return self.ctx.join(self.g1[r // self.g2.size], self.g2[r % self.g2.size])
 
 
 def _digit_route(ctx: PairContext, a: np.ndarray, b: np.ndarray):
-    """(a_parts, b_parts, product) for ``mul_codes``: parts(s) decodes the
-    codes of a slice of one set, and ``_product`` multiplies the digits."""
+    """(a_parts, b_parts, product, found) for ``mul_codes``: parts(s)
+    decodes the codes of a slice of one set, ``_product`` multiplies the
+    digits, and ``_Merged`` dedupes the codes."""
     return (
         lambda s: ctx.decode(a[s]),
         lambda s: ctx.decode(b[s]),
         lambda x, y: _product(ctx, x, y),
+        _Merged(),
     )
 
 
 def _table_route(ctx: PairContext, a: np.ndarray, b: np.ndarray):
-    """(a_parts, b_parts, product) for ``mul_codes`` from factor tables, or
-    None where the tables would not pay.
+    """(a_parts, b_parts, product, found) for ``mul_codes`` from factor
+    tables of ranks, or None where the tables would not pay or the mask
+    would not fit.
 
     The table of factor i holds the products u v of the distinct parts u of
     ``a`` and v of ``b`` on that factor, in row-major order, formed by
-    ``_edge_products`` in the factor context; the left table is scaled by
-    the radix q2^4.  parts(s) gives the table offsets of a slice of one set,
-    and the product of a_i and b_j is the join t1[a1_i + b1_j] +
-    t2[a2_i + b2_j] of two entries.
+    ``_edge_products`` in the factor context, as ranks: indices in
+    ``sl2_codes(qi)``, the left ones scaled by |G2|.  parts(s) gives the
+    table offsets of a slice of one set, and the product of a_i and b_j is
+    the rank r1[a1_i + b1_j] + r2[a2_i + b2_j] of its pair code in G.
+    Pair codes sort by the left factor first, so rank order is code order,
+    and ``_Marked`` dedupes the ranks in a mask of |G| bytes.
 
     Codes of SL2 pairs have at most |Gi| distinct parts on factor i, so the
     tables hold at most sum_i min(|a|, |Gi|) min(|b|, |Gi|) entries.  They
     are built only when that bound is below the |a| |b| products they
-    replace and at most ``FLUSH``, and only when the distinct parts keep to
-    it, as only codes outside the group fail to.  Sets of distinct codes in
-    a single-factor context never qualify: their left table alone would
-    hold all |a| |b| products.
+    replace and at most ``FLUSH``, when |G| <= 8 FLUSH, the bytes of the
+    products a merge may buffer, and only when the distinct parts keep to
+    the bound, as only codes outside the group fail to.  The ranks are
+    taken only when every table entry lies in its factor group.  Sets of
+    distinct codes in a single-factor context never qualify: their left
+    table alone would hold all |a| |b| products.
     """
     factors = [PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)]
     orders = [f.order for f in factors]
     bound = sum(min(a.size, g) * min(b.size, g) for g in orders)
-    if bound >= a.size * b.size or bound > FLUSH:
+    if bound >= a.size * b.size or bound > FLUSH or orders[0] * orders[1] > 8 * FLUSH:
         return None
     parts = [(x, y, unique_codes(x), unique_codes(y)) for x, y in zip(ctx.split(a), ctx.split(b))]
     if sum(ux.size * uy.size for _, _, ux, uy in parts) > bound:
         return None
-    (a1, b1, t1), (a2, b2, t2) = (
-        (np.searchsorted(ux, x) * uy.size, np.searchsorted(uy, y), _edge_products(f, ux, uy))
-        for f, (x, y, ux, uy) in zip(factors, parts)
+    tables = [_edge_products(f, ux, uy) for f, (_, _, ux, uy) in zip(factors, parts)]
+    groups = [sl2_codes(f.q1) for f in factors]
+    try:
+        r1, r2 = (index_sorted(t, g) for t, g in zip(tables, groups))
+    except KeyError:
+        return None
+    r1 *= orders[1]
+    (a1, b1), (a2, b2) = (
+        (np.searchsorted(ux, x) * uy.size, np.searchsorted(uy, y)) for x, y, ux, uy in parts
     )
-    t1 = ctx.join(t1, 0)
     return (
         lambda s: (a1[s], a2[s]),
         lambda s: (b1[s], b2[s]),
-        lambda x, y: t1[x[0] + y[0]] + t2[x[1] + y[1]],
+        lambda x, y: r1[x[0] + y[0]] + r2[x[1] + y[1]],
+        _Marked(ctx, *groups),
     )
-
-
-def _merge(buf: list[np.ndarray], acc: np.ndarray) -> np.ndarray:
-    """unique_codes of the buffered blocks and ``acc``.  Empties ``buf``
-    before the sort, so the blocks are freed before the sorted copy exists."""
-    merged = np.concatenate(buf + [acc])
-    buf.clear()
-    return unique_codes(merged)

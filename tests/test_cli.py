@@ -254,11 +254,17 @@ def test_bad_input_exits_1_without_run_dir(tmp_path, capsys, argv):
         ["addcomb", "--q", "12", "--gamma", "1000"],
         ["growth", "--set", "full", "--q1", "3", "--q2", "1", "--delta", "nan"],
         ["growth", "--set", "full", "--q1", "3", "--q2", "1", "--delta", "1e300"],
+        ["addcomb", "--q", "12", "--trials", "0"],
+        ["lemma-check", "--lemma", "bracket-span", "--trials", "0"],
+        ["nonconc", "--event", "lower-left", "--lmin", "5", "--lmax", "3"],
+        ["nonconc", "--event", "lower-left", "--lstep", "0"],
+        ["nonconc", "--event", "lower-left", "--lstep", "-1"],
     ],
     ids=["tol-inf", "tol-0.5", "tol0", "tol-nan", "moduli-comma", "moduli-empty", "rho2",
          "rho-0.5", "rho-inf", "epsilon-1/0", "density1.5", "density-1", "density1e300",
          "trials0", "trials-1", "nmin0", "nmin-above-nmax", "a-size-1", "a-size0", "cap0",
-         "gamma-nan", "gamma1000", "delta-nan", "delta1e300"],
+         "gamma-nan", "gamma1000", "delta-nan", "delta1e300", "addcomb-trials0",
+         "lemma-trials0", "lmin-above-lmax", "lstep0", "lstep-1"],
 )
 def test_out_of_domain_option_exits_64_without_run_dir(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path), *argv]) == 64
@@ -269,32 +275,39 @@ def test_out_of_domain_option_exits_64_without_run_dir(tmp_path, capsys, argv):
 
 EDGE_VALUES = ["0", "1", "-1", "-0.5", "nan", "inf", "-inf", "1e300", "1e-300", "", ",", "1/0"]
 # each option the parser checks, with the rest of a small run around it
-DOMAIN_OPTIONS = {
-    "--tol": ["spectral", "--moduli", "3", "--no-pair"],
-    "--moduli": ["spectral", "--no-pair"],
-    "--rho": ["approxhom", "--trials", "2", "--nmin", "20", "--nmax", "30"],
-    "--epsilon": ["approxhom", "--trials", "2", "--nmin", "20", "--nmax", "30"],
-    "--density": ["addcomb", "--q", "12", "--trials", "2"],
-    "--trials": ["approxhom", "--nmin", "20", "--nmax", "30"],
-    "--nmin": ["approxhom", "--trials", "2", "--nmax", "30"],
-    "--nmax": ["approxhom", "--trials", "2", "--nmin", "1"],
-    "--a-size": ["glue", "--q2", "2", "--q3", "2", "--a", "dense"],
-    "--cap": ["glue", "--q2", "2", "--q3", "2"],
-    "--gamma": ["addcomb", "--q", "12", "--trials", "2"],
-    "--delta": ["growth", "--set", "full", "--q1", "3", "--q2", "1", "--kmax", "2"],
-}
+NONCONC = ["nonconc", "--event", "lower-left", "--Q", "3"]
+DOMAIN_OPTIONS = [
+    ("--tol", ["spectral", "--moduli", "3", "--no-pair"]),
+    ("--moduli", ["spectral", "--no-pair"]),
+    ("--rho", ["approxhom", "--trials", "2", "--nmin", "20", "--nmax", "30"]),
+    ("--epsilon", ["approxhom", "--trials", "2", "--nmin", "20", "--nmax", "30"]),
+    ("--density", ["addcomb", "--q", "12", "--trials", "2"]),
+    ("--trials", ["approxhom", "--nmin", "20", "--nmax", "30"]),
+    ("--trials", ["addcomb", "--q", "12"]),
+    ("--trials", ["lemma-check", "--lemma", "bracket-span", "--q", "15"]),
+    ("--nmin", ["approxhom", "--trials", "2", "--nmax", "30"]),
+    ("--nmax", ["approxhom", "--trials", "2", "--nmin", "1"]),
+    ("--lmin", [*NONCONC, "--lmax", "2"]),
+    ("--lmax", [*NONCONC, "--lmin", "1"]),
+    ("--lstep", [*NONCONC, "--lmin", "1", "--lmax", "2"]),
+    ("--a-size", ["glue", "--q2", "2", "--q3", "2", "--a", "dense"]),
+    ("--cap", ["glue", "--q2", "2", "--q3", "2"]),
+    ("--gamma", ["addcomb", "--q", "12", "--trials", "2"]),
+    ("--delta", ["growth", "--set", "full", "--q1", "3", "--q2", "1", "--kmax", "2"]),
+]
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(
-    option=st.sampled_from(sorted(DOMAIN_OPTIONS)),
+    case=st.sampled_from(DOMAIN_OPTIONS),
     value=st.one_of(st.sampled_from(EDGE_VALUES), st.floats().map(repr)),
 )
-def test_option_edge_values_exit_cleanly(option, value):
+def test_option_edge_values_exit_cleanly(case, value):
+    option, run = case
     with tempfile.TemporaryDirectory() as out:
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["--out", out, *DOMAIN_OPTIONS[option], f"{option}={value}"])
+            code = main(["--out", out, *run, f"{option}={value}"])
         runs = list(Path(out).glob("run-*"))
     assert code in (0, 1, 2, 64)
     assert "Traceback" not in err.getvalue()
@@ -323,6 +336,15 @@ def test_glue_cap_that_skips_the_search_exits_1(tmp_path, capsys):
     assert main(["--out", str(tmp_path), *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cap 1 skipped 1 of 1 divisor pairs") and err.count("\n") == 1
+    assert not list(tmp_path.glob("run-*"))
+
+
+def test_glue_cap_that_stops_a_closure_exits_1(tmp_path, capsys):
+    # a cap of 1000 lets the section search through and stops the closure
+    # of the one-parameter case: an error, not a report of no expansion
+    argv = ["glue", "--q2", "5", "--q3", "5", "--a", "dense", "--cap", "1000"]
+    assert main(["--out", str(tmp_path), *argv]) == 1
+    assert capsys.readouterr().err == "error: generated subgroup exceeds cap 1000\n"
     assert not list(tmp_path.glob("run-*"))
 
 

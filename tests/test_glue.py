@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -204,47 +205,29 @@ def test_commutator_depth_certificate_is_replayed(monkeypatch):
     assert not replay_certificates(report)
 
 
-def test_refused_closure_is_one_incomplete_row(monkeypatch):
-    # each scenario whose closure fails records one incomplete row with its
-    # own reason, after the stages and certificates it reached
-    section = {"stage": "section", "power": 1, "d1": 1, "d2": 1}
+def test_refused_closure_reaches_the_caller(monkeypatch):
+    # a cap that stops a scenario's closure is not a finding: its ValueError
+    # leaves glue_pipeline from each of the three scenarios that close
     cfg5 = quiet_config(q1=ONE, q2=Q5, q3=Q5, theta=0.3, cap=300_000)
     cases = [
-        (
-            GroupSet.full_group(Q5, Q5), cfg5, None,
-            [{**section, "domain_size": 120}],
-            ["section-valid", "defect-element-kernel", "defect-element-depth"],
-            {"stage": "defect-case", "reason": "closure exceeded cap"},
-        ),
-        (
-            *congruence_kernel_case(), None,
-            [{**section, "domain_size": 144}],
-            ["section-valid", "commutator-depth"],
-            {"stage": "commutator-case", "reason": "closure cap"},
-        ),
-        (
-            diagonal_set(Q5), cfg5, dense_ball(5, 4000),
-            [
-                {**section, "domain_size": 120},
-                {"stage": "one-parameter-set", "generator": 28170, "orbit_size": 4},
-            ],
-            ["section-valid"],
-            {"stage": "one-parameter-case", "reason": "closure cap"},
-        ),
+        (GroupSet.full_group(Q5, Q5), cfg5, None, "_run_defect_case"),
+        (*congruence_kernel_case(), None, "_run_commutator_case"),
+        (diagonal_set(Q5), cfg5, dense_ball(5, 4000), "_run_one_parameter_case"),
     ]
+    callers = []
 
     def refuse(ctx, gens, cap):
+        callers.append(sys._getframe(1).f_code.co_name)
         raise ValueError(f"generated subgroup exceeds cap {cap}")
 
     monkeypatch.setattr(glue, "generated_subgroup", refuse)
-    for b, cfg, a, stages, kinds, row in cases:
+    for b, cfg, a, caller in cases:
+        callers.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # |B| is below the growth size hypothesis
-            rep = glue_pipeline(b, cfg, a=a)
-        assert rep.stages == stages
-        assert [c["kind"] for c in rep.certificates] == kinds
-        assert rep.incomplete == [row]
-        assert rep.q3_star == 1 and rep.no_expansion
+            with pytest.raises(ValueError, match=f"exceeds cap {cfg.cap}"):
+                glue_pipeline(b, cfg, a=a)
+        assert callers == [caller]
 
 
 def test_diagonal_without_a_reports_no_expansion():

@@ -623,13 +623,19 @@ def test_mul_codes_stops_once_the_group_is_full(monkeypatch):
     rng = np.random.default_rng(1)
     a, b = (np.sort(rng.choice(full, size=4000, replace=False)) for _ in range(2))
     blocks = []
-    orig = packed._merge
+    table_route = packed._table_route
 
-    def counted(buf, acc):
-        blocks.extend(block.size for block in buf)
-        return orig(buf, acc)
+    def counted(*args):
+        a_parts, b_parts, product, found = table_route(*args)
 
-    monkeypatch.setattr(packed, "_merge", counted)
+        def spy(x, y):
+            out = product(x, y)
+            blocks.append(out.size)
+            return out
+
+        return a_parts, b_parts, spy, found
+
+    monkeypatch.setattr(packed, "_table_route", counted)
     assert np.array_equal(mul_codes(ctx, a, b), full)
     # rows of 4000 products, BLOCK // 4000 = 65 rows a block: 62 blocks in all
     assert blocks == [65 * 4000]
@@ -732,6 +738,7 @@ def test_mul_codes_pair_routes_match_bruteforce(monkeypatch):
         return out
 
     monkeypatch.setattr(packed, "_edge_products", recorded)
+    outcomes = set()
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -748,6 +755,20 @@ def test_mul_codes_pair_routes_match_bruteforce(monkeypatch):
     @example(
         moduli=(2, 2), kind="digits", sizes=(60, 60), shares=(1.0, 1.0), pool=16,
         block=512, flush=20_000, seed=0,
+    )
+    # tables within the bound, with entries outside SL2(Z/3)
+    @example(
+        moduli=(3, 2), kind="digits", sizes=(60, 60), shares=(1.0, 1.0), pool=3,
+        block=512, flush=20_000, seed=0,
+    )
+    # tables within the bound and FLUSH, with |G| = 5760 <= 8 FLUSH and above
+    @example(
+        moduli=(5, 4), kind="random", sizes=(200, 2), shares=(1.0, 1.0), pool=1,
+        block=512, flush=20_000, seed=0,
+    )
+    @example(
+        moduli=(5, 4), kind="random", sizes=(200, 2), shares=(1.0, 1.0), pool=1,
+        block=512, flush=500, seed=0,
     )
     def check(moduli, kind, sizes, shares, pool, block, flush, seed):
         rng = random.Random(seed)
@@ -778,16 +799,33 @@ def test_mul_codes_pair_routes_match_bruteforce(monkeypatch):
                 assert len(brute) >= ctx.order
                 with pytest.raises(ValueError):
                     ctx.check_codes(codes_of(ctx, xs + ys))
-                return
-        assert got.dtype == np.int64
-        assert got.tolist() == brute
-        # the tables keep to their bound, which is below |a| |b| and FLUSH
+                got = None
+        # the route taken, and why the mask route was not
         orders = [PairContext(q, 1).order for q in moduli]
         bound = sum(min(len(xs), g) * min(len(ys), g) for g in orders)
+        in_group = isin_sorted(np.array(brute), full_pair_codes(q1, q2)).all()
+        if routes[-1]:
+            # the mask fits and every product lies in the group
+            assert ctx.order <= 8 * flush and in_group
+            outcomes.add("mask" if len(brute) < ctx.order else "mask, full group")
+        elif tables:
+            # the tables were built and hold an entry outside a factor group
+            assert not in_group
+            outcomes.add("outside")
+        elif bound >= len(xs) * len(ys) or bound > flush:
+            outcomes.add("size")
+        elif ctx.order > 8 * flush:
+            outcomes.add("mask bytes")
+        else:
+            outcomes.add("parts")
+        # the tables keep to their bound, which is below |a| |b| and FLUSH
         assert sum(tables) <= min(bound, flush, len(xs) * len(ys) - 1)
+        if got is not None:
+            assert got.dtype == np.int64
+            assert got.tolist() == brute
 
     check()
-    assert set(routes) == {False, True}
+    assert outcomes == {"mask", "mask, full group", "outside", "size", "mask bytes", "parts"}
 
 
 @settings(max_examples=40, deadline=None)
