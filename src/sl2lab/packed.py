@@ -488,9 +488,7 @@ def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         x = [col[None, :] for col in long_parts(slice(i, i + n_last))]
         for j in range(0, short.size, n_first):
             y = [col[j : j + n_first] for col in short_cols]
-            block = (product(x, y) if a_last else product(y, x)).ravel()
-            found.add(block)
-            added += block.size
+            added += found.add((product(x, y) if a_last else product(y, x)).ravel())
             if added >= min(FLUSH, max(order - counted, counted)):
                 counted = found.count()
                 added = 0
@@ -503,14 +501,17 @@ def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _Merged:
     """The distinct codes of the blocks added: they wait in a buffer until
-    ``count`` merges them into ``acc`` with ``unique_codes``."""
+    ``count`` merges them into ``acc`` with ``unique_codes``.  ``add`` takes
+    the only reference to a block and returns its size, so that a merge
+    frees every block before the sorted copy exists."""
 
     def __init__(self):
         self.buf: list[np.ndarray] = []
         self.acc = np.array([], dtype=np.int64)
 
-    def add(self, block: np.ndarray):
+    def add(self, block: np.ndarray) -> int:
         self.buf.append(block)
+        return block.size
 
     def count(self) -> int:
         if self.buf:
@@ -534,8 +535,9 @@ class _Marked:
         self.ctx, self.g1, self.g2 = ctx, g1, g2
         self.mask = np.zeros(g1.size * g2.size, dtype=bool)
 
-    def add(self, ranks: np.ndarray):
+    def add(self, ranks: np.ndarray) -> int:
         self.mask[ranks] = True
+        return ranks.size
 
     def count(self) -> int:
         return int(np.count_nonzero(self.mask))
