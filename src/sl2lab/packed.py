@@ -464,8 +464,8 @@ def mul_codes(ctx: PairContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     product can add to it.  The distinct products are counted once the
     products added since the last count number min(FLUSH, max(order -
     counted, counted)): a product that could fill the group is checked block
-    by block, and a merge below FLUSH sorts at most twice what it adds.  When the exit
-    fires, ``a`` and ``b`` must be codes of SL2 pairs
+    by block, and a merge below FLUSH sorts at most twice what it adds.
+    When the exit fires, ``a`` and ``b`` must be codes of SL2 pairs
     (``PairContext.check_codes``), or ValueError: one code outside the group
     makes the group the wrong answer, even when every product found so far
     lies in it.
