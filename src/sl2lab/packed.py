@@ -516,7 +516,6 @@ class _Merged:
     def count(self) -> int:
         if self.buf:
             merged = np.concatenate(self.buf + [self.acc])
-            # the blocks are freed before the sorted copy exists
             self.buf.clear()
             self.acc = unique_codes(merged)
         return self.acc.size
