@@ -9,7 +9,8 @@ column).  Exit codes: 0 success, 2 verified-hypothesis-failure report,
 out-of-range values would yield a wrong number, a vacuous run or a bare
 traceback: --tol, --rho, --density, --epsilon, --moduli, --gamma, --delta,
 the --trials of approxhom, addcomb and lemma-check, approxhom's --nmin and
---nmax, nonconc's --lmin, --lmax and --lstep, and glue's --a-size and --cap.
+--nmax, nonconc's --lmin, --lmax and --lstep, glue's --a-size and --cap,
+growth's --kmax and addcomb's --q.
 """
 
 from __future__ import annotations
@@ -536,7 +537,7 @@ def build_parser() -> _Parser:
     gr.add_argument("--q1", type=int, required=True)
     gr.add_argument("--q2", type=int, required=True)
     gr.add_argument("--delta", type=delta, default=0.04)
-    gr.add_argument("--kmax", type=int, default=12)
+    gr.add_argument("--kmax", type=positive, default=12)
     gr.set_defaults(func=cmd_growth)
 
     nc = sub.add_parser("nonconc", help="random-walk non-concentration")
@@ -551,7 +552,7 @@ def build_parser() -> _Parser:
     nc.set_defaults(func=cmd_nonconc)
 
     ac = sub.add_parser("addcomb", help="sumset covering trials")
-    ac.add_argument("--q", type=int, required=True)
+    ac.add_argument("--q", type=positive, required=True)
     ac.add_argument("--density", type=density, default=0.8)
     ac.add_argument("--folds", type=int, default=24)
     ac.add_argument("--trials", type=positive, default=20)

@@ -9,18 +9,19 @@ set spanned by conjugation), and reports the exact congruence coverage it
 achieved.  Every containment the report asserts is replayed through an
 independent membership oracle before the report is returned; stages that
 cannot complete say so, with the congruence target that failed.  A cap
-that cuts the section search or a scenario's closure short is not such a
-finding: its ValueError reaches the caller.  The pipeline is a guided
-experiment, not a proof engine.
+that cuts the section search, a scenario's closure or the final assembly's
+powers short is not such a finding: its ValueError reaches the caller.  The
+pipeline is a guided experiment, not a proof engine.
 
 Certificates are plain ``{"kind", "params", "verified"}`` records, made
 JSON-ready once when ``GluingReport.add_certificate`` appends them, and
 ``replay_certificates`` reads their ``verified`` fields.  Sets go through the
 set layer: kernel coverage reduces the closure with ``GroupSet.reduce_to``
 and tests each Lambda(m)/Lambda(d) with ``growth.covers_congruence``, and
-the final assembly measures ``GroupSet.reduce_to`` of the powers.  The
-q3-side tables keep the packed codes they were built from
-(``FiniteGroupTable.codes``), so the section's lifts index into them
+the final assembly reduces U = B u A to (q1*q3*, q2) once and forms the
+powers of U there, since reduction is a homomorphism; its cap is an error
+like the others.  The q3-side tables keep the packed codes they were built
+from (``FiniteGroupTable.codes``), so the section's lifts index into them
 directly.
 """
 
@@ -286,19 +287,16 @@ def glue_pipeline(
     report.no_expansion = q3_star == 1
 
     # --- final assembly: coverage density of (B u A)-powers -----------------
-    union = b if a is None else b.union(a)
     target_left = FactoredModulus.of(cfg.q1.value * q3_star)
+    union = (b if a is None else b.union(a)).reduce_to(target_left, cfg.q2)
     order = group_order(target_left) * group_order(cfg.q2)
     cur = union
     sizes = []
     for power in range(1, 5):
-        sizes.append(len(cur.reduce_to(target_left, cfg.q2)))
+        sizes.append(len(cur))
         if sizes[-1] == order or power == 4:
             break
-        try:
-            cur = product_set(cur, union, cfg.cap)
-        except ValueError:
-            break
+        cur = product_set(cur, union, cfg.cap)
     denom = cfg.q1.value * cfg.q2.value * q3_star
     density_exp = (
         math.log(sizes[-1]) / math.log(denom) if denom > 1 and sizes[-1] > 1 else 0.0

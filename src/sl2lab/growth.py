@@ -178,8 +178,11 @@ def bounded_generation_search(
     The size hypothesis |A| > (q1 q2)^{3 - delta} is advisory: violations
     warn and the search proceeds.  Pairs whose congruence subgroup exceeds
     ``cap`` are skipped; when one was skipped and no other pair is found,
-    the search raises ValueError, since the cap, not A, ended it.
+    the search raises ValueError, since the cap, not A, ended it, and so
+    does a ``k_max`` below 1, which tries no power.
     """
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     qq = a.q1.value * a.q2.value
     if qq > 1 and len(a) <= qq ** (3 - delta):
         warnings.warn(

@@ -18,30 +18,31 @@ such as conjugates and commutators;
 ``mul_codes`` forms broadcast blocks of ``BLOCK`` products by one of two
 routes.  The table route multiplies, per factor, the distinct parts of the
 two sets once, with ``_product`` in the factor context, and keeps each
-table entry as its rank: its index in ``sl2_codes(qi)``, the left ranks
-scaled by |G2|.  A pair product is then the rank r1[i1] + r2[i2] of its
-code in G = G1 x G2.  Pair codes sort by the left factor first, so rank
+table entry as its rank: its index among the sorted distinct entries ui of
+its own table, the left ranks scaled by |u2|.  A pair product is then the
+rank r1[i1] + r2[i2] of its code among the pair codes of u1 x u2, and no
+group is enumerated.  Pair codes sort by the left factor first, so rank
 order is sorted-code order, and the products are deduped by marking a mask
-of |G| = ``ctx.order`` bytes; the sorted codes are those of the marked
-ranks, g1[r // |G2|] q2^4 + g2[r % |G2|], with no sort.  The route is
-taken when the tables hold fewer entries than the |a| |b| products and at
-most ``FLUSH``, the bound on buffered products, when |G| <= 8 ``FLUSH``,
-the bytes those products fill, and when every table entry lies in its
-factor group.  Each table is bounded by min(|a|, |Gi|) min(|b|, |Gi|),
-which needs no sort; sets of distinct codes in a single-factor context
-never pass, since their one table would hold every product.  The digit
-route decodes each set once, feeds ``_product`` the blocks and merges the
-codes with ``unique_codes``.  The block size is a constant, not a share of
-the merge threshold ``FLUSH``, because each digit block holds about a
-dozen int64 temporaries of its size: peak memory then stays bounded
-whatever the sizes of the two sets.  ``mul_codes`` stops once its distinct
-products number |G|: they are then the whole group, and dense sets fill a
-quasirandom group after few products (Gowers, "Quasirandom groups", 2008).
-To see that moment, the distinct products are counted, by a merge or by
-counting the marks, once the products added since the last count number at
-least min(FLUSH, max(|G| - counted, counted)): block by block while a block
-could fill the group, and otherwise with a merge that sorts at most twice
-what it adds, or once every FLUSH products.
+of |u1| |u2| bytes; the sorted codes are those of the marked ranks,
+u1[r // |u2|] q2^4 + u2[r % |u2|], with no sort.  The route is taken when
+the tables hold fewer entries than the |a| |b| products and at most
+``FLUSH``, the bound on buffered products, and when |u1| |u2| <= 8
+``FLUSH``, the bytes those products fill.  Each table is bounded by
+min(|a|, |Gi|) min(|b|, |Gi|), which needs no sort; sets of distinct codes
+in a single-factor context never pass, since their one table would hold
+every product.  The digit route decodes each set once, feeds ``_product``
+the blocks and merges the codes with ``unique_codes``.  The block size is a
+constant, not a share of the merge threshold ``FLUSH``, because each digit
+block holds about a dozen int64 temporaries of its size: peak memory then
+stays bounded whatever the sizes of the two sets.  ``mul_codes`` stops
+once its distinct products number |G|: they are then the whole group, and
+dense sets fill a quasirandom group after few products (Gowers,
+"Quasirandom groups", 2008).  To see that moment, the distinct products are
+counted, by a merge or by counting the marks, once the products added
+since the last count number at least min(FLUSH, max(|G| - counted,
+counted)): block by block while a block could fill the group, and
+otherwise with a merge that sorts at most twice what it adds, or once
+every FLUSH products.
 
 ``one_mod`` is the one test of 2x2 digit arrays for x = 1 mod d, and
 ``PairContext.kernel_mask(codes, d1, d2)`` applies it to both factors: the
@@ -80,7 +81,7 @@ sorted order: the codes of H are the array a search over pair codes returns.
 
 Every dedupe and union of code arrays goes through ``unique_codes``, one
 ``np.sort`` and a mask of adjacent differences, but one: the table route of
-``mul_codes`` dedupes ranks in its mask over the group, with no sort.
+``mul_codes`` dedupes ranks in its mask over u1 x u2, with no sort.
 ``np.unique`` returns the same sorted distinct array, but numpy 2.4 routes
 it through a hash table and then sorts the result, which on int64 codes is
 5 to 100 times slower.
@@ -299,8 +300,6 @@ def sl2_codes(q: int) -> np.ndarray:
     (c, d) is the coset (c0 + t*a, d0 + t*b).
     """
     ctx = PairContext(q, 1)
-    if q == 1:
-        return np.array([ctx.identity_code()], dtype=np.int64)
     rows = []
     t = np.arange(q, dtype=np.int64)
     for a in range(q):
@@ -526,13 +525,13 @@ class _Merged:
 
 
 class _Marked:
-    """The distinct ranks of the blocks added, marked in a mask of |G1| |G2|
-    bytes; rank r is the pair of ``g1[r // |G2|]`` and ``g2[r % |G2|]``,
-    the sorted codes of the two factor groups."""
+    """The distinct ranks of the blocks added, marked in a mask of |u1| |u2|
+    bytes; rank r is the pair of ``u1[r // |u2|]`` and ``u2[r % |u2|]``,
+    the sorted distinct entries of the two factor tables."""
 
-    def __init__(self, ctx: PairContext, g1: np.ndarray, g2: np.ndarray):
-        self.ctx, self.g1, self.g2 = ctx, g1, g2
-        self.mask = np.zeros(g1.size * g2.size, dtype=bool)
+    def __init__(self, ctx: PairContext, u1: np.ndarray, u2: np.ndarray):
+        self.ctx, self.u1, self.u2 = ctx, u1, u2
+        self.mask = np.zeros(u1.size * u2.size, dtype=bool)
 
     def add(self, ranks: np.ndarray) -> int:
         self.mask[ranks] = True
@@ -543,7 +542,7 @@ class _Marked:
 
     def codes(self) -> np.ndarray:
         r = np.flatnonzero(self.mask)
-        return self.ctx.join(self.g1[r // self.g2.size], self.g2[r % self.g2.size])
+        return self.ctx.join(self.u1[r // self.u2.size], self.u2[r % self.u2.size])
 
 
 def _digit_route(ctx: PairContext, a: np.ndarray, b: np.ndarray):
@@ -565,38 +564,39 @@ def _table_route(ctx: PairContext, a: np.ndarray, b: np.ndarray):
 
     The table of factor i holds the products u v of the distinct parts u of
     ``a`` and v of ``b`` on that factor, in row-major order, formed by
-    ``_edge_products`` in the factor context, as ranks: indices in
-    ``sl2_codes(qi)``, the left ones scaled by |G2|.  parts(s) gives the
-    table offsets of a slice of one set, and the product of a_i and b_j is
-    the rank r1[a1_i + b1_j] + r2[a2_i + b2_j] of its pair code in G.
-    Pair codes sort by the left factor first, so rank order is code order,
-    and ``_Marked`` dedupes the ranks in a mask of |G| bytes.
+    ``_edge_products`` in the factor context, as ranks: indices among the
+    sorted distinct entries ui of that table, the left ones scaled by |u2|.
+    No group is enumerated.  parts(s) gives the table offsets of a slice of
+    one set, and the product of a_i and b_j is the rank
+    r1[a1_i + b1_j] + r2[a2_i + b2_j] of its code among the pair codes of
+    u1 x u2.  Pair codes sort by the left factor first, so rank order is
+    code order, and ``_Marked`` dedupes the ranks in a mask of |u1| |u2|
+    bytes.
 
     Codes of SL2 pairs have at most |Gi| distinct parts on factor i, so the
     tables hold at most sum_i min(|a|, |Gi|) min(|b|, |Gi|) entries.  They
     are built only when that bound is below the |a| |b| products they
-    replace and at most ``FLUSH``, when |G| <= 8 FLUSH, the bytes of the
-    products a merge may buffer, and only when the distinct parts keep to
+    replace and at most ``FLUSH``, and only when the distinct parts keep to
     the bound, as only codes outside the group fail to.  The ranks are
-    taken only when every table entry lies in its factor group.  Sets of
-    distinct codes in a single-factor context never qualify: their left
-    table alone would hold all |a| |b| products.
+    taken only when |u1| |u2| <= 8 FLUSH, the bytes of the products a merge
+    may buffer.  Sets of distinct codes in a single-factor context never
+    qualify: their left table alone would hold all |a| |b| products.
     """
     factors = [PairContext(ctx.q1, 1), PairContext(ctx.q2, 1)]
     orders = [f.order for f in factors]
     bound = sum(min(a.size, g) * min(b.size, g) for g in orders)
-    if bound >= a.size * b.size or bound > FLUSH or orders[0] * orders[1] > 8 * FLUSH:
+    if bound >= a.size * b.size or bound > FLUSH:
         return None
     parts = [(x, y, unique_codes(x), unique_codes(y)) for x, y in zip(ctx.split(a), ctx.split(b))]
     if sum(ux.size * uy.size for _, _, ux, uy in parts) > bound:
         return None
     tables = [_edge_products(f, ux, uy) for f, (_, _, ux, uy) in zip(factors, parts)]
-    groups = [sl2_codes(f.q1) for f in factors]
-    try:
-        r1, r2 = (index_sorted(t, g) for t, g in zip(tables, groups))
-    except KeyError:
+    u1, u2 = (unique_codes(t) for t in tables)
+    if u1.size * u2.size > 8 * FLUSH:
         return None
-    r1 *= orders[1]
+    # exact: every entry of a table is among its own distinct entries
+    r1, r2 = (np.searchsorted(u, t) for u, t in zip((u1, u2), tables))
+    r1 *= u2.size
     (a1, b1), (a2, b2) = (
         (np.searchsorted(ux, x) * uy.size, np.searchsorted(uy, y)) for x, y, ux, uy in parts
     )
@@ -604,5 +604,5 @@ def _table_route(ctx: PairContext, a: np.ndarray, b: np.ndarray):
         lambda s: (a1[s], a2[s]),
         lambda s: (b1[s], b2[s]),
         lambda x, y: r1[x[0] + y[0]] + r2[x[1] + y[1]],
-        _Marked(ctx, *groups),
+        _Marked(ctx, u1, u2),
     )

@@ -259,12 +259,15 @@ def test_bad_input_exits_1_without_run_dir(tmp_path, capsys, argv):
         ["nonconc", "--event", "lower-left", "--lmin", "5", "--lmax", "3"],
         ["nonconc", "--event", "lower-left", "--lstep", "0"],
         ["nonconc", "--event", "lower-left", "--lstep", "-1"],
+        ["growth", "--set", "full", "--q1", "5", "--q2", "4", "--kmax", "0"],
+        ["growth", "--set", "full", "--q1", "5", "--q2", "4", "--kmax", "-1"],
+        ["addcomb", "--q", "0"],
     ],
     ids=["tol-inf", "tol-0.5", "tol0", "tol-nan", "moduli-comma", "moduli-empty", "rho2",
          "rho-0.5", "rho-inf", "epsilon-1/0", "density1.5", "density-1", "density1e300",
          "trials0", "trials-1", "nmin0", "nmin-above-nmax", "a-size-1", "a-size0", "cap0",
          "gamma-nan", "gamma1000", "delta-nan", "delta1e300", "addcomb-trials0",
-         "lemma-trials0", "lmin-above-lmax", "lstep0", "lstep-1"],
+         "lemma-trials0", "lmin-above-lmax", "lstep0", "lstep-1", "kmax0", "kmax-1", "addcomb-q0"],
 )
 def test_out_of_domain_option_exits_64_without_run_dir(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path), *argv]) == 64
@@ -294,6 +297,8 @@ DOMAIN_OPTIONS = [
     ("--cap", ["glue", "--q2", "2", "--q3", "2"]),
     ("--gamma", ["addcomb", "--q", "12", "--trials", "2"]),
     ("--delta", ["growth", "--set", "full", "--q1", "3", "--q2", "1", "--kmax", "2"]),
+    ("--kmax", ["growth", "--set", "full", "--q1", "3", "--q2", "1"]),
+    ("--q", ["addcomb", "--trials", "2"]),
 ]
 
 
@@ -345,6 +350,15 @@ def test_glue_cap_that_stops_a_closure_exits_1(tmp_path, capsys):
     argv = ["glue", "--q2", "5", "--q3", "5", "--a", "dense", "--cap", "1000"]
     assert main(["--out", str(tmp_path), *argv]) == 1
     assert capsys.readouterr().err == "error: generated subgroup exceeds cap 1000\n"
+    assert not list(tmp_path.glob("run-*"))
+
+
+def test_glue_cap_that_stops_the_final_assembly_exits_1(tmp_path, capsys):
+    # U^2 fills SL2(Z/8)^2, one element more than the cap: an error, not a
+    # report whose sizes_by_power ends at U
+    argv = ["glue", "--q2", "8", "--q3", "8", "--b", "diagonal", "--a", "dense", "--cap", "147455"]
+    assert main(["--out", str(tmp_path), *argv]) == 1
+    assert capsys.readouterr().err == "error: product set size 147456 exceeds cap 147455\n"
     assert not list(tmp_path.glob("run-*"))
 
 

@@ -11,7 +11,7 @@ from sl2lab import glue
 from sl2lab.factored import ONE, FactoredModulus
 from sl2lab.cli import main
 from sl2lab.glue import GluingConfig, GluingReport, glue_pipeline, replay_certificates
-from sl2lab.growth import GroupSet
+from sl2lab.growth import GroupSet, product_set
 from sl2lab.packed import PairContext, generated_subgroup, sl2_codes
 from sl2lab.sl2 import PairElement, enumerate_group
 from sl2lab.spectral import unit_dense_pair_generators
@@ -332,3 +332,32 @@ def test_glue_cli_dense_a_fills_the_group_in_two_powers(tmp_path):
     (run,) = tmp_path.glob("run-*")
     rep = json.loads((run / "glue.json").read_text())
     assert rep["coverage"]["sizes_by_power"] == [4092, 14400]
+
+
+def test_final_assembly_forms_its_powers_at_the_target_modulus(monkeypatch):
+    # q3* = 4, a proper divisor of q3 = 8, makes the target (4, 8) a proper
+    # reduction, where U = B u A is not yet the whole group: each power is
+    # formed there, and its size is that of the full-modulus power reduced
+    q8, q4 = FactoredModulus.of(8), FactoredModulus.of(4)
+    monkeypatch.setattr(glue, "_run_one_parameter_case", lambda *args: (4, 1))
+    contexts = []
+
+    def recorded(a, b, cap):
+        contexts.append({(a.q1, a.q2), (b.q1, b.q2)})
+        return product_set(a, b, cap)
+
+    monkeypatch.setattr(glue, "product_set", recorded)
+    cfg = quiet_config(q1=ONE, q2=q8, q3=q8, theta=0.3, cap=500_000)
+    b, a = diagonal_set(q8), dense_ball(8, 4000)
+    rep = glue_pipeline(b, cfg, a=a)
+    assert rep.q3_star == 4 and rep.coverage["target_moduli"] == [4, 8]
+    assert contexts and all(c == {(q4, q8)} for c in contexts)
+    union = b.union(a)
+    cur, sizes = union, []
+    for _ in range(4):
+        sizes.append(len(cur.reduce_to(q4, q8)))
+        if sizes[-1] == rep.coverage["group_order"]:
+            break
+        cur = product_set(cur, union, cfg.cap)
+    assert sizes[0] < rep.coverage["group_order"]
+    assert rep.coverage["sizes_by_power"] == sizes

@@ -165,6 +165,10 @@ def test_bounded_generation_full_group():
     res = bounded_generation_search(g, k_max=4)
     assert res.found and res.k == 1
     assert res.q1p == ONE and res.q2p == ONE
+    # a search that tries no power is refused, not reported as not found
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            bounded_generation_search(g, k_max=k_max)
 
 
 def test_bounded_generation_near_full():

@@ -550,6 +550,42 @@ def test_no_lapack_in_src():
     assert offenders == []
 
 
+# the handlers of src/ that end a caught ValueError, KeyError, Exception or
+# any error without raising, each with the reason it may
+RESULT_HANDLERS = {
+    "cli.main": "prints the error and returns its exit code",
+    "cli.cmd_lemma_check": "redraws a degenerate bracket-span pair, in at most 100 draws per trial",
+}
+
+
+def _handlers(node, where: str):
+    """(innermost enclosing function, handler) for each except clause below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield from _handlers(child, child.name)
+        else:
+            if isinstance(child, ast.ExceptHandler):
+                yield where, child
+            yield from _handlers(child, where)
+
+
+def test_no_handler_stands_in_for_a_result():
+    # a library error is never read as a result: an except clause that
+    # catches ValueError, KeyError, Exception or everything raises again,
+    # unless it is one of RESULT_HANDLERS
+    broad = {"ValueError", "KeyError", "Exception"}
+    src = Path(packed.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for where, handler in _handlers(ast.parse(path.read_text()), "<module>"):
+            caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            names = {ast.unparse(t).rpartition(".")[2] for t in caught if t is not None}
+            raises = any(isinstance(n, ast.Raise) for stmt in handler.body for n in ast.walk(stmt))
+            if (handler.type is None or names & broad) and not raises:
+                found.append(f"{path.stem}.{where}")
+    assert sorted(found) == sorted(RESULT_HANDLERS)
+
+
 def test_isin_and_index_sorted():
     table = np.array([2, 5, 9, 11], dtype=np.int64)
     vals = np.array([5, 3, 11], dtype=np.int64)
@@ -615,13 +651,16 @@ def test_mul_codes_saturating_matches_bruteforce(moduli, shares, block, flush, s
     assert got.tolist() == sorted(brute)
 
 
-def test_mul_codes_stops_once_the_group_is_full(monkeypatch):
-    # two random quarters of SL2(Z/5)^2 fill it within the first block of
-    # products, so the other 61 blocks are never formed
-    ctx = PairContext(5, 5)
+def saturating_quarters() -> tuple[PairContext, np.ndarray, np.ndarray, np.ndarray]:
+    """(ctx, G, a, b): two random quarters a, b of G = SL2(Z/5)^2."""
     full = full_pair_codes(5, 5)
     rng = np.random.default_rng(1)
     a, b = (np.sort(rng.choice(full, size=4000, replace=False)) for _ in range(2))
+    return PairContext(5, 5), full, a, b
+
+
+def table_blocks(monkeypatch) -> list[int]:
+    """Record the size of each block of products the table route forms."""
     blocks = []
     table_route = packed._table_route
 
@@ -636,8 +675,30 @@ def test_mul_codes_stops_once_the_group_is_full(monkeypatch):
         return a_parts, b_parts, spy, found
 
     monkeypatch.setattr(packed, "_table_route", counted)
+    return blocks
+
+
+def test_mul_codes_stops_once_the_group_is_full(monkeypatch):
+    # two random quarters of SL2(Z/5)^2 fill it within the first block of
+    # products, so the other 61 blocks are never formed
+    ctx, full, a, b = saturating_quarters()
+    blocks = table_blocks(monkeypatch)
     assert np.array_equal(mul_codes(ctx, a, b), full)
     # rows of 4000 products, BLOCK // 4000 = 65 rows a block: 62 blocks in all
+    assert blocks == [65 * 4000]
+
+
+def test_mask_route_enumerates_no_group(monkeypatch):
+    # the mask ranks the products among the distinct table entries, so the
+    # saturating product needs no list of a factor group's elements
+    ctx, full, a, b = saturating_quarters()
+    blocks = table_blocks(monkeypatch)
+
+    def refuse(q):
+        raise AssertionError(f"sl2_codes({q}) called")
+
+    monkeypatch.setattr(packed, "sl2_codes", refuse)
+    assert np.array_equal(mul_codes(ctx, a, b), full)
     assert blocks == [65 * 4000]
 
 
@@ -734,7 +795,7 @@ def test_mul_codes_pair_routes_match_bruteforce(monkeypatch):
 
     def recorded(*args):
         out = edge_products(*args)
-        tables.append(out.size)
+        tables.append(out)
         return out
 
     monkeypatch.setattr(packed, "_edge_products", recorded)
@@ -756,12 +817,13 @@ def test_mul_codes_pair_routes_match_bruteforce(monkeypatch):
         moduli=(2, 2), kind="digits", sizes=(60, 60), shares=(1.0, 1.0), pool=16,
         block=512, flush=20_000, seed=0,
     )
-    # tables within the bound, with entries outside SL2(Z/3)
+    # tables within the bound, with entries outside SL2(Z/3): the mask route
     @example(
         moduli=(3, 2), kind="digits", sizes=(60, 60), shares=(1.0, 1.0), pool=3,
         block=512, flush=20_000, seed=0,
     )
-    # tables within the bound and FLUSH, with |G| = 5760 <= 8 FLUSH and above
+    # tables within the bound and FLUSH, whose distinct entries fit a mask of
+    # 8 FLUSH bytes and do not
     @example(
         moduli=(5, 4), kind="random", sizes=(200, 2), shares=(1.0, 1.0), pool=1,
         block=512, flush=20_000, seed=0,
@@ -804,28 +866,32 @@ def test_mul_codes_pair_routes_match_bruteforce(monkeypatch):
         orders = [PairContext(q, 1).order for q in moduli]
         bound = sum(min(len(xs), g) * min(len(ys), g) for g in orders)
         in_group = isin_sorted(np.array(brute), full_pair_codes(q1, q2)).all()
+        mask_bytes = np.prod([np.unique(t).size for t in tables])
         if routes[-1]:
-            # the mask fits and every product lies in the group
-            assert ctx.order <= 8 * flush and in_group
-            outcomes.add("mask" if len(brute) < ctx.order else "mask, full group")
+            # the mask over the distinct table entries fits
+            assert mask_bytes <= 8 * flush
+            if not in_group:
+                outcomes.add("mask, outside the group")
+            else:
+                outcomes.add("mask" if len(brute) < ctx.order else "mask, full group")
         elif tables:
-            # the tables were built and hold an entry outside a factor group
-            assert not in_group
-            outcomes.add("outside")
+            # the tables were built, and their distinct entries overflow the mask
+            assert mask_bytes > 8 * flush
+            outcomes.add("mask bytes")
         elif bound >= len(xs) * len(ys) or bound > flush:
             outcomes.add("size")
-        elif ctx.order > 8 * flush:
-            outcomes.add("mask bytes")
         else:
             outcomes.add("parts")
         # the tables keep to their bound, which is below |a| |b| and FLUSH
-        assert sum(tables) <= min(bound, flush, len(xs) * len(ys) - 1)
+        assert sum(t.size for t in tables) <= min(bound, flush, len(xs) * len(ys) - 1)
         if got is not None:
             assert got.dtype == np.int64
             assert got.tolist() == brute
 
     check()
-    assert outcomes == {"mask", "mask, full group", "outside", "size", "mask bytes", "parts"}
+    assert outcomes == {
+        "mask", "mask, full group", "mask, outside the group", "size", "mask bytes", "parts"
+    }
 
 
 @settings(max_examples=40, deadline=None)
